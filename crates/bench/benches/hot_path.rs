@@ -8,36 +8,30 @@
 //! the committed baseline the docs quote.
 
 use criterion::{black_box, Criterion};
-use dles_sim::{Ctx, Engine, FieldValue, JsonlRecorder, Recorder, SimTime, TraceRecord, World};
+use dles_core::build_engine_with;
+use dles_core::experiment::Experiment;
+use dles_core::rotation::RotationConfig;
+use dles_sim::{
+    Ctx, Engine, FieldValue, JsonlRecorder, MemoryRecorder, Recorder, SimTime, TraceRecord, World,
+};
 use std::io::{self, Write as _};
 
-/// Records rendered per bench iteration.
-const RECORDS_PER_ITER: usize = 1_000;
 /// Events dispatched per bench iteration.
 const EVENTS_PER_ITER: u64 = 20_000;
 
-/// A varied batch shaped like real EXP-2C traffic: state transitions,
-/// frame completions, and battery samples with mixed field types.
+/// The records of 230 s of seeded EXP-2C with rotation every 10 frames
+/// (the run behind `tests/goldens/exp2c_trace_230s.jsonl`): real
+/// `TraceEvent` renderings in the simulator's own mix, about 971
+/// state_transition : 780 power_segment : 581 transaction : 382 io :
+/// 99 frame_complete.
 fn sample_records() -> Vec<TraceRecord> {
-    (0..RECORDS_PER_ITER)
-        .map(|i| {
-            let t = SimTime::from_micros(i as u64 * 1_731);
-            match i % 3 {
-                0 => TraceRecord::new(t, format!("node{}", i % 4), "state_transition")
-                    .with("from", "Idle")
-                    .with("to", "Computation")
-                    .with("freq_mhz", 206.4),
-                1 => TraceRecord::new(t, "host", "frame_complete")
-                    .with("frame", i as u64)
-                    .with("latency_us", 1_876_000u64)
-                    .with("on_time", i % 2 == 0),
-                _ => TraceRecord::new(t, format!("node{}", i % 4), "battery_sample")
-                    .with("available_mah", 283.1 - i as f64 * 0.01)
-                    .with("bound_mah", 56.9)
-                    .with("soc", 0.93),
-            }
-        })
-        .collect()
+    let mut cfg = Experiment::Exp2C.config();
+    cfg.jitter_seed = Some(0x5EED);
+    cfg.rotation = Some(RotationConfig::every(10));
+    cfg.horizon = SimTime::from_secs(230);
+    let mut engine = build_engine_with(cfg, Box::new(MemoryRecorder::new()));
+    engine.run_until(SimTime::from_secs(230));
+    engine.recorder_mut().take_records()
 }
 
 /// The pre-fix rendering: one fresh `String` per record assembled with
@@ -60,14 +54,13 @@ fn alloc_render(r: &TraceRecord) -> String {
     line
 }
 
-fn bench_trace_emit(c: &mut Criterion) {
-    let records = sample_records();
+fn bench_trace_emit(c: &mut Criterion, records: &[TraceRecord]) {
     let mut group = c.benchmark_group("hot_path");
     group.sample_size(20);
     group.bench_function("trace_emit_alloc", |b| {
         let mut sink = io::sink();
         b.iter(|| {
-            for r in &records {
+            for r in records {
                 let mut line = alloc_render(black_box(r));
                 line.push('\n');
                 let _ = sink.write_all(line.as_bytes());
@@ -77,7 +70,7 @@ fn bench_trace_emit(c: &mut Criterion) {
     group.bench_function("trace_emit_buffered", |b| {
         let mut rec = JsonlRecorder::to_writer(Box::new(io::sink()));
         b.iter(|| {
-            for r in &records {
+            for r in records {
                 rec.record(black_box(r).clone());
             }
         })
@@ -118,7 +111,7 @@ fn bench_event_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn write_baseline(c: &Criterion) {
+fn write_baseline(c: &Criterion, records_per_iter: usize) {
     let median_ns = |label: &str| {
         c.results()
             .iter()
@@ -135,7 +128,7 @@ fn write_baseline(c: &Criterion) {
         0.0
     };
     let json = format!(
-        "{{\n  \"bench\": \"hot_path\",\n  \"records_per_iter\": {RECORDS_PER_ITER},\n  \
+        "{{\n  \"bench\": \"hot_path\",\n  \"records_per_iter\": {records_per_iter},\n  \
          \"events_per_iter\": {EVENTS_PER_ITER},\n  \
          \"trace_emit_alloc_median_ns\": {alloc},\n  \
          \"trace_emit_buffered_median_ns\": {buffered},\n  \
@@ -149,7 +142,8 @@ fn write_baseline(c: &Criterion) {
 
 fn main() {
     let mut c = Criterion::default();
-    bench_trace_emit(&mut c);
+    let records = sample_records();
+    bench_trace_emit(&mut c, &records);
     bench_event_dispatch(&mut c);
-    write_baseline(&c);
+    write_baseline(&c, records.len());
 }

@@ -71,15 +71,19 @@ fn write_baseline(c: &Criterion) {
     let serial = median_ns("serial_1thread");
     let parallel = median_ns("parallel_all_cores");
     let warm = median_ns("warm_cache");
-    let speedup = if parallel > 0 {
-        serial as f64 / parallel as f64
+    // One core runs "parallel" serially: that is no measurement of a
+    // parallel speedup, so say so instead of writing 1.00.
+    let speedup = if cores == 1 {
+        "null,\n  \"not_measured\": \"1 core\"".to_owned()
+    } else if parallel > 0 {
+        format!("{:.2}", serial as f64 / parallel as f64)
     } else {
-        0.0
+        "0.00".to_owned()
     };
     let json = format!(
         "{{\n  \"bench\": \"sweep_parallel\",\n  \"cores\": {cores},\n  \"jobs\": {jobs},\n  \
          \"serial_1thread_median_ns\": {serial},\n  \"parallel_all_cores_median_ns\": {parallel},\n  \
-         \"warm_cache_median_ns\": {warm},\n  \"parallel_speedup\": {speedup:.2}\n}}\n",
+         \"warm_cache_median_ns\": {warm},\n  \"parallel_speedup\": {speedup}\n}}\n",
         jobs = scaling_jobs().len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");

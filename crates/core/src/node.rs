@@ -17,6 +17,12 @@ use dles_units::{MilliAmpHours, MilliAmps};
 use crate::metrics::NodeOutcome;
 use crate::policy::DvsPolicy;
 
+/// Trace-component tag for node index `node` (1-based, matching the
+/// paper's figures). Called only where a record is actually built.
+pub(crate) fn component_of(node: usize) -> String {
+    format!("node{}", node + 1)
+}
+
 /// Which battery model powers a node — KiBaM for reproduction, ideal and
 /// Peukert for the "what would a naive battery model predict" ablations.
 #[derive(Debug, Clone, Copy)]
@@ -123,19 +129,19 @@ impl SimNode {
     /// the node's death event accordingly. Must not be called on a dead
     /// node.
     pub fn transition(&mut self, now: SimTime, mode: Mode, level: FreqLevel) -> Option<SimTime> {
-        self.transition_recorded(now, mode, level, &mut NullRecorder, "")
+        self.transition_recorded(now, mode, level, &mut NullRecorder, 0)
     }
 
     /// [`SimNode::transition`] that additionally emits the settled power
     /// segment (mode, DVS level, current, energy) as a `power_segment`
-    /// trace record under `component`.
+    /// trace record of node index `node`.
     pub fn transition_recorded(
         &mut self,
         now: SimTime,
         mode: Mode,
         level: FreqLevel,
         recorder: &mut dyn Recorder,
-        component: &str,
+        node: usize,
     ) -> Option<SimTime> {
         assert!(self.alive, "transition on a dead node");
         let prev_mode = self.power.mode();
@@ -154,22 +160,24 @@ impl SimNode {
                 prev_mode,
                 prev_level,
                 recorder,
-                component,
+                node,
             );
         }
         self.battery.time_to_exhaustion(self.power.current_ma())
     }
 
+    /// Names the node only when the recorder is on, so untraced runs
+    /// format nothing.
     fn emit_segment(
         &self,
         seg: LoadSegment,
         mode: Mode,
         level: FreqLevel,
         recorder: &mut dyn Recorder,
-        component: &str,
+        node: usize,
     ) {
         if recorder.enabled() {
-            recorder.record(seg.trace_record(component, mode.name(), level.freq_mhz));
+            recorder.record(seg.trace_record(component_of(node), mode.name(), level.freq_mhz));
         }
     }
 
@@ -199,11 +207,11 @@ impl SimNode {
     /// The battery is exhausted at exactly `now`: settle the final segment
     /// and mark the node dead.
     pub fn die(&mut self, now: SimTime) {
-        self.die_recorded(now, &mut NullRecorder, "")
+        self.die_recorded(now, &mut NullRecorder, 0)
     }
 
     /// [`SimNode::die`] that also emits the final `power_segment` record.
-    pub fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, component: &str) {
+    pub fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
         assert!(self.alive, "node died twice");
         let prev_mode = self.power.mode();
         let prev_level = self.power.level();
@@ -219,7 +227,7 @@ impl SimNode {
                 prev_mode,
                 prev_level,
                 recorder,
-                component,
+                node,
             );
         }
         // `now` came from time_to_exhaustion rounded to the microsecond, so
@@ -242,11 +250,11 @@ impl SimNode {
     /// Close instrumentation at the end of an experiment for a node that
     /// survived.
     pub fn finish(&mut self, now: SimTime) {
-        self.finish_recorded(now, &mut NullRecorder, "")
+        self.finish_recorded(now, &mut NullRecorder, 0)
     }
 
     /// [`SimNode::finish`] that also emits the closing `power_segment`.
-    pub fn finish_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, component: &str) {
+    pub fn finish_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
         if self.alive {
             let prev_mode = self.power.mode();
             let prev_level = self.power.level();
@@ -260,7 +268,7 @@ impl SimNode {
                     prev_mode,
                     prev_level,
                     recorder,
-                    component,
+                    node,
                 );
             }
         }
@@ -378,9 +386,9 @@ mod tests {
             Mode::Computation,
             table.highest(),
             &mut rec,
-            "node1",
+            0,
         );
-        n.finish_recorded(SimTime::from_secs(3), &mut rec, "node1");
+        n.finish_recorded(SimTime::from_secs(3), &mut rec, 0);
         let records = rec.take_records();
         assert_eq!(records.len(), 2);
         // First segment: the 2 s of idle before the transition.

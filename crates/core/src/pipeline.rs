@@ -17,14 +17,18 @@
 
 use crate::faults::{FaultPlan, FaultState, LinkFault};
 use crate::metrics::ExperimentResult;
-use crate::node::{BatterySpec, SimNode};
+use crate::node::{component_of, BatterySpec, SimNode};
 use crate::policy::{DvsPolicy, SchedulingPolicy};
 use crate::recovery::RecoveryConfig;
 use crate::rotation::RotationConfig;
 use crate::workload::{NodeShare, SystemConfig};
-use dles_net::{Endpoint, LinkSchedule, Transaction};
+use dles_net::transaction::link_component;
+use dles_net::{Endpoint, LinkSchedule, Transaction, TransactionKind};
 use dles_power::{CurrentModel, FreqLevel, Mode};
-use dles_sim::{Ctx, Engine, Recorder, RunOutcome, SimRng, SimTime, TraceRecord, World};
+use dles_sim::{
+    Ctx, Engine, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime, TraceEvent,
+    World,
+};
 
 /// Tolerance added to the per-frame deadline before counting a miss
 /// (absorbs sub-millisecond rounding in transfer times).
@@ -119,25 +123,12 @@ enum TransferKind {
     Ack,
 }
 
-/// Trace-component tag for a node (1-based, matching the paper's figures).
-fn component_of(node: usize) -> String {
-    format!("node{}", node + 1)
-}
-
 /// Trace label for either endpoint kind.
 fn endpoint_name(ep: Endpoint) -> String {
     match ep {
         Endpoint::Host => "host".to_string(),
         Endpoint::Node(i) => component_of(i),
     }
-}
-
-/// The single constructor for `fault_injected` trace records. Link faults
-/// and brownouts describe themselves with disjoint field sets, so each
-/// caller chains its own `.with` fields onto this shared base — one emit
-/// site, every fault field optional in the extracted schema.
-fn fault_record(time: SimTime, component: impl Into<String>) -> TraceRecord {
-    TraceRecord::new(time, component, "fault_injected")
 }
 
 /// Whether an injected fault destroys the transfer's payload in flight.
@@ -455,21 +446,19 @@ impl PipelineWorld {
         let policy = self.policy_for(node);
         let level = policy.level_for(mode, base, &self.cfg.sys.dvs);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", mode.name())
-                    .with("freq_mhz", level.freq_mhz.mhz()),
+                TraceEvent::StateTransition {
+                    mode: mode.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: None,
+                    frame: None,
+                }
+                .record(ctx.now(), component_of(node)),
             );
         }
-        let ttd = self.nodes[node].transition_recorded(
-            ctx.now(),
-            mode,
-            level,
-            ctx.recorder(),
-            &component,
-        );
+        let ttd =
+            self.nodes[node].transition_recorded(ctx.now(), mode, level, ctx.recorder(), node);
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
         }
@@ -508,21 +497,23 @@ impl PipelineWorld {
                 }
                 if let Some(fault) = t.fault {
                     if ctx.tracing() {
-                        let mut rec = fault_record(ctx.now(), "link")
-                            .with("from", endpoint_name(t.from))
-                            .with("to", endpoint_name(t.to))
-                            .with("frame", t.frame)
-                            .with("bytes", t.bytes);
-                        rec = match fault {
-                            LinkFault::Dropped => rec.with("fault", "drop"),
-                            LinkFault::Corrupted { flipped_bits } => rec
-                                .with("fault", "bit_error")
-                                .with("flipped_bits", flipped_bits as u64),
-                            LinkFault::Delayed(extra) => rec
-                                .with("fault", "delay")
-                                .with("delay_us", extra.as_micros()),
+                        let fault = match fault {
+                            LinkFault::Dropped => LinkFaultKind::Drop,
+                            LinkFault::Corrupted { flipped_bits } => LinkFaultKind::BitError {
+                                flipped_bits: flipped_bits as u64,
+                            },
+                            LinkFault::Delayed(delay) => LinkFaultKind::Delay { delay },
                         };
-                        ctx.emit(rec);
+                        ctx.emit(
+                            TraceEvent::FaultInjected(InjectedFault::Link {
+                                from: endpoint_name(t.from),
+                                to: endpoint_name(t.to),
+                                frame: t.frame,
+                                bytes: t.bytes,
+                                fault,
+                            })
+                            .record(ctx.now(), "link"),
+                        );
                     }
                 }
             }
@@ -561,14 +552,15 @@ impl PipelineWorld {
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", Mode::Computation.name())
-                    .with("freq_mhz", level.freq_mhz.mhz())
-                    .with("share", share)
-                    .with("frame", frame),
+                TraceEvent::StateTransition {
+                    mode: Mode::Computation.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: Some(share),
+                    frame: Some(frame),
+                }
+                .record(ctx.now(), component_of(node)),
             );
         }
         // PROC always runs at the share's level regardless of policy.
@@ -577,7 +569,7 @@ impl PipelineWorld {
             Mode::Computation,
             level,
             ctx.recorder(),
-            &component,
+            node,
         );
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
@@ -704,15 +696,17 @@ impl PipelineWorld {
         }
         self.counters.incr("policy_decisions");
         if ctx.tracing() {
-            let mut rec = TraceRecord::new(ctx.now(), "pipeline", "policy_decision")
-                .with("policy", self.cfg.scheduling.name())
-                .with("frame", frame)
-                .with("skew_soc", skew.get())
-                .with("action", action);
-            if matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. }) {
-                rec = rec.with("next_period_frames", self.adaptive_period);
-            }
-            ctx.emit(rec);
+            let adaptive = matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. });
+            ctx.emit(
+                TraceEvent::PolicyDecision {
+                    policy: self.cfg.scheduling.name(),
+                    frame,
+                    skew_soc: skew.get(),
+                    action,
+                    next_period_frames: adaptive.then_some(self.adaptive_period),
+                }
+                .record(ctx.now(), "pipeline"),
+            );
         }
     }
 
@@ -775,10 +769,12 @@ impl PipelineWorld {
         self.counters.incr("migrations");
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component_of(survivor), "migration")
-                    .with("dead", component_of(dead))
-                    .with("merged_freq_mhz", level.freq_mhz.mhz())
-                    .with("feasible", feasible.is_some()),
+                TraceEvent::Migration {
+                    dead: component_of(dead),
+                    merged_freq_mhz: level.freq_mhz.mhz(),
+                    feasible: feasible.is_some(),
+                }
+                .record(ctx.now(), component_of(survivor)),
             );
         }
         // The survivor's pending sends targeted the old share map; any
@@ -911,9 +907,11 @@ impl PipelineWorld {
                 self.on_policy_rotation(ctx, frame);
                 if ctx.tracing() {
                     ctx.emit(
-                        TraceRecord::new(ctx.now(), "pipeline", "rotation")
-                            .with("frame", frame)
-                            .with("rotations", self.rotations),
+                        TraceEvent::Rotation {
+                            frame,
+                            rotations: self.rotations,
+                        }
+                        .record(ctx.now(), "pipeline"),
                     );
                 }
             }
@@ -959,16 +957,15 @@ impl PipelineWorld {
                 if ctx.tracing() {
                     let kind = self.transfers[id].kind;
                     ctx.emit(
-                        TraceRecord::new(ctx.now(), component_of(i), "io")
-                            .with("dir", if ep == from { "send" } else { "recv" })
-                            .with(
-                                "payload",
-                                match kind {
-                                    TransferKind::Data => "data",
-                                    TransferKind::Ack => "ack",
-                                },
-                            )
-                            .with("frame", frame),
+                        TraceEvent::Io {
+                            dir: if ep == from { "send" } else { "recv" },
+                            payload: match kind {
+                                TransferKind::Data => "data",
+                                TransferKind::Ack => "ack",
+                            },
+                            frame,
+                        }
+                        .record(ctx.now(), component_of(i)),
                     );
                 }
             }
@@ -1041,10 +1038,12 @@ impl PipelineWorld {
                     }
                     if ctx.tracing() {
                         ctx.emit(
-                            TraceRecord::new(ctx.now(), "host", "frame_complete")
-                                .with("frame", t.frame)
-                                .with("latency_s", latency_s)
-                                .with("deadline_missed", missed),
+                            TraceEvent::FrameComplete {
+                                frame: t.frame,
+                                latency_s,
+                                deadline_missed: missed,
+                            }
+                            .record(ctx.now(), "host"),
                         );
                     }
                     if self.cfg.recovery.is_some() {
@@ -1223,13 +1222,15 @@ impl PipelineWorld {
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", Mode::Computation.name())
-                    .with("freq_mhz", level.freq_mhz.mhz())
-                    .with("share", share),
+                TraceEvent::StateTransition {
+                    mode: Mode::Computation.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: Some(share),
+                    frame: None,
+                }
+                .record(ctx.now(), component_of(node)),
             );
         }
         let ttd = self.nodes[node].transition_recorded(
@@ -1237,7 +1238,7 @@ impl PipelineWorld {
             Mode::Computation,
             level,
             ctx.recorder(),
-            &component,
+            node,
         );
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
@@ -1253,16 +1254,14 @@ impl PipelineWorld {
             return;
         }
         self.counters.incr("node_deaths");
-        let component = component_of(node);
-        self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), &component);
+        self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "node_death")
-                    .with(
-                        "delivered_mah",
-                        self.nodes[node].battery.delivered_mah().get(),
-                    )
-                    .with("stranded_mah", self.nodes[node].stranded_mah().get()),
+                TraceEvent::NodeDeath {
+                    delivered_mah: self.nodes[node].battery.delivered_mah().get(),
+                    stranded_mah: self.nodes[node].stranded_mah().get(),
+                }
+                .record(ctx.now(), component_of(node)),
             );
         }
         self.death_events[node] = None;
@@ -1302,9 +1301,15 @@ impl PipelineWorld {
         self.counters.incr("ack_timeouts");
         if ctx.tracing() {
             ctx.emit(
-                Transaction::ack(entry.to, Endpoint::Node(node))
-                    .trace_record(ctx.now(), "timeout", entry.frame)
-                    .with("waiter", component_of(node)),
+                TraceEvent::Transaction {
+                    event: "timeout",
+                    payload: TransactionKind::Ack.name(),
+                    bytes: 0,
+                    frame: entry.frame,
+                    waiter: Some(component_of(node)),
+                    upstream_alive: None,
+                }
+                .record(ctx.now(), link_component(entry.to, Endpoint::Node(node))),
             );
         }
         if self.is_offline(ctx.now(), node) {
@@ -1361,9 +1366,8 @@ impl PipelineWorld {
             }
             if ctx.tracing() {
                 ctx.emit(
-                    fault_record(ctx.now(), component_of(node))
-                        .with("fault", "brownout")
-                        .with("duration_us", duration.as_micros()),
+                    TraceEvent::FaultInjected(InjectedFault::Brownout { duration })
+                        .record(ctx.now(), component_of(node)),
                 );
             }
             self.set_node_state(ctx, node, Mode::Idle);
@@ -1395,9 +1399,18 @@ impl PipelineWorld {
         let upstream = self.node_of_share[share - 1];
         if ctx.tracing() {
             ctx.emit(
-                Transaction::payload(Endpoint::Node(upstream), Endpoint::Node(node), 0)
-                    .trace_record(ctx.now(), "timeout", 0)
-                    .with("upstream_alive", self.nodes[upstream].alive),
+                TraceEvent::Transaction {
+                    event: "timeout",
+                    payload: TransactionKind::Payload.name(),
+                    bytes: 0,
+                    frame: 0,
+                    waiter: None,
+                    upstream_alive: Some(self.nodes[upstream].alive),
+                }
+                .record(
+                    ctx.now(),
+                    link_component(Endpoint::Node(upstream), Endpoint::Node(node)),
+                ),
             );
         }
         if !self.nodes[upstream].alive {

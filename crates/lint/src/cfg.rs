@@ -1,4 +1,4 @@
-//! Pass 4a of the analysis: intraprocedural control-flow regions.
+//! Pass 3a of the analysis: intraprocedural control-flow regions.
 //!
 //! For each function body this folds the token stream into a flat list of
 //! brace/keyword-matched *regions*: loop regions from `for`/`while`/`loop`

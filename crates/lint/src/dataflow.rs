@@ -1,4 +1,4 @@
-//! Pass 4b of the analysis: def-use over the [`crate::cfg`] regions, and
+//! Pass 3b of the analysis: def-use over the [`crate::cfg`] regions, and
 //! the two hot-path allocation rules that run on top of the D009 call
 //! graph.
 //!

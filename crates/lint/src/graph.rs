@@ -132,7 +132,7 @@ pub(crate) fn in_scope(path: &str) -> bool {
     !(in_dir("tests") || in_dir("examples") || in_dir("benches"))
 }
 
-/// Is this function a D009 hot-path root? (Shared with the pass-4
+/// Is this function a D009 hot-path root? (Shared with the pass-3
 /// dataflow rules, which walk the same graph from the same roots.)
 pub(crate) fn is_root(m: &FileModel, fj: usize) -> bool {
     let f = &m.fns[fj];
@@ -158,16 +158,13 @@ pub fn analyze(
     check_reachability(&graph, &mut findings);
     check_counter_keys(&graph, readme, full, &mut findings);
     check_lock_order(&graph, &mut findings);
-    // Pass 4 (CFG/dataflow) rules resolve reachability over the same
+    // Pass 3 (CFG/dataflow) rules resolve reachability over the same
     // graph, so they run here and share the graph-allow channel.
     crate::dataflow::check_hot_paths(&graph, &mut findings);
     apply_graph_allows(findings, allows)
 }
 
-pub(crate) fn apply_graph_allows(
-    mut findings: Vec<Finding>,
-    allows: Vec<GraphAllow>,
-) -> Vec<Finding> {
+fn apply_graph_allows(mut findings: Vec<Finding>, allows: Vec<GraphAllow>) -> Vec<Finding> {
     let mut used = vec![false; allows.len()];
     for f in &mut findings {
         for (i, a) in allows.iter().enumerate() {

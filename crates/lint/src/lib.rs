@@ -6,11 +6,12 @@
 //! That guarantee is easy to break silently — a stray `Instant::now`, a
 //! `HashMap` iterated into a report, a `partial_cmp().unwrap()` on a NaN —
 //! so this crate checks the source mechanically instead of by convention.
-//! Rules are numbered D001–D016 (plus D000 for allow-comment hygiene);
-//! `LINTS.md` at the workspace root documents each one. Per-file rules
-//! run in pass 1 ([`rules`]), the interprocedural graph rules in pass 2
-//! ([`graph`]), the trace-schema rules in pass 3 ([`schema`]), and the
-//! intraprocedural CFG/dataflow rules in pass 4 ([`mod@cfg`] + [`dataflow`]).
+//! Rules are numbered D001–D016 (plus D000 for allow-comment hygiene;
+//! D012–D014 are retired); `LINTS.md` at the workspace root documents
+//! each one. Per-file rules run in pass 1 ([`rules`]), the
+//! interprocedural graph rules in pass 2 ([`graph`]), and the
+//! intraprocedural CFG/dataflow rules in pass 3 ([`mod@cfg`] +
+//! [`dataflow`]).
 //!
 //! The scanner is a hand-rolled token-level lexer ([`lexer`]) because the
 //! build environment is offline (no `syn`); the rules ([`rules`]) operate
@@ -22,12 +23,10 @@ pub mod graph;
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod schema;
 pub mod suffixes;
 
 pub use graph::render_graph;
 pub use rules::{crosscheck_docs, scan_file, DocCandidate, Finding, GraphAllow, RuleId};
-pub use schema::{render_schema_human, render_schema_json, TraceSchema};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,15 +42,8 @@ pub struct ScanOutcome {
     pub cli_flags: Vec<DocCandidate>,
     /// Per-file item models, merged by the pass-2 graph analysis.
     pub models: Vec<model::FileModel>,
-    /// Per-file trace emit sites, merged by the pass-3 schema analysis.
-    pub file_schemas: Vec<schema::FileSchema>,
-    /// The merged workspace trace schema, populated by
-    /// [`analyze_workspace`].
-    pub schema: Option<schema::TraceSchema>,
     /// Allow directives naming pass-2 rules, matched after the merge.
     pub graph_allows: Vec<GraphAllow>,
-    /// Allow directives naming pass-3 schema rules, ditto.
-    pub schema_allows: Vec<GraphAllow>,
     /// Files that could not be read: drives the distinct exit code 2, so
     /// CI can tell "the tree has violations" from "the scan was partial".
     pub io_errors: usize,
@@ -107,9 +99,7 @@ pub fn scan_files(root: &Path, files: &[PathBuf]) -> ScanOutcome {
                 outcome.findings.extend(scan.findings);
                 outcome.cli_flags.extend(scan.cli_flags);
                 outcome.models.push(scan.model);
-                outcome.file_schemas.push(scan.schema);
                 outcome.graph_allows.extend(scan.graph_allows);
-                outcome.schema_allows.extend(scan.schema_allows);
                 outcome.files_scanned += 1;
             }
             Err(e) => {
@@ -143,32 +133,23 @@ pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
             rule: RuleId::D006,
             path: "README.md".to_owned(),
             line: 0,
-            message: format!("cannot read README.md for the schema/flag cross-check: {e}"),
+            message: format!("cannot read README.md for the flag cross-check: {e}"),
             allowed: None,
         }),
     }
 }
 
-/// Run the pass-2 interprocedural rules (D009/D010/D011) and the pass-3
-/// schema rules (D012/D013) over the merged per-file models, appending
-/// their findings to `outcome`. `full` marks a whole-workspace scan, which
-/// is the only mode where "documented counter key / schema row has no
-/// emit site" is decidable. The README read here feeds the D010
-/// counter-key registry and the D013 trace-schema table cross-checks.
+/// Run the interprocedural rules (D009/D010/D011, and the D015/D016
+/// dataflow rules over the same graph) on the merged per-file models,
+/// appending their findings to `outcome`. `full` marks a whole-workspace
+/// scan, which is the only mode where "documented counter key has no emit
+/// site" is decidable. The README read here feeds the D010 counter-key
+/// registry cross-check.
 pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {
     let readme = fs::read_to_string(root.join("README.md")).ok();
     let allows = std::mem::take(&mut outcome.graph_allows);
     let findings = graph::analyze(&outcome.models, readme.as_deref(), full, allows);
     outcome.findings.extend(findings);
-    let schema_allows = std::mem::take(&mut outcome.schema_allows);
-    let (schema, findings) = schema::analyze(
-        &outcome.file_schemas,
-        readme.as_deref(),
-        full,
-        schema_allows,
-    );
-    outcome.findings.extend(findings);
-    outcome.schema = Some(schema);
 }
 
 /// Sort findings for stable output: by path, then line, then rule.
@@ -244,33 +225,7 @@ pub fn render_json(outcome: &ScanOutcome) -> String {
         }
         out.push_str(&format!("\"{}\": {n}", rule.as_str()));
     }
-    out.push_str("}\n  }");
-    // The schema section mirrors `--schema-dump --json` in summary form:
-    // per-kind field and emit-site counts, so the CI artifact records the
-    // observability surface alongside the findings.
-    if let Some(schema) = &outcome.schema {
-        out.push_str(",\n  \"schema\": {\n");
-        out.push_str(&format!(
-            "    \"kinds\": {},\n    \"fields\": {},\n    \"emit_sites\": {},\n",
-            schema.kinds.len(),
-            schema.field_count(),
-            schema.emit_site_count()
-        ));
-        out.push_str("    \"by_kind\": {");
-        for (i, (kind, ks)) in schema.kinds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{}: {{\"fields\": {}, \"emit_sites\": {}}}",
-                json_str(kind),
-                ks.fields.len(),
-                ks.emit_sites.len()
-            ));
-        }
-        out.push_str("}\n  }");
-    }
-    out.push_str("\n}\n");
+    out.push_str("}\n  }\n}\n");
     out
 }
 

@@ -6,19 +6,13 @@
 //! cargo run -p lint -- --deny              exit non-zero on any violation (CI mode)
 //! cargo run -p lint -- --json              machine-readable report on stdout
 //! cargo run -p lint -- --graph-dump        dump the merged symbol/call graph
-//! cargo run -p lint -- --schema-dump       print the extracted trace schema
-//!                                          (add --json for the lockfile form)
-//! cargo run -p lint -- --check-goldens     validate tests/goldens/*.jsonl
-//!                                          against the schema (D014)
 //! cargo run -p lint -- [paths…]            scan only these files/directories
 //! ```
 //!
 //! With no paths, the whole workspace is scanned (`crates/`, `tests/`,
 //! `examples/`) and the D006 documentation cross-check runs against
 //! `README.md`. Rules and the allow-comment syntax are documented in
-//! `LINTS.md`. The `--schema-dump --json` output is committed as
-//! `trace_schema.json` at the workspace root; CI diffs a fresh dump
-//! against it so schema changes ship with an explicit lockfile update.
+//! `LINTS.md`.
 //!
 //! Exit codes: 0 clean, 1 violations under `--deny`, 2 I/O or usage
 //! errors (unknown flag, unreadable file or workspace) — so CI can tell a
@@ -26,8 +20,7 @@
 
 use dles_lint::{
     analyze_workspace, collect_rs_files, crosscheck_workspace_docs, find_workspace_root,
-    render_graph, render_human, render_json, render_schema_human, render_schema_json, scan_files,
-    schema, sort_findings, DEFAULT_ROOTS,
+    render_graph, render_human, render_json, scan_files, sort_findings, DEFAULT_ROOTS,
 };
 use std::path::PathBuf;
 
@@ -35,21 +28,14 @@ fn main() {
     let mut deny = false;
     let mut json = false;
     let mut graph_dump = false;
-    let mut schema_dump = false;
-    let mut check_goldens = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
             "--graph-dump" => graph_dump = true,
-            "--schema-dump" => schema_dump = true,
-            "--check-goldens" => check_goldens = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: dles-lint [--deny] [--json] [--graph-dump] [--schema-dump] \
-                     [--check-goldens] [paths…]"
-                );
+                eprintln!("usage: dles-lint [--deny] [--json] [--graph-dump] [paths…]");
                 return;
             }
             other if other.starts_with("--") => {
@@ -70,13 +56,6 @@ fn main() {
     });
 
     let explicit = !paths.is_empty();
-    if (check_goldens || schema_dump) && explicit {
-        // A partial schema would call every golden record of an unscanned
-        // kind a violation, and a partial dump would diff against the
-        // lockfile as pure noise.
-        eprintln!("dles-lint: --schema-dump / --check-goldens require a full workspace scan");
-        std::process::exit(2);
-    }
     let mut files: Vec<PathBuf> = Vec::new();
     if explicit {
         for p in &paths {
@@ -113,23 +92,10 @@ fn main() {
     // Dead-registry-row detection needs the whole workspace in view; an
     // explicit file list would make every undriven key look dead.
     analyze_workspace(&root, &mut outcome, !explicit);
-    if check_goldens {
-        let ws_schema = outcome.schema.as_ref().expect("analyze_workspace sets it");
-        let (findings, io_errors) = schema::check_goldens(ws_schema, &root, "tests/goldens");
-        outcome.findings.extend(findings);
-        outcome.io_errors += io_errors;
-    }
     sort_findings(&mut outcome.findings);
 
     if graph_dump {
         print!("{}", render_graph(&outcome.models));
-    } else if schema_dump {
-        let ws_schema = outcome.schema.as_ref().expect("analyze_workspace sets it");
-        if json {
-            print!("{}", render_schema_json(ws_schema));
-        } else {
-            print!("{}", render_schema_human(ws_schema));
-        }
     } else if json {
         print!("{}", render_json(&outcome));
     } else {

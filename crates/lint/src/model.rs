@@ -48,7 +48,7 @@ pub struct FnItem {
     pub lock_pairs: Vec<(usize, usize)>,
     /// (lock index, call index): calls made while the lock is held.
     pub calls_under_lock: Vec<(usize, usize)>,
-    /// Pass-4 CFG/dataflow facts: loop-region alloc sinks (D015) and
+    /// Pass-3 CFG/dataflow facts: loop-region alloc sinks (D015) and
     /// loop-invariant rebuild candidates (D016).
     pub flow: crate::dataflow::FnFlow,
 }

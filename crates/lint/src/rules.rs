@@ -33,9 +33,7 @@ pub enum RuleId {
     D004,
     /// No `unwrap`/`expect` in event-dispatch hot paths.
     D005,
-    /// Trace kinds must be string literals (the schema extractor needs
-    /// them); repro CLI flags must be documented. The kind-level doc check
-    /// this rule used to carry is subsumed by D013's field-level one.
+    /// Every repro CLI flag must be documented in README.
     D006,
     /// No bare `f64` under a unit-suffixed name in public signatures or
     /// struct fields of the unit-bearing crates — use `dles-units` types.
@@ -53,17 +51,6 @@ pub enum RuleId {
     /// Lock-order discipline: no cycles in the simultaneously-held lock
     /// graph, no lock held across a `par_map` boundary.
     D011,
-    /// Trace-field discipline: field keys must be string literals; emit
-    /// sites of one kind must not require incomparable field sets; a
-    /// field's value class must agree across sites.
-    D012,
-    /// Field-level doc drift: every extracted trace kind/field must appear
-    /// in README's trace-schema table, no dead documented rows.
-    D013,
-    /// Golden conformance (`--check-goldens`): every committed
-    /// `tests/goldens/*.jsonl` record must parse and match the extracted
-    /// schema (known kind, known fields, compatible value classes).
-    D014,
     /// Allocation discipline in hot paths: no alloc/copy sinks (`format!`,
     /// `vec![]`, `Vec::new`, `clone`, `collect`, …) inside a loop region
     /// of any function transitively reachable from a D009 hot-path root.
@@ -76,7 +63,7 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 17] = [
+    pub const ALL: [RuleId; 14] = [
         RuleId::D000,
         RuleId::D001,
         RuleId::D002,
@@ -89,9 +76,6 @@ impl RuleId {
         RuleId::D009,
         RuleId::D010,
         RuleId::D011,
-        RuleId::D012,
-        RuleId::D013,
-        RuleId::D014,
         RuleId::D015,
         RuleId::D016,
     ];
@@ -99,7 +83,7 @@ impl RuleId {
     /// The interprocedural (pass-2) rules: their findings are produced by
     /// [`crate::graph`] after every file's item model has been merged, so
     /// their allow comments are matched there rather than per-file. D015
-    /// and D016 are pass-4 (CFG/dataflow) rules but resolve reachability
+    /// and D016 are pass-3 (CFG/dataflow) rules but resolve reachability
     /// over the same merged graph, so their allows ride the same channel.
     pub const GRAPH_RULES: [RuleId; 5] = [
         RuleId::D009,
@@ -108,13 +92,6 @@ impl RuleId {
         RuleId::D015,
         RuleId::D016,
     ];
-
-    /// The schema (pass-3) rules: produced by [`crate::schema`] after the
-    /// workspace trace schema is merged, so their allows are exported like
-    /// the graph rules' and matched there. D014 is not listed: golden
-    /// conformance findings land in `.jsonl` files, where no allow comment
-    /// can live — a stale `allow(D014)` in source is D000 per-file.
-    pub const SCHEMA_RULES: [RuleId; 2] = [RuleId::D012, RuleId::D013];
 
     pub fn as_str(self) -> &'static str {
         match self {
@@ -130,9 +107,6 @@ impl RuleId {
             RuleId::D009 => "D009",
             RuleId::D010 => "D010",
             RuleId::D011 => "D011",
-            RuleId::D012 => "D012",
-            RuleId::D013 => "D013",
-            RuleId::D014 => "D014",
             RuleId::D015 => "D015",
             RuleId::D016 => "D016",
         }
@@ -151,15 +125,12 @@ impl RuleId {
             RuleId::D003 => "no HashMap/HashSet (iteration order leaks into output)",
             RuleId::D004 => "no float partial_cmp; use total_cmp",
             RuleId::D005 => "no unwrap/expect in event-dispatch hot paths",
-            RuleId::D006 => "trace kinds must be literal and repro CLI flags documented",
+            RuleId::D006 => "every repro CLI flag documented in README",
             RuleId::D007 => "no bare f64 under a unit-suffixed name; use dles-units quantities",
             RuleId::D008 => "no arithmetic mixing conflicting unit suffixes without a conversion",
             RuleId::D009 => "no wall-clock/entropy/unwrap transitively reachable from hot paths",
             RuleId::D010 => "counter keys: literal, one owning crate, documented, no dead rows",
             RuleId::D011 => "lock order: no acquisition cycles, no lock held across par_map",
-            RuleId::D012 => "trace fields: literal keys, comparable field sets, one value class",
-            RuleId::D013 => "every trace kind/field documented in README's trace-schema table",
-            RuleId::D014 => "committed goldens conform to the extracted trace schema",
             RuleId::D015 => "no alloc/copy sinks inside loops on hot paths; reuse buffers",
             RuleId::D016 => "no per-iteration rebuild of loop-invariant values; hoist the let",
         }
@@ -185,8 +156,7 @@ impl Finding {
 }
 
 /// A documented-name candidate collected for the D006 cross-check: a CLI
-/// flag string matched in `repro.rs`. (Trace kinds used to flow through
-/// here too; they now live in the richer [`crate::schema`] extraction.)
+/// flag string matched in `repro.rs`.
 #[derive(Debug, Clone)]
 pub struct DocCandidate {
     pub name: String,
@@ -216,12 +186,8 @@ pub struct FileScan {
     pub cli_flags: Vec<DocCandidate>,
     /// The pass-1 item model [`crate::graph`] merges in pass 2.
     pub model: crate::model::FileModel,
-    /// The pass-1 trace emit sites [`crate::schema`] merges in pass 3.
-    pub schema: crate::schema::FileSchema,
     /// Allow directives for the pass-2 graph rules, matched after the merge.
     pub graph_allows: Vec<GraphAllow>,
-    /// Allow directives for the pass-3 schema rules (D012/D013), ditto.
-    pub schema_allows: Vec<GraphAllow>,
 }
 
 /// Event-dispatch hot-path files covered by D005 (matched by file name so
@@ -269,8 +235,6 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
     let in_test = mark_test_mods(&tokens, &sig);
     let (mut allows, mut findings) = parse_allow_directives(rel_path, &tokens);
     let model = crate::model::build_model(rel_path, &tokens, &sig, &in_test);
-    let (schema, schema_findings) = crate::schema::extract(rel_path, &tokens, &sig, &in_test);
-    findings.extend(schema_findings);
 
     let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
     let d001_applies = !rel_path.starts_with("crates/criterion");
@@ -371,21 +335,6 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
                         allowed: None,
                     });
                 }
-                "TraceRecord" if !test_code => {
-                    if let Some((_, line, bad)) = trace_kind_argument(&tokens, &sig, si) {
-                        if bad {
-                            findings.push(Finding {
-                                rule: RuleId::D006,
-                                path: rel_path.to_owned(),
-                                line,
-                                message: "TraceRecord::new kind is not a string literal — \
-                                          the schema cross-check needs literal kinds"
-                                    .to_owned(),
-                                allowed: None,
-                            });
-                        }
-                    }
-                }
                 _ => {}
             },
             TokenKind::Str if collect_flags && is_cli_flag(&tok.text) => {
@@ -436,18 +385,13 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
             if a.used {
                 continue;
             }
-            if RuleId::GRAPH_RULES.contains(&a.rule) || RuleId::SCHEMA_RULES.contains(&a.rule) {
-                let export = GraphAllow {
+            if RuleId::GRAPH_RULES.contains(&a.rule) {
+                scan.graph_allows.push(GraphAllow {
                     rule: a.rule,
                     path: rel_path.to_owned(),
                     line,
                     reason: a.reason.clone(),
-                };
-                if RuleId::GRAPH_RULES.contains(&a.rule) {
-                    scan.graph_allows.push(export);
-                } else {
-                    scan.schema_allows.push(export);
-                }
+                });
                 continue;
             }
             findings.push(Finding {
@@ -465,7 +409,6 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
 
     scan.findings = findings;
     scan.model = model;
-    scan.schema = schema;
     scan
 }
 
@@ -853,43 +796,6 @@ fn parse_allow_directives(rel_path: &str, tokens: &[Token]) -> (AllowMap, Vec<Fi
     (map, findings)
 }
 
-/// At `TraceRecord` (sig index `si`), if the call shape is
-/// `TraceRecord::new(…)`, return `(kind, line, malformed)` where `kind` is
-/// the last top-level string-literal argument.
-pub(crate) fn trace_kind_argument(
-    tokens: &[Token],
-    sig: &[usize],
-    si: usize,
-) -> Option<(String, u32, bool)> {
-    let punct_at = |k: usize, c: char| sig.get(k).is_some_and(|&ti| tokens[ti].is_punct(c));
-    let ident_at = |k: usize, w: &str| sig.get(k).is_some_and(|&ti| tokens[ti].is_ident(w));
-    if !(punct_at(si + 1, ':') && punct_at(si + 2, ':') && ident_at(si + 3, "new")) {
-        return None;
-    }
-    if !punct_at(si + 4, '(') {
-        return None;
-    }
-    let line = tokens[sig[si]].line;
-    let mut depth = 1usize;
-    let mut k = si + 5;
-    let mut last_str: Option<String> = None;
-    while k < sig.len() && depth > 0 {
-        let tok = &tokens[sig[k]];
-        if tok.is_punct('(') {
-            depth += 1;
-        } else if tok.is_punct(')') {
-            depth -= 1;
-        } else if depth == 1 && tok.kind == TokenKind::Str {
-            last_str = Some(tok.text.clone());
-        }
-        k += 1;
-    }
-    match last_str {
-        Some(kind) => Some((kind, line, false)),
-        None => Some((String::new(), line, true)),
-    }
-}
-
 /// Does this string literal look like a CLI flag (`--trials`, `--fig10`)?
 fn is_cli_flag(s: &str) -> bool {
     s.strip_prefix("--").is_some_and(|tail| {
@@ -902,8 +808,7 @@ fn is_cli_flag(s: &str) -> bool {
 
 /// D006: every parsed CLI flag must appear in the documentation text
 /// (README), delimited by non-word characters so `--fig1` is not
-/// satisfied by `--fig10`. (Trace kinds are covered field-by-field by
-/// D013's schema cross-check.)
+/// satisfied by `--fig10`.
 pub fn crosscheck_docs(doc_name: &str, doc_text: &str, flags: &[DocCandidate]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for cand in flags {
@@ -1070,41 +975,6 @@ mod tests {
                    fn f() -> &'static str { \"use std::collections::HashMap;\" }\n\
                    /* thread_rng() in a block comment */\n";
         assert!(violations("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn trace_kind_collection_takes_last_top_level_string() {
-        let src = r#"fn f(ctx: &C) {
-            ctx.emit(TraceRecord::new(ctx.now(), format!("{}->{}", a, b), "transaction"));
-            ctx.emit(TraceRecord::new(ctx.now(), "host", "frame_complete").with("x", 1));
-        }"#;
-        let scan = scan_file("crates/net/src/transaction.rs", src);
-        let kinds: Vec<&str> = scan.schema.sites.iter().map(|s| s.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["transaction", "frame_complete"]);
-    }
-
-    #[test]
-    fn non_literal_trace_kind_is_a_d006_violation() {
-        let src = "fn f(ctx: &C, kind: &'static str) { \
-                   ctx.emit(TraceRecord::new(ctx.now(), \"host\", kind)); }";
-        // The component string is a literal but it is not the *last* one…
-        // actually it is, so this collects "host". Use no strings at all:
-        let src2 = "fn f(ctx: &C, k: &'static str) { \
-                    ctx.emit(TraceRecord::new(ctx.now(), comp, k)); }";
-        let scan = scan_file("crates/core/src/x.rs", src2);
-        assert!(scan
-            .findings
-            .iter()
-            .any(|f| f.rule == RuleId::D006 && f.is_violation()));
-        let _ = src;
-    }
-
-    #[test]
-    fn test_mod_trace_kinds_are_not_collected() {
-        let src = "#[cfg(test)]\nmod tests {\n fn t(ctx: &C) { \
-                   ctx.emit(TraceRecord::new(t, \"x\", \"tick\")); }\n}\n";
-        let scan = scan_file("crates/sim/src/engine.rs", src);
-        assert!(scan.schema.sites.is_empty());
     }
 
     #[test]

@@ -64,10 +64,8 @@ fn each_bad_fixture_fails_deny_with_its_rule() {
         ("d004_partial_cmp.rs", "D004", 2),
         ("pipeline.rs", "D005", 2),
         ("d000_bad_allow.rs", "D000", 3),
-        // The non-literal kind is D006; the undocumented literal kind is
-        // now D013's field-level schema check.
-        ("d006_kind.rs", "D006", 1),
-        ("d006_kind.rs", "D013", 1),
+        // An undocumented repro CLI flag.
+        ("repro.rs", "D006", 1),
         // The unit-discipline fixtures live under a `crates/core/`
         // subdirectory because D007/D008 apply only to unit-bearing
         // crate paths.
@@ -78,10 +76,6 @@ fn each_bad_fixture_fails_deny_with_its_rule() {
         ("d009_reach.rs", "D009", 1),
         ("d010_counters.rs", "D010", 2),
         ("d011_lock_cycle.rs", "D011", 3),
-        // Schema rules: incomparable field sets + a computed field key,
-        // and an undocumented kind + an undocumented field.
-        ("d012_fields.rs", "D012", 2),
-        ("d013_docs.rs", "D013", 2),
         // Dataflow rules: alloc sinks in hot loops (root + one call
         // below), and a loop-invariant rebuild.
         ("d015_alloc.rs", "D015", 2),
@@ -136,8 +130,7 @@ fn json_output_has_findings_and_summary() {
         stdout.contains(
             "\"by_rule\": {\"D000\": 0, \"D001\": 0, \"D002\": 0, \"D003\": 4, \
              \"D004\": 0, \"D005\": 0, \"D006\": 0, \"D007\": 0, \"D008\": 0, \
-             \"D009\": 0, \"D010\": 0, \"D011\": 0, \"D012\": 0, \"D013\": 0, \
-             \"D014\": 0, \"D015\": 0, \"D016\": 0}"
+             \"D009\": 0, \"D010\": 0, \"D011\": 0, \"D015\": 0, \"D016\": 0}"
         ),
         "{stdout}"
     );
@@ -320,177 +313,11 @@ fn exit_code_is_two_on_unreadable_input() {
 
 #[test]
 fn exit_code_is_two_on_unknown_flag() {
-    let out = run_lint(&workspace_root(), &["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn d012_subset_sites_and_conditional_fields_pass() {
-    let (out, stdout) = deny_fixture("d012_fields_ok.rs");
-    assert!(out.status.success(), "clean D012 shapes flagged:\n{stdout}");
-    assert!(stdout.contains("0 violation(s)"), "summary: {stdout}");
-}
-
-#[test]
-fn d012_reports_incomparable_sets_and_non_literal_key() {
-    let (out, stdout) = deny_fixture("d012_fields.rs");
-    assert!(!out.status.success(), "bad field sets passed:\n{stdout}");
-    assert!(
-        stdout.contains("emit sites of trace kind `rotation` disagree on required fields"),
-        "incomparable-set message missing:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("trace field key is not a string literal"),
-        "non-literal-key message missing:\n{stdout}"
-    );
-}
-
-#[test]
-fn d013_reports_unknown_kind_and_unknown_field() {
-    let (out, stdout) = deny_fixture("d013_docs.rs");
-    assert!(!out.status.success(), "doc drift passed:\n{stdout}");
-    assert!(
-        stdout.contains(
-            "trace kind `schema_fixture_unknown_kind` is not documented in \
-             README.md's trace-schema table"
-        ),
-        "unknown-kind message missing:\n{stdout}"
-    );
-    assert!(
-        stdout.contains(
-            "trace field `fixture_undocumented_field` of kind `rotation` is not \
-             documented in README.md's trace-schema table"
-        ),
-        "unknown-field message missing:\n{stdout}"
-    );
-}
-
-#[test]
-fn d014_flags_every_conformance_break_in_the_malformed_golden() {
-    // Library-driven: build a schema from a synthetic emitter, then check
-    // the malformed golden fixture against it. One conforming line, then
-    // unknown kind / unknown field / class mismatch / missing required
-    // field / unparseable JSON.
-    let src = r#"fn f(ctx: &C, frame: u64, rotations: u64) {
-        ctx.emit(TraceRecord::new(ctx.now(), "host", "rotation")
-            .with("frame", frame)
-            .with("rotations", rotations));
-    }"#;
-    let scan = dles_lint::scan_file("crates/core/src/rotation.rs", src);
-    let (schema, findings) = dles_lint::schema::analyze(&[scan.schema], None, false, Vec::new());
-    assert!(
-        findings.is_empty(),
-        "synthetic emitter flagged: {findings:?}"
-    );
-    let (findings, io_errors) = dles_lint::schema::check_goldens(
-        &schema,
-        &workspace_root(),
-        "crates/lint/tests/fixtures/goldens",
-    );
-    assert_eq!(io_errors, 0);
-    let msgs: Vec<(u32, &str)> = findings
-        .iter()
-        .map(|f| {
-            assert_eq!(f.rule, dles_lint::RuleId::D014);
-            assert_eq!(f.path, "crates/lint/tests/fixtures/goldens/malformed.jsonl");
-            (f.line, f.message.as_str())
-        })
-        .collect();
-    assert_eq!(msgs.len(), 5, "{msgs:?}");
-    assert!(msgs[0].0 == 2 && msgs[0].1.contains("unknown trace kind `mystery`"));
-    assert!(msgs[1].0 == 3 && msgs[1].1.contains("field `ghost` is not in the schema"));
-    assert!(msgs[2].0 == 4 && msgs[2].1.contains("is str but the schema says int"));
-    assert!(msgs[3].0 == 5 && msgs[3].1.contains("missing required field `frame`"));
-    assert!(msgs[4].0 == 6 && msgs[4].1.contains("malformed JSONL record"));
-}
-
-#[test]
-fn check_goldens_passes_on_the_committed_goldens() {
-    let out = run_lint(&workspace_root(), &["--deny", "--check-goldens"]);
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert!(
-        out.status.success(),
-        "committed goldens do not conform to the schema:\n{stdout}"
-    );
-    assert!(stdout.contains("0 violation(s)"), "summary: {stdout}");
-}
-
-#[test]
-fn check_goldens_requires_a_full_workspace_scan() {
-    let path = fixture("clean.rs");
-    let out = run_lint(
-        &workspace_root(),
-        &["--check-goldens", path.to_str().expect("utf-8 path")],
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "partial schema must not judge goldens"
-    );
-}
-
-#[test]
-fn schema_dump_json_matches_the_committed_lockfile() {
-    // Cargo.lock discipline: a fresh dump must be byte-identical to the
-    // committed trace_schema.json, or the change ships a lockfile update.
-    let out = run_lint(&workspace_root(), &["--schema-dump", "--json"]);
-    assert!(out.status.success());
-    let fresh = String::from_utf8(out.stdout).expect("utf-8 output");
-    let committed = std::fs::read_to_string(workspace_root().join("trace_schema.json"))
-        .expect("trace_schema.json is committed at the workspace root");
-    assert_eq!(
-        fresh, committed,
-        "trace_schema.json is stale — rerun `cargo run -p lint -- --schema-dump --json`"
-    );
-}
-
-#[test]
-fn schema_drift_is_visible_in_the_lockfile_render() {
-    // A field added to an emitter without touching anything else must
-    // change the dump — this is what the CI lockfile diff trips on.
-    let base = r#"fn f(ctx: &C, frame: u64) {
-        ctx.emit(TraceRecord::new(ctx.now(), "host", "rotation").with("frame", frame));
-    }"#;
-    let drifted = r#"fn f(ctx: &C, frame: u64) {
-        ctx.emit(TraceRecord::new(ctx.now(), "host", "rotation")
-            .with("frame", frame)
-            .with("extra_field", 1u64));
-    }"#;
-    let render = |src: &str| {
-        let scan = dles_lint::scan_file("crates/core/src/rotation.rs", src);
-        let (schema, _) = dles_lint::schema::analyze(&[scan.schema], None, false, Vec::new());
-        dles_lint::render_schema_json(&schema)
-    };
-    let (a, b) = (render(base), render(drifted));
-    assert_ne!(a, b, "drifted emitter rendered identically");
-    assert!(!a.contains("extra_field") && b.contains("extra_field"));
-}
-
-#[test]
-fn schema_dump_human_lists_kinds_and_sites() {
-    let out = run_lint(&workspace_root(), &["--schema-dump"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert!(
-        stdout.contains("state_transition (3 emit site(s))"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("10 kind(s)"), "{stdout}");
-}
-
-#[test]
-fn workspace_json_report_has_the_schema_section() {
-    let out = run_lint(&workspace_root(), &["--json"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert!(stdout.contains("\"schema\": {"), "{stdout}");
-    assert!(stdout.contains("\"kinds\": 10"), "{stdout}");
-    // The transaction kind merges the constructor helper's chain fields:
-    // 4 required from Transaction::trace_record + 2 optional caller-side.
-    assert!(
-        stdout.contains("\"transaction\": {\"fields\": 6, \"emit_sites\": 1}"),
-        "{stdout}"
-    );
+    // The retired trace-schema modes are unknown flags like any other.
+    for flag in ["--bogus", "--schema-dump", "--check-goldens"] {
+        let out = run_lint(&workspace_root(), &[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 }
 
 #[test]

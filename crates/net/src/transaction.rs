@@ -8,7 +8,7 @@
 
 use crate::serial::SerialConfig;
 use crate::topology::{Endpoint, Route};
-use dles_sim::{SimRng, SimTime, TraceRecord};
+use dles_sim::{SimRng, SimTime, TraceEvent, TraceRecord};
 
 /// What a transaction carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,17 +86,21 @@ impl Transaction {
     /// (`"start"`, `"delivered"`, `"retransmit"`, `"timeout"`), tagged with
     /// the frame it carries.
     pub fn trace_record(&self, time: SimTime, event: &'static str, frame: u64) -> TraceRecord {
-        TraceRecord::new(time, self.component(), "transaction")
-            .with("event", event)
-            .with("payload", self.kind.name())
-            .with("bytes", self.bytes)
-            .with("frame", frame)
+        TraceEvent::Transaction {
+            event,
+            payload: self.kind.name(),
+            bytes: self.bytes,
+            frame,
+            waiter: None,
+            upstream_alive: None,
+        }
+        .record(time, self.component())
     }
 }
 
 /// Build an `a->b` link component name from a directed endpoint pair —
-/// the single place the convention is spelled, so every emitter (and the
-/// trace-schema docs) agree on it.
+/// the single place the convention is spelled, so every emitter agrees
+/// on it.
 pub fn link_component(from: Endpoint, to: Endpoint) -> String {
     format!("{from}->{to}")
 }

@@ -8,7 +8,7 @@
 //! for trace-style figures.
 
 use crate::sa1100::BATTERY_VOLTS;
-use dles_sim::{SimTime, TimeWeighted, TraceRecord};
+use dles_sim::{SimTime, TimeWeighted, TraceEvent, TraceRecord};
 use dles_units::{Hertz, MilliAmpHours, MilliAmps, MilliJoules, Seconds};
 
 /// One piecewise-constant piece of a current waveform.
@@ -33,16 +33,18 @@ impl LoadSegment {
     /// state that produced it.
     pub fn trace_record(
         &self,
-        component: &str,
+        component: impl Into<String>,
         mode: &'static str,
         freq_mhz: Hertz,
     ) -> TraceRecord {
-        TraceRecord::new(self.start + self.duration, component, "power_segment")
-            .with("mode", mode)
-            .with("freq_mhz", freq_mhz.mhz())
-            .with("duration_us", self.duration)
-            .with("current_ma", self.current_ma.get())
-            .with("energy_mj", self.energy_mj().get())
+        TraceEvent::PowerSegment {
+            mode,
+            freq_mhz: freq_mhz.mhz(),
+            duration: self.duration,
+            current_ma: self.current_ma.get(),
+            energy_mj: self.energy_mj().get(),
+        }
+        .record(self.start + self.duration, component)
     }
 }
 

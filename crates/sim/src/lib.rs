@@ -56,4 +56,7 @@ pub use par::{par_map, par_map_slice, resolve_workers};
 pub use rng::SimRng;
 pub use stats::{Counter, CounterSet, DistSummary, Histogram, TimeWeighted};
 pub use time::SimTime;
-pub use trace::{FieldValue, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, TraceRecord};
+pub use trace::{
+    FieldValue, InjectedFault, JsonlRecorder, LinkFaultKind, MemoryRecorder, NullRecorder,
+    Recorder, TraceEvent, TraceRecord,
+};

@@ -1,8 +1,11 @@
 //! Structured observability: typed event records and pluggable recorders.
 //!
 //! Every instrumented component (power monitor, serial transactions, node
-//! state machines, the pipeline itself) emits [`TraceRecord`]s through a
-//! [`Recorder`]. Three implementations cover the workspace's needs:
+//! state machines, the pipeline itself) describes what happened as a
+//! [`TraceEvent`] and renders it into a [`TraceRecord`] with
+//! [`TraceEvent::record`], which it hands to a [`Recorder`]. The enum is
+//! the trace schema: one variant per record shape, its fields typed and
+//! listed in emit order. Three recorders cover the workspace's needs:
 //!
 //! * [`NullRecorder`] — the default; `enabled()` is `false`, so emit sites
 //!   skip even building the record (zero overhead on long discharge runs);
@@ -20,8 +23,9 @@
 //! ```
 //!
 //! `t_us` is the simulation clock in microseconds; `component` tags the
-//! emitter (`node0`, `link0→1`, `pipeline`); `kind` names the event type;
-//! every following key is event-specific, written in emit order.
+//! emitter (`node1`, `host->node2`, `pipeline`); `kind` names the event
+//! type; every following key is event-specific, written in the order its
+//! [`TraceEvent`] variant documents.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -102,20 +106,31 @@ impl fmt::Display for FieldValue {
 /// Write `s` as a JSON string literal into any [`fmt::Write`] sink —
 /// `Formatter`s (the `Display` impls) and plain `String` buffers (the
 /// buffered [`JsonlRecorder`] path) alike, with no intermediate
-/// allocation.
+/// allocation. Runs of characters that need no escape go out as one
+/// `write_str` slice; every byte that needs one is ASCII, so the slice
+/// bounds always fall on character boundaries.
 fn write_json_str<W: fmt::Write + ?Sized>(f: &mut W, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        if escaped.is_empty() {
+            write!(f, "\\u{:04x}", b)?;
+        } else {
+            f.write_str(escaped)?;
         }
+        start = i + 1;
     }
+    f.write_str(&s[start..])?;
     f.write_str("\"")
 }
 
@@ -132,7 +147,10 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    pub fn new(time: SimTime, component: impl Into<String>, kind: &'static str) -> Self {
+    /// Test-only: every real record comes from [`TraceEvent::record`], so
+    /// only the kinds and keys it declares can be emitted.
+    #[cfg(test)]
+    pub(crate) fn new(time: SimTime, component: impl Into<String>, kind: &'static str) -> Self {
         TraceRecord {
             time,
             component: component.into(),
@@ -142,7 +160,8 @@ impl TraceRecord {
     }
 
     /// Append a field (builder style; order is preserved in the output).
-    pub fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
         self.fields.push((name, value.into()));
         self
     }
@@ -216,6 +235,276 @@ impl fmt::Display for TraceRecord {
             write!(f, " {name}={value}")?;
         }
         Ok(())
+    }
+}
+
+/// One event the simulator traces: the single declaration of the trace
+/// schema. Each variant renders to one record `kind` (the variant name in
+/// snake case), and its fields become the record's keys in the order
+/// listed. A `None` optional field is left out of the record.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceEvent {
+    /// `state_transition`: a node enters a power state. Keys: `mode`,
+    /// `freq_mhz`, then `share` and `frame` when the node starts PROC
+    /// (`share` alone in the no-I/O local loop).
+    StateTransition {
+        mode: &'static str,
+        freq_mhz: f64,
+        share: Option<usize>,
+        frame: Option<u64>,
+    },
+    /// `power_segment`: a settled constant-current interval, stamped at
+    /// its end. Keys: `mode`, `freq_mhz`, `duration_us`, `current_ma`,
+    /// `energy_mj`.
+    PowerSegment {
+        mode: &'static str,
+        freq_mhz: f64,
+        duration: SimTime,
+        current_ma: f64,
+        energy_mj: f64,
+    },
+    /// `transaction`: a lifecycle event (`start`, `delivered`, `timeout`)
+    /// of one serial transfer. Keys: `event`, `payload`, `bytes`,
+    /// `frame`, then `waiter` on ack timeouts or `upstream_alive` on
+    /// receive timeouts.
+    Transaction {
+        event: &'static str,
+        payload: &'static str,
+        bytes: u64,
+        frame: u64,
+        waiter: Option<String>,
+        upstream_alive: Option<bool>,
+    },
+    /// `io`: a node's side of a transfer, for the timeline renderer.
+    /// Keys: `dir` (`send`/`recv`), `payload`, `frame`.
+    Io {
+        dir: &'static str,
+        payload: &'static str,
+        frame: u64,
+    },
+    /// `frame_complete`: the host received a frame's result. Keys:
+    /// `frame`, `latency_s`, `deadline_missed`.
+    FrameComplete {
+        frame: u64,
+        latency_s: f64,
+        deadline_missed: bool,
+    },
+    /// `rotation`: a §5.5 rotation wave launched. Keys: `frame`,
+    /// `rotations`.
+    Rotation { frame: u64, rotations: u64 },
+    /// `migration`: a survivor absorbed a dead neighbour's share. Keys:
+    /// `dead`, `merged_freq_mhz`, `feasible`.
+    Migration {
+        dead: String,
+        merged_freq_mhz: f64,
+        feasible: bool,
+    },
+    /// `node_death`: a node's battery is exhausted. Keys:
+    /// `delivered_mah`, `stranded_mah`.
+    NodeDeath {
+        delivered_mah: f64,
+        stranded_mah: f64,
+    },
+    /// `policy_decision`: a scheduling policy launched a wave. Keys:
+    /// `policy`, `frame`, `skew_soc`, `action`, then
+    /// `next_period_frames` under the adaptive-period policy.
+    PolicyDecision {
+        policy: &'static str,
+        frame: u64,
+        skew_soc: f64,
+        action: &'static str,
+        next_period_frames: Option<u64>,
+    },
+    /// `fault_injected`: an injected fault, with the keys of its
+    /// [`InjectedFault`] shape.
+    FaultInjected(InjectedFault),
+}
+
+/// The two shapes of a `fault_injected` record.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InjectedFault {
+    /// A fault on one transfer. Keys: `from`, `to`, `frame`, `bytes`,
+    /// `fault`, then the [`LinkFaultKind`]'s own detail.
+    Link {
+        from: String,
+        to: String,
+        frame: u64,
+        bytes: u64,
+        fault: LinkFaultKind,
+    },
+    /// A node browned out. Keys: `fault` (`brownout`), `duration_us`.
+    Brownout { duration: SimTime },
+}
+
+/// What a link fault did to a transfer, rendered as the `fault` key plus
+/// its detail key.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LinkFaultKind {
+    /// `fault: "drop"`, no detail.
+    Drop,
+    /// `fault: "bit_error"`, then `flipped_bits`.
+    BitError { flipped_bits: u64 },
+    /// `fault: "delay"`, then `delay_us`.
+    Delay { delay: SimTime },
+}
+
+impl TraceEvent {
+    /// The record `kind` this event renders as.
+    fn kind(&self) -> &'static str {
+        match self {
+            TraceEvent::StateTransition { .. } => "state_transition",
+            TraceEvent::PowerSegment { .. } => "power_segment",
+            TraceEvent::Transaction { .. } => "transaction",
+            TraceEvent::Io { .. } => "io",
+            TraceEvent::FrameComplete { .. } => "frame_complete",
+            TraceEvent::Rotation { .. } => "rotation",
+            TraceEvent::Migration { .. } => "migration",
+            TraceEvent::NodeDeath { .. } => "node_death",
+            TraceEvent::PolicyDecision { .. } => "policy_decision",
+            TraceEvent::FaultInjected(_) => "fault_injected",
+        }
+    }
+
+    /// Render this event as the record `component` emits at `time`.
+    pub fn record(self, time: SimTime, component: impl Into<String>) -> TraceRecord {
+        let mut fields: Vec<(&'static str, FieldValue)> = Vec::with_capacity(6);
+        let mut put = |name: &'static str, value: FieldValue| fields.push((name, value));
+        let kind = self.kind();
+        match self {
+            TraceEvent::StateTransition {
+                mode,
+                freq_mhz,
+                share,
+                frame,
+            } => {
+                put("mode", mode.into());
+                put("freq_mhz", freq_mhz.into());
+                if let Some(share) = share {
+                    put("share", share.into());
+                }
+                if let Some(frame) = frame {
+                    put("frame", frame.into());
+                }
+            }
+            TraceEvent::PowerSegment {
+                mode,
+                freq_mhz,
+                duration,
+                current_ma,
+                energy_mj,
+            } => {
+                put("mode", mode.into());
+                put("freq_mhz", freq_mhz.into());
+                put("duration_us", duration.into());
+                put("current_ma", current_ma.into());
+                put("energy_mj", energy_mj.into());
+            }
+            TraceEvent::Transaction {
+                event,
+                payload,
+                bytes,
+                frame,
+                waiter,
+                upstream_alive,
+            } => {
+                put("event", event.into());
+                put("payload", payload.into());
+                put("bytes", bytes.into());
+                put("frame", frame.into());
+                if let Some(waiter) = waiter {
+                    put("waiter", waiter.into());
+                }
+                if let Some(alive) = upstream_alive {
+                    put("upstream_alive", alive.into());
+                }
+            }
+            TraceEvent::Io {
+                dir,
+                payload,
+                frame,
+            } => {
+                put("dir", dir.into());
+                put("payload", payload.into());
+                put("frame", frame.into());
+            }
+            TraceEvent::FrameComplete {
+                frame,
+                latency_s,
+                deadline_missed,
+            } => {
+                put("frame", frame.into());
+                put("latency_s", latency_s.into());
+                put("deadline_missed", deadline_missed.into());
+            }
+            TraceEvent::Rotation { frame, rotations } => {
+                put("frame", frame.into());
+                put("rotations", rotations.into());
+            }
+            TraceEvent::Migration {
+                dead,
+                merged_freq_mhz,
+                feasible,
+            } => {
+                put("dead", dead.into());
+                put("merged_freq_mhz", merged_freq_mhz.into());
+                put("feasible", feasible.into());
+            }
+            TraceEvent::NodeDeath {
+                delivered_mah,
+                stranded_mah,
+            } => {
+                put("delivered_mah", delivered_mah.into());
+                put("stranded_mah", stranded_mah.into());
+            }
+            TraceEvent::PolicyDecision {
+                policy,
+                frame,
+                skew_soc,
+                action,
+                next_period_frames,
+            } => {
+                put("policy", policy.into());
+                put("frame", frame.into());
+                put("skew_soc", skew_soc.into());
+                put("action", action.into());
+                if let Some(period) = next_period_frames {
+                    put("next_period_frames", period.into());
+                }
+            }
+            TraceEvent::FaultInjected(InjectedFault::Link {
+                from,
+                to,
+                frame,
+                bytes,
+                fault,
+            }) => {
+                put("from", from.into());
+                put("to", to.into());
+                put("frame", frame.into());
+                put("bytes", bytes.into());
+                match fault {
+                    LinkFaultKind::Drop => put("fault", "drop".into()),
+                    LinkFaultKind::BitError { flipped_bits } => {
+                        put("fault", "bit_error".into());
+                        put("flipped_bits", flipped_bits.into());
+                    }
+                    LinkFaultKind::Delay { delay } => {
+                        put("fault", "delay".into());
+                        put("delay_us", delay.into());
+                    }
+                }
+            }
+            TraceEvent::FaultInjected(InjectedFault::Brownout { duration }) => {
+                put("fault", "brownout".into());
+                put("duration_us", duration.into());
+            }
+        }
+        TraceRecord {
+            time,
+            component: component.into(),
+            kind,
+            fields,
+        }
     }
 }
 
@@ -360,6 +649,16 @@ mod tests {
         let line = r.to_jsonl();
         assert!(line.contains("\"a\\\"b\""));
         assert!(line.contains("\"x\\ny\\\\\""));
+    }
+
+    #[test]
+    fn escaping_keeps_multibyte_text_and_control_codes() {
+        let mut out = String::new();
+        write_json_str(&mut out, "host->node2 é→\u{1}\r\"end\\").unwrap();
+        assert_eq!(out, "\"host->node2 é→\\u0001\\r\\\"end\\\\\"");
+        out.clear();
+        write_json_str(&mut out, "").unwrap();
+        assert_eq!(out, "\"\"");
     }
 
     #[test]
