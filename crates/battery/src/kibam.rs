@@ -14,9 +14,20 @@
 //!   capacity can be partially recovered").
 //!
 //! Each constant-current segment is advanced with the model's *exact*
-//! closed-form solution (no ODE integration error); death inside a segment
-//! is located by bisection on the available charge, which is concave in
-//! time under constant current, so the first zero crossing is unique.
+//! closed-form solution (no ODE integration error). Under constant current
+//! the available charge is either concave or convex and falling, so it
+//! crosses zero once, and two searches locate that crossing:
+//!
+//! * [`Battery::discharge`] finds a death inside a segment by bisection.
+//!   The f64 death time it finds sets the final well contents, so it must
+//!   be the bisection's answer to the last bit.
+//! * [`Battery::time_to_exhaustion`] only reports the death time rounded
+//!   to the microsecond. It runs Newton's method on the available charge,
+//!   from the side where the iterates move monotonically onto the root.
+//!   A guard accepts the root only when a band around it lies inside one
+//!   microsecond and the closed form's sign at the band's ends exceeds its
+//!   float error: the bisection must then end inside the band, so both
+//!   round alike. Otherwise it falls back to the bisection.
 
 use crate::model::{Battery, DischargeOutcome};
 use dles_sim::SimTime;
@@ -117,22 +128,27 @@ impl KibamBattery {
         let q0 = self.q1 + self.q2;
         let kt = k * t_h;
         let r = (-kt).exp();
-        let one_minus_r = -(-kt).exp_m1();
+        let em1 = (-kt).exp_m1();
+        let one_minus_r = -em1;
         // kt − 1 + e^{−kt}; ≥ 0, ~kt²/2 for small kt.
-        let kt_term = kt + (-kt).exp_m1();
+        let kt_term = kt + em1;
         let q1 = self.q1 * r + (q0 * k * c - i_ma) * one_minus_r / k - i_ma * c * kt_term / k;
         let q2 = self.q2 * r + q0 * (1.0 - c) * one_minus_r - i_ma * (1.0 - c) * kt_term / k;
         (q1, q2)
     }
 
     /// First time in `(0, t]` at which the available well empties, given
-    /// `q1(t) ≤ 0`. Bisection; `q1` is concave in `t` under constant
-    /// current so the crossing is unique.
+    /// `q1(t) ≤ 0`. Bisection; `q1` crosses zero once under constant
+    /// current (see [`KibamBattery::newton_root`]).
     fn death_time(&self, current: MilliAmps, t: Hours) -> Hours {
         let mut lo = 0.0f64;
         let mut hi = t.get();
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
+            // Adjacent floats: the bracket is a fixed point from here on.
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.wells_after(current, Hours::new(mid)).0 > 0.0 {
                 lo = mid;
             } else {
@@ -141,6 +157,139 @@ impl KibamBattery {
         }
         Hours::new(hi)
     }
+
+    /// A time at which the available well is empty under a constant
+    /// `current`, from conservation: by `(q1 + q2) / I` no charge is left.
+    /// `None` when that bound lies beyond any representable horizon.
+    fn exhaustion_bound(&self, current: MilliAmps) -> Option<Hours> {
+        // Near-zero currents push the bound beyond any representable
+        // horizon (and to ±inf/NaN in the closed form): treat those as a
+        // battery that never dies rather than saturating SimTime and
+        // overflowing callers' event schedules.
+        const MAX_HORIZON_H: f64 = 1.0e9; // ~114 000 years ≫ any experiment
+        let mut t_upper = (self.stranded_mah() / current).get();
+        if !t_upper.is_finite() || t_upper > MAX_HORIZON_H {
+            return None;
+        }
+        // Nudge past the exact conservation bound, then widen geometrically
+        // if rounding still leaves q1 marginally positive there (the old
+        // fixed +1e-9 offset was not enough for multi-thousand-hour bounds).
+        t_upper = t_upper * (1.0 + 1e-12) + 1e-9;
+        let mut widen = 0;
+        while self.wells_after(current, Hours::new(t_upper)).0 > 0.0 {
+            t_upper *= 2.0;
+            widen += 1;
+            if widen > 64 || t_upper > MAX_HORIZON_H {
+                return None;
+            }
+        }
+        Some(Hours::new(t_upper))
+    }
+
+    /// `q1(t)` and `dq1/dt` under a constant `current`, for Newton's
+    /// method, with the sum of the magnitudes of `q1`'s three closed-form
+    /// terms, which bounds the float error of evaluating it. One `exp_m1`
+    /// serves all three; only [`KibamBattery::guarded_exhaustion`] needs
+    /// `wells_after`'s exact arithmetic.
+    fn q1_and_slope(&self, current: MilliAmps, t: f64) -> (f64, f64, f64) {
+        let KibamParams { c, k, .. } = self.params;
+        let i_ma = current.get();
+        let q0 = self.q1 + self.q2;
+        let kt = k * t;
+        let one_minus_r = -(-kt).exp_m1();
+        let r = 1.0 - one_minus_r;
+        let flow = q0 * k * c - i_ma;
+        let (held, fed, drawn) = (
+            self.q1 * r,
+            flow * one_minus_r / k,
+            i_ma * c * (kt - one_minus_r) / k,
+        );
+        let slope = (flow - k * self.q1) * r - i_ma * c * one_minus_r;
+        let scale = held.abs() + fed.abs() + drawn.abs();
+        (held + fed - drawn, slope, scale)
+    }
+
+    /// Newton's method on `q1` over `(0, t_upper]`, where `q1(t_upper) ≤ 0`.
+    ///
+    /// Under constant current `q1'' = −k·e^{−kt}·(k(c·q0 − q1₀) − I(1 − c))`
+    /// keeps one sign. If `q1` is concave it falls after the root, so the
+    /// iteration starts from `t_upper` and each tangent lands at or right
+    /// of the root. If it is convex it falls everywhere (its slope rises
+    /// towards `−I·c`), so the iteration starts from 0 and each tangent
+    /// lands at or left of the root. Either way the iterates move
+    /// monotonically onto the root. `None` if the iteration misbehaves.
+    fn newton_root(&self, current: MilliAmps, t_upper: Hours) -> Option<NewtonRoot> {
+        const MAX_STEPS: usize = 64;
+        let KibamParams { c, k, .. } = self.params;
+        let i_ma = current.get();
+        let concave = k * (c * (self.q1 + self.q2) - self.q1) > i_ma * (1.0 - c);
+        let t_upper = t_upper.get();
+        let mut t = if concave { t_upper } else { 0.0 };
+        for _ in 0..MAX_STEPS {
+            let (q1, slope, scale) = self.q1_and_slope(current, t);
+            if slope.is_nan() || slope >= 0.0 {
+                return None;
+            }
+            let step = q1 / slope;
+            t -= step;
+            if !(t > 0.0 && t <= t_upper) {
+                return None;
+            }
+            // Converged once the step is down to an ulp of `t` or to the
+            // float noise of `q1` itself.
+            if step.abs() <= f64::EPSILON * t.max(scale / -slope) {
+                return Some(NewtonRoot { t, slope, scale });
+            }
+        }
+        None
+    }
+
+    /// The microsecond the bisection over `(0, t_upper]` rounds to, when the
+    /// Newton root is close enough to prove it; `None` otherwise.
+    ///
+    /// Let `m` bound the float error of evaluating `q1` near the root (its
+    /// terms' scale times 32 ε). The guard places a band `root.t ± δ`, with
+    /// `δ` at least 1e-12 h (3.6 ns), 4 ulps of `t` and `3m / |slope|`,
+    /// and checks with `wells_after`, as the bisection evaluates `q1`:
+    ///
+    /// * `q1 > m` at the band's left end and `q1 < −m` at its right end.
+    ///   `q1` only falls after the root and, left of it, stays above the
+    ///   smaller of its ends (concave) or falls (convex); with `q1₀ > m`
+    ///   too, every evaluation outside the band has the right sign, so
+    ///   the bisection's bracket closes inside the band;
+    /// * the band, widened on the right by the bisection's final bracket
+    ///   width `t_upper / 2^80`, rounds to a single microsecond.
+    fn guarded_exhaustion(
+        &self,
+        current: MilliAmps,
+        t_upper: Hours,
+        root: NewtonRoot,
+    ) -> Option<SimTime> {
+        let margin = 32.0 * f64::EPSILON * root.scale;
+        let delta = (1e-12f64)
+            .max(4.0 * f64::EPSILON * root.t)
+            .max(3.0 * margin / -root.slope);
+        let (lo, hi) = (root.t - delta, root.t + delta);
+        let bracket = t_upper.get() * (-80.0f64).exp2();
+        let rounded = SimTime::from_hours_f64(lo);
+        let proven = self.q1 > margin
+            && lo > 0.0
+            && rounded == SimTime::from_hours_f64(hi + bracket)
+            && self.wells_after(current, Hours::new(lo)).0 > margin
+            && self.wells_after(current, Hours::new(hi)).0 < -margin;
+        proven.then_some(rounded)
+    }
+}
+
+/// A root of `q1` found by [`KibamBattery::newton_root`].
+#[derive(Debug, Clone, Copy)]
+struct NewtonRoot {
+    /// The root, hours.
+    t: f64,
+    /// `dq1/dt` at the last iterate, mA.
+    slope: f64,
+    /// Sum of the magnitudes of `q1`'s closed-form terms there, mAh.
+    scale: f64,
 }
 
 impl Battery for KibamBattery {
@@ -205,32 +354,12 @@ impl Battery for KibamBattery {
         if current_ma == MilliAmps::ZERO {
             return None;
         }
-        // Conservation gives a hard upper bound: at t = (q1+q2)/I the total
-        // stored charge is zero, so q1 ≤ 0 there. Near-zero currents push
-        // that bound beyond any representable horizon (and to ±inf/NaN in
-        // the closed form) — treat those as a battery that never dies
-        // rather than saturating SimTime and overflowing callers' event
-        // schedules.
-        const MAX_HORIZON_H: f64 = 1.0e9; // ~114 000 years ≫ any experiment
-        let mut t_upper = (self.stranded_mah() / current_ma).get();
-        if !t_upper.is_finite() || t_upper > MAX_HORIZON_H {
-            return None;
-        }
-        // Nudge past the exact conservation bound, then widen geometrically
-        // if rounding still leaves q1 marginally positive there (the old
-        // fixed +1e-9 offset was not enough for multi-thousand-hour bounds).
-        t_upper = t_upper * (1.0 + 1e-12) + 1e-9;
-        let mut widen = 0;
-        while self.wells_after(current_ma, Hours::new(t_upper)).0 > 0.0 {
-            t_upper *= 2.0;
-            widen += 1;
-            if widen > 64 || t_upper > MAX_HORIZON_H {
-                return None;
-            }
-        }
-        Some(SimTime::from_hours_f64(
-            self.death_time(current_ma, Hours::new(t_upper)).get(),
-        ))
+        let t_upper = self.exhaustion_bound(current_ma)?;
+        let bisected = || SimTime::from_hours_f64(self.death_time(current_ma, t_upper).get());
+        let newton = self
+            .newton_root(current_ma, t_upper)
+            .and_then(|root| self.guarded_exhaustion(current_ma, t_upper, root));
+        Some(newton.unwrap_or_else(bisected))
     }
 }
 
@@ -507,6 +636,30 @@ mod tests {
     }
 
     #[test]
+    fn guard_falls_back_on_a_half_microsecond_boundary() {
+        let mut b = test_battery();
+        b.discharge(SimTime::from_secs(1800), ma(200.0));
+        // q1(t) is affine in the current, so pick the current whose root
+        // sits exactly halfway between two microseconds.
+        let root_h = 7_200_000_000.5 / SimTime::MICROS_PER_HOUR as f64;
+        let at = |i: f64| b.wells_after(ma(i), Hours::new(root_h)).0;
+        let i = ma(at(0.0) / (at(0.0) - at(1.0)));
+        let t_upper = b.exhaustion_bound(i).expect("finite");
+        let root = b.newton_root(i, t_upper).expect("converges");
+        assert!((root.t - root_h).abs() < 1e-13, "Newton root {} h", root.t);
+        assert_eq!(b.guarded_exhaustion(i, t_upper, root), None);
+        // The fallback still answers with the bisection's microsecond.
+        assert_eq!(
+            b.time_to_exhaustion(i),
+            Some(SimTime::from_hours_f64(b.death_time(i, t_upper).get()))
+        );
+        // A root well inside a microsecond passes the guard.
+        let t_upper = b.exhaustion_bound(ma(300.0)).expect("finite");
+        let root = b.newton_root(ma(300.0), t_upper).expect("converges");
+        assert!(b.guarded_exhaustion(ma(300.0), t_upper, root).is_some());
+    }
+
+    #[test]
     fn time_to_exhaustion_dead_battery_is_zero() {
         let mut b = test_battery();
         run_to_death(&mut b, 500.0, 60);
@@ -573,6 +726,122 @@ mod proptests {
                 }
             }
         }
+    }
+
+    /// The bisection answer [`Battery::time_to_exhaustion`] must match.
+    fn oracle(b: &KibamBattery, i: MilliAmps) -> Option<SimTime> {
+        b.exhaustion_bound(i)
+            .map(|t| SimTime::from_hours_f64(b.death_time(i, t).get()))
+    }
+
+    /// Checked states and how many of them the Newton guard rejected.
+    #[derive(Default)]
+    struct Tally {
+        states: u64,
+        fallbacks: u64,
+    }
+
+    impl Tally {
+        fn check(&mut self, b: &KibamBattery, i: MilliAmps, what: &str) {
+            assert!(!b.is_exhausted() && i > MilliAmps::ZERO);
+            let expected = oracle(b, i);
+            assert_eq!(
+                b.time_to_exhaustion(i),
+                expected,
+                "{what}: {:?} at {i:?}",
+                b.params()
+            );
+            self.states += 1;
+            if let Some(t_upper) = b.exhaustion_bound(i) {
+                match b
+                    .newton_root(i, t_upper)
+                    .and_then(|root| b.guarded_exhaustion(i, t_upper, root))
+                {
+                    Some(t) => assert_eq!(Some(t), expected, "{what}"),
+                    None => self.fallbacks += 1,
+                }
+            }
+        }
+    }
+
+    fn log_uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
+        rng.uniform_f64(lo.ln(), hi.ln()).exp()
+    }
+
+    /// A battery of random chemistry and capacity after a random history
+    /// of loads and rests that it survives.
+    fn random_state(rng: &mut SimRng) -> KibamBattery {
+        let cap = log_uniform(rng, 1.0, 5000.0);
+        let c = rng.uniform_f64(0.02, 0.98);
+        let k = log_uniform(rng, 0.01, 20.0);
+        let mut b = KibamBattery::new(cap, c, k);
+        for _ in 0..rng.uniform_u64(0, 6) {
+            let secs = rng.uniform_u64(1, 36_000);
+            let i = if rng.chance(0.25) {
+                0.0
+            } else {
+                log_uniform(rng, 1e-3 * cap, 2.0 * cap)
+            };
+            let mut next = b.clone();
+            if next
+                .discharge(SimTime::from_secs(secs), ma(i))
+                .is_exhausted()
+            {
+                break;
+            }
+            b = next;
+        }
+        b
+    }
+
+    /// Newton plus guard returns the bisection's microsecond on every
+    /// state, and falls back to the bisection rarely.
+    #[test]
+    fn time_to_exhaustion_matches_bisection() {
+        let mut rng = SimRng::seed_from_u64(0x7E57);
+        let mut tally = Tally::default();
+        for _ in 0..100_000 {
+            let b = random_state(&mut rng);
+            let q0 = b.stranded_mah().get();
+            // Conservation bounds between 6 minutes and 1000 hours.
+            let i = q0 / log_uniform(&mut rng, 0.1, 1000.0);
+            tally.check(&b, ma(i), "random state");
+        }
+        for _ in 0..500 {
+            let cap = log_uniform(&mut rng, 1.0, 5000.0);
+            let c = rng.uniform_f64(0.02, 0.98);
+            let k = log_uniform(&mut rng, 0.01, 20.0);
+            let i = ma(log_uniform(&mut rng, 1e-3 * cap, 10.0 * cap));
+            // A fresh pack.
+            let fresh = KibamBattery::new(cap, c, k);
+            tally.check(&fresh, i, "fresh pack");
+            // A nearly empty available well: stop just short of death.
+            let ttd = fresh.time_to_exhaustion(i).expect("finite");
+            let short = SimTime::from_micros(rng.uniform_u64(1, 1_000_000)).min(ttd);
+            let mut low = fresh.clone();
+            if !low.discharge(ttd - short, i).is_exhausted() {
+                tally.check(&low, i, "nearly empty");
+                tally.check(&low, i * 0.1, "nearly empty, lighter load");
+            }
+            // A long rest that rebalanced the wells.
+            let mut rested = random_state(&mut rng);
+            rested.discharge(SimTime::from_secs(10_000 * 3600), MilliAmps::ZERO);
+            tally.check(&rested, i, "long rest");
+            // The paper's pack B at a sliver of its capacity.
+            let tiny = KibamBattery::from_params(crate::packs::itsy_pack_b().kibam.scaled(0.002));
+            tally.check(&tiny, ma(rng.uniform_f64(20.0, 400.0)), "pack B × 0.002");
+            // Currents that put the conservation bound near the horizon.
+            let q0 = rested.stranded_mah().get();
+            let far = ma(q0 / 1.0e9 * rng.uniform_f64(0.5, 2.0));
+            tally.check(&rested, far, "near the horizon");
+        }
+        assert!(tally.states >= 100_000);
+        assert!(
+            tally.fallbacks * 10 < tally.states,
+            "{} of {} states fell back to bisection",
+            tally.fallbacks,
+            tally.states
+        );
     }
 
     /// Lifetime at constant current is antitone in the current.

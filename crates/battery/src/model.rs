@@ -63,6 +63,9 @@ pub trait Battery {
     /// current state before exhaustion. `None` means "indefinitely"
     /// (zero current). Must be consistent with [`Battery::discharge`]:
     /// discharging for strictly less than this duration survives.
+    /// The answer is the death time rounded to the nearest microsecond
+    /// (`SimTime`'s resolution), so the battery can die up to half a
+    /// microsecond before or after it.
     ///
     /// The simulator uses this to schedule a node's death *proactively*,
     /// so exhaustion never has to be discovered retroactively.

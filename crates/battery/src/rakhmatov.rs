@@ -131,6 +131,10 @@ impl RakhmatovBattery {
         let mut hi = t_h;
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
+            // Adjacent floats: the bracket is a fixed point from here on.
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.advanced(i_ma, mid).1 < self.params.alpha_mah.get() {
                 lo = mid;
             } else {
