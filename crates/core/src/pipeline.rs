@@ -152,7 +152,7 @@ fn remember(window: &mut Vec<u64>, frame: u64) {
     window.push(frame);
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Transfer {
     from: Endpoint,
     to: Endpoint,
@@ -654,15 +654,9 @@ impl PipelineWorld {
 
     /// Rotate roles by one: the tail node moves to the head (§5.5).
     fn rotate_roles(&mut self) {
-        let old = self.node_of_share.clone();
-        let n = old.len();
-        let mut new = vec![0; n];
-        for s in 0..n {
-            // The node that held share s now holds share s+1; the tail
-            // holder becomes the head.
-            new[(s + 1) % n] = old[s];
-        }
-        self.node_of_share = new;
+        // The node that held share s now holds share s+1; the tail holder
+        // becomes the head.
+        self.node_of_share.rotate_right(1);
         for (s, &node) in self.node_of_share.iter().enumerate() {
             self.share_of_node[node] = Some(s);
         }
@@ -973,7 +967,7 @@ impl PipelineWorld {
     }
 
     fn on_xfer_end(&mut self, ctx: &mut Ctx<Ev>, id: usize) {
-        let t = self.transfers[id].clone();
+        let t = self.transfers[id];
         if ctx.tracing() {
             ctx.emit(Self::transaction_of(&t).trace_record(ctx.now(), "delivered", t.frame));
         }

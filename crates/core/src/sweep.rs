@@ -161,7 +161,6 @@ impl SweepEngine {
         let mut order: Vec<usize> = (0..work.len()).collect();
         order.sort_by_key(|&i| (usize::MAX - work[i].1.n_nodes(), i));
         work = order.into_iter().map(|i| work[i]).collect();
-        // lint: allow(D015) — run_pipeline consumes an owned config: this is the one ownership-transfer clone per *executed* simulation, after cache/dedup filtering
         let fresh = par_map_slice(&work, threads, |_, (_, cfg)| run_pipeline((*cfg).clone()));
         let mut cache = self
             .cache

@@ -124,7 +124,7 @@ fn file_name(path: &str) -> &str {
 /// Interprocedural rules cover production code: test/example trees are
 /// exempt (their scratch counters, locks and unwraps are not hot paths),
 /// but fixture corpora stay in scope so the rules are testable.
-pub(crate) fn in_scope(path: &str) -> bool {
+fn in_scope(path: &str) -> bool {
     if path.contains("fixtures/") {
         return true;
     }
@@ -132,9 +132,8 @@ pub(crate) fn in_scope(path: &str) -> bool {
     !(in_dir("tests") || in_dir("examples") || in_dir("benches"))
 }
 
-/// Is this function a D009 hot-path root? (Shared with the pass-3
-/// dataflow rules, which walk the same graph from the same roots.)
-pub(crate) fn is_root(m: &FileModel, fj: usize) -> bool {
+/// Is this function a D009 hot-path root?
+fn is_root(m: &FileModel, fj: usize) -> bool {
     let f = &m.fns[fj];
     if f.is_test || !in_scope(&m.path) {
         return false;
@@ -158,9 +157,6 @@ pub fn analyze(
     check_reachability(&graph, &mut findings);
     check_counter_keys(&graph, readme, full, &mut findings);
     check_lock_order(&graph, &mut findings);
-    // Pass 3 (CFG/dataflow) rules resolve reachability over the same
-    // graph, so they run here and share the graph-allow channel.
-    crate::dataflow::check_hot_paths(&graph, &mut findings);
     apply_graph_allows(findings, allows)
 }
 

@@ -6,19 +6,15 @@
 //! That guarantee is easy to break silently — a stray `Instant::now`, a
 //! `HashMap` iterated into a report, a `partial_cmp().unwrap()` on a NaN —
 //! so this crate checks the source mechanically instead of by convention.
-//! Rules are numbered D001–D016 (plus D000 for allow-comment hygiene;
-//! D012–D014 are retired); `LINTS.md` at the workspace root documents
-//! each one. Per-file rules run in pass 1 ([`rules`]), the
-//! interprocedural graph rules in pass 2 ([`graph`]), and the
-//! intraprocedural CFG/dataflow rules in pass 3 ([`mod@cfg`] +
-//! [`dataflow`]).
+//! Rules are numbered D001–D011, plus D000 for allow-comment hygiene;
+//! `LINTS.md` at the workspace root documents each one. Per-file rules run
+//! in pass 1 ([`rules`]) and the interprocedural graph rules in pass 2
+//! ([`graph`]).
 //!
 //! The scanner is a hand-rolled token-level lexer ([`lexer`]) because the
 //! build environment is offline (no `syn`); the rules ([`rules`]) operate
 //! on that token stream with string/comment/attribute awareness.
 
-pub mod cfg;
-pub mod dataflow;
 pub mod graph;
 pub mod lexer;
 pub mod model;
@@ -139,11 +135,10 @@ pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
     }
 }
 
-/// Run the interprocedural rules (D009/D010/D011, and the D015/D016
-/// dataflow rules over the same graph) on the merged per-file models,
-/// appending their findings to `outcome`. `full` marks a whole-workspace
-/// scan, which is the only mode where "documented counter key has no emit
-/// site" is decidable. The README read here feeds the D010 counter-key
+/// Run the interprocedural rules (D009/D010/D011) on the merged per-file
+/// models, appending their findings to `outcome`. `full` marks a
+/// whole-workspace scan, which is the only mode where "documented counter
+/// key has no emit site" is decidable. The README read here feeds the D010 counter-key
 /// registry cross-check.
 pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {
     let readme = fs::read_to_string(root.join("README.md")).ok();

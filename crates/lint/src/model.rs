@@ -48,9 +48,6 @@ pub struct FnItem {
     pub lock_pairs: Vec<(usize, usize)>,
     /// (lock index, call index): calls made while the lock is held.
     pub calls_under_lock: Vec<(usize, usize)>,
-    /// Pass-3 CFG/dataflow facts: loop-region alloc sinks (D015) and
-    /// loop-invariant rebuild candidates (D016).
-    pub flow: crate::dataflow::FnFlow,
 }
 
 impl FnItem {
@@ -208,7 +205,6 @@ pub fn build_model(rel_path: &str, tokens: &[Token], sig: &[usize], in_test: &[b
             ..FnItem::default()
         };
         scan_body(tokens, sig, k, body_end, &mut item);
-        item.flow = crate::dataflow::analyze_body(tokens, sig, k, body_end);
         model.fns.push(item);
         si = body_end.max(si + 1);
     }
@@ -217,7 +213,7 @@ pub fn build_model(rel_path: &str, tokens: &[Token], sig: &[usize], in_test: &[b
 
 /// Sig index of the delimiter matching the opener at `open` (or the last
 /// sig index if the file is truncated).
-pub(crate) fn match_delim(tokens: &[Token], sig: &[usize], open: usize, o: char, c: char) -> usize {
+fn match_delim(tokens: &[Token], sig: &[usize], open: usize, o: char, c: char) -> usize {
     let mut depth = 0usize;
     let mut k = open;
     while k < sig.len() {
@@ -236,7 +232,7 @@ pub(crate) fn match_delim(tokens: &[Token], sig: &[usize], open: usize, o: char,
 }
 
 /// For every token, the name of the enclosing `impl`/`trait` type, if any.
-pub(crate) fn mark_impl_types(tokens: &[Token], sig: &[usize]) -> Vec<Option<String>> {
+fn mark_impl_types(tokens: &[Token], sig: &[usize]) -> Vec<Option<String>> {
     let mut out: Vec<Option<String>> = vec![None; tokens.len()];
     let punct_at = |k: usize, c: char| sig.get(k).is_some_and(|&ti| tokens[ti].is_punct(c));
     let mut si = 0;

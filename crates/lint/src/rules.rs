@@ -51,19 +51,10 @@ pub enum RuleId {
     /// Lock-order discipline: no cycles in the simultaneously-held lock
     /// graph, no lock held across a `par_map` boundary.
     D011,
-    /// Allocation discipline in hot paths: no alloc/copy sinks (`format!`,
-    /// `vec![]`, `Vec::new`, `clone`, `collect`, …) inside a loop region
-    /// of any function transitively reachable from a D009 hot-path root.
-    /// Reported at the sink with the call chain and loop nesting depth.
-    D015,
-    /// Per-event rebuild of loop-invariant values: a `let` whose RHS is an
-    /// alloc sink and whose used identifiers are all defined outside the
-    /// enclosing loop construct — hoist it above the loop.
-    D016,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 14] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::D000,
         RuleId::D001,
         RuleId::D002,
@@ -76,22 +67,12 @@ impl RuleId {
         RuleId::D009,
         RuleId::D010,
         RuleId::D011,
-        RuleId::D015,
-        RuleId::D016,
     ];
 
     /// The interprocedural (pass-2) rules: their findings are produced by
     /// [`crate::graph`] after every file's item model has been merged, so
-    /// their allow comments are matched there rather than per-file. D015
-    /// and D016 are pass-3 (CFG/dataflow) rules but resolve reachability
-    /// over the same merged graph, so their allows ride the same channel.
-    pub const GRAPH_RULES: [RuleId; 5] = [
-        RuleId::D009,
-        RuleId::D010,
-        RuleId::D011,
-        RuleId::D015,
-        RuleId::D016,
-    ];
+    /// their allow comments are matched there rather than per-file.
+    pub const GRAPH_RULES: [RuleId; 3] = [RuleId::D009, RuleId::D010, RuleId::D011];
 
     pub fn as_str(self) -> &'static str {
         match self {
@@ -107,8 +88,6 @@ impl RuleId {
             RuleId::D009 => "D009",
             RuleId::D010 => "D010",
             RuleId::D011 => "D011",
-            RuleId::D015 => "D015",
-            RuleId::D016 => "D016",
         }
     }
 
@@ -131,8 +110,6 @@ impl RuleId {
             RuleId::D009 => "no wall-clock/entropy/unwrap transitively reachable from hot paths",
             RuleId::D010 => "counter keys: literal, one owning crate, documented, no dead rows",
             RuleId::D011 => "lock order: no acquisition cycles, no lock held across par_map",
-            RuleId::D015 => "no alloc/copy sinks inside loops on hot paths; reuse buffers",
-            RuleId::D016 => "no per-iteration rebuild of loop-invariant values; hoist the let",
         }
     }
 }

@@ -29,10 +29,14 @@ impl fmt::Display for Endpoint {
 }
 
 /// The serial lines a transfer occupies: link `i` is node `i`'s line to
-/// the host.
+/// the host. At most two, so a route is stored inline and planning a
+/// transfer never allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
-    links: Vec<usize>,
+    /// The first `len` entries are the occupied links. The rest is zero,
+    /// so the derived equality compares only the links.
+    links: [usize; 2],
+    len: usize,
 }
 
 impl Route {
@@ -40,25 +44,30 @@ impl Route {
     /// a node never sends to itself (the rotation technique exists
     /// precisely to replace such a send with local reconfiguration).
     pub fn between(from: Endpoint, to: Endpoint) -> Route {
-        let links = match (from, to) {
-            (Endpoint::Host, Endpoint::Node(i)) | (Endpoint::Node(i), Endpoint::Host) => vec![i],
+        match (from, to) {
+            (Endpoint::Host, Endpoint::Node(i)) | (Endpoint::Node(i), Endpoint::Host) => Route {
+                links: [i, 0],
+                len: 1,
+            },
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "self-route requested for node {a}");
-                vec![a, b]
+                Route {
+                    links: [a, b],
+                    len: 2,
+                }
             }
             (Endpoint::Host, Endpoint::Host) => panic!("self-route requested for host"),
-        };
-        Route { links }
+        }
     }
 
     /// Indices of the serial lines this route occupies.
     pub fn links(&self) -> &[usize] {
-        &self.links
+        &self.links[..self.len]
     }
 
     /// Whether the transfer transits the hub (two serial lines).
     pub fn is_forwarded(&self) -> bool {
-        self.links.len() == 2
+        self.len == 2
     }
 }
 
