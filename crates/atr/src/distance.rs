@@ -90,6 +90,8 @@ pub fn compute_distance(
         // degenerate correlation stays deterministic instead of panicking.
         .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
         .map(|(i, _)| i)
+        // Non-empty invariant: the scale ladder is asserted non-empty
+        // above and every scale pushes one response, so this cannot fire.
         .expect("non-empty responses");
     let (best_size, best_score) = responses[best_idx];
 

@@ -72,7 +72,6 @@ impl AtrPipeline {
     }
 
     /// Process one frame end to end.
-    // lint: allow(D009) — non-empty invariants: the template bank is statically non-empty and `ifft_block` asserts its input, so the peak/scale expects cannot fire
     pub fn run(&self, frame: &Image) -> AtrReport {
         let mut block_flops = [0u64; Block::COUNT];
 

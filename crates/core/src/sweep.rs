@@ -18,10 +18,10 @@
 //! * [`SweepEngine::run`] returns results in job order, byte-identical
 //!   for any worker count and any cache state (a hit only skips work; the
 //!   returned rows are indistinguishable from a cold run).
-//! * The cache is a `BTreeMap` behind a mutex (D003: no hash-ordered
-//!   iteration can leak into output), and the hit/miss counters are a
-//!   pure function of the job list and prior cache contents — never of
-//!   scheduling.
+//! * The cache is a `BTreeMap` (D003: no hash-ordered iteration can leak
+//!   into output) behind the engine's one mutex, and the hit/miss counters
+//!   are a pure function of the job list and prior cache contents — never
+//!   of scheduling.
 
 use crate::metrics::ExperimentResult;
 use crate::pipeline::{run_pipeline, PipelineConfig};
@@ -29,7 +29,7 @@ use crate::workload::SystemConfig;
 use dles_sim::{par_map_slice, CounterSet};
 use dles_units::{Hertz, Hours};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Canonical identity of one simulation: a 128-bit FNV-1a hash of the
 /// pipeline configuration's canonical field-by-field encoding with the
@@ -104,8 +104,16 @@ impl SimKey {
 /// through it.
 #[derive(Debug, Default)]
 pub struct SweepEngine {
-    cache: Mutex<BTreeMap<SimKey, ExperimentResult>>,
-    counters: Mutex<CounterSet>,
+    state: Mutex<SweepState>,
+}
+
+/// Everything the engine shares between calls, behind its one lock. A
+/// panic in another thread cannot leave it half updated (every write is
+/// one `insert` or `add`), so a poisoned lock is recovered.
+#[derive(Debug, Default)]
+struct SweepState {
+    cache: BTreeMap<SimKey, ExperimentResult>,
+    counters: CounterSet,
 }
 
 impl SweepEngine {
@@ -121,20 +129,17 @@ impl SweepEngine {
     /// `sweep_jobs`, `sweep_cache_hits` (key already cached before this
     /// call), `sweep_dedup_hits` (key repeated within this call),
     /// `sweep_sims_run` (simulations actually executed).
-    // lint: allow(D009) — cache invariant: every key was either already cached or inserted from `fresh` directly above the lookup, so the expect cannot fire
     pub fn run(&self, jobs: &[PipelineConfig], threads: usize) -> Vec<ExperimentResult> {
         let keys: Vec<SimKey> = jobs.iter().map(SimKey::of).collect();
-        // Decide hits/misses/dedups under the lock, *before* any parallel
-        // work, so the counters are a pure function of jobs × cache state.
-        let (hits, dedups, mut work): (u64, u64, Vec<(SimKey, &PipelineConfig)>) = {
-            let cache = self
-                .cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut work: Vec<(SimKey, &PipelineConfig)> = Vec::new();
+        // Decide hits/misses/dedups and count them under the lock,
+        // *before* any parallel work, so the counters are a pure function
+        // of jobs × cache state. The guard drops before the fan-out.
+        let mut work: Vec<(SimKey, &PipelineConfig)> = Vec::new();
+        {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             let (mut hits, mut dedups) = (0u64, 0u64);
             for (key, job) in keys.iter().zip(jobs) {
-                if cache.contains_key(key) {
+                if state.cache.contains_key(key) {
                     hits += 1;
                 } else if work.iter().any(|(k, _)| k == key) {
                     dedups += 1;
@@ -142,13 +147,7 @@ impl SweepEngine {
                     work.push((*key, job));
                 }
             }
-            (hits, dedups, work)
-        };
-        {
-            let mut c = self
-                .counters
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let c = &mut state.counters;
             c.add("sweep_jobs", jobs.len() as u64);
             c.add("sweep_cache_hits", hits);
             c.add("sweep_dedup_hits", dedups);
@@ -162,17 +161,17 @@ impl SweepEngine {
         order.sort_by_key(|&i| (usize::MAX - work[i].1.n_nodes(), i));
         work = order.into_iter().map(|i| work[i]).collect();
         let fresh = par_map_slice(&work, threads, |_, (_, cfg)| run_pipeline((*cfg).clone()));
-        let mut cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         for ((key, _), result) in work.iter().zip(fresh) {
-            cache.insert(*key, result);
+            state.cache.insert(*key, result);
         }
         keys.iter()
             .zip(jobs)
             .map(|(key, job)| {
-                let mut r = cache
+                // Cache invariant: every key was either already cached or
+                // inserted from `fresh` just above, so this cannot fire.
+                let mut r = state
+                    .cache
                     .get(key)
                     .expect("every job key simulated or cached")
                     .clone();
@@ -184,18 +183,14 @@ impl SweepEngine {
 
     /// Snapshot of the accumulated sweep counters.
     pub fn counters(&self) -> CounterSet {
-        self.counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.counters.clone()
     }
 
     /// Number of distinct simulations currently cached.
     pub fn cache_len(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.cache.len()
     }
 }
 

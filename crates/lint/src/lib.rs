@@ -6,23 +6,23 @@
 //! That guarantee is easy to break silently — a stray `Instant::now`, a
 //! `HashMap` iterated into a report, a `partial_cmp().unwrap()` on a NaN —
 //! so this crate checks the source mechanically instead of by convention.
-//! Rules are numbered D001–D011, plus D000 for allow-comment hygiene;
-//! `LINTS.md` at the workspace root documents each one. Per-file rules run
-//! in pass 1 ([`rules`]) and the interprocedural graph rules in pass 2
-//! ([`graph`]).
+//! Rules are numbered D001–D011 (D009 is retired), plus D000 for
+//! allow-comment hygiene; `LINTS.md` at the workspace root documents each
+//! one. Every rule runs on one file at a time ([`rules`]). The only
+//! workspace step is D010's merge of every file's counter keys against
+//! README's registry ([`counters`]).
 //!
 //! The scanner is a hand-rolled token-level lexer ([`lexer`]) because the
 //! build environment is offline (no `syn`); the rules ([`rules`]) operate
 //! on that token stream with string/comment/attribute awareness.
 
-pub mod graph;
+pub mod counters;
 pub mod lexer;
-pub mod model;
 pub mod rules;
 pub mod suffixes;
 
-pub use graph::render_graph;
-pub use rules::{crosscheck_docs, scan_file, DocCandidate, Finding, GraphAllow, RuleId};
+pub use counters::CounterSite;
+pub use rules::{crosscheck_docs, scan_file, DeferredAllow, DocCandidate, Finding, RuleId};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,10 +36,10 @@ pub struct ScanOutcome {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
     pub cli_flags: Vec<DocCandidate>,
-    /// Per-file item models, merged by the pass-2 graph analysis.
-    pub models: Vec<model::FileModel>,
-    /// Allow directives naming pass-2 rules, matched after the merge.
-    pub graph_allows: Vec<GraphAllow>,
+    /// Every file's literal counter keys, merged by the D010 check.
+    pub counter_sites: Vec<CounterSite>,
+    /// `allow(D010)` directives, matched after the merge.
+    pub deferred_allows: Vec<DeferredAllow>,
     /// Files that could not be read: drives the distinct exit code 2, so
     /// CI can tell "the tree has violations" from "the scan was partial".
     pub io_errors: usize,
@@ -94,19 +94,18 @@ pub fn scan_files(root: &Path, files: &[PathBuf]) -> ScanOutcome {
                 let scan = scan_file(&rel, &src);
                 outcome.findings.extend(scan.findings);
                 outcome.cli_flags.extend(scan.cli_flags);
-                outcome.models.push(scan.model);
-                outcome.graph_allows.extend(scan.graph_allows);
+                outcome.counter_sites.extend(scan.counter_sites);
+                outcome.deferred_allows.extend(scan.deferred_allows);
                 outcome.files_scanned += 1;
             }
             Err(e) => {
                 outcome.io_errors += 1;
-                outcome.findings.push(Finding {
-                    rule: RuleId::D000,
-                    path: rel,
-                    line: 0,
-                    message: format!("cannot read file: {e}"),
-                    allowed: None,
-                });
+                outcome.findings.push(Finding::new(
+                    RuleId::D000,
+                    &rel,
+                    0,
+                    format!("cannot read file: {e}"),
+                ));
             }
         }
     }
@@ -125,25 +124,27 @@ pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
             let findings = crosscheck_docs("README.md", &text, &outcome.cli_flags);
             outcome.findings.extend(findings);
         }
-        Err(e) => outcome.findings.push(Finding {
-            rule: RuleId::D006,
-            path: "README.md".to_owned(),
-            line: 0,
-            message: format!("cannot read README.md for the flag cross-check: {e}"),
-            allowed: None,
-        }),
+        Err(e) => outcome.findings.push(Finding::new(
+            RuleId::D006,
+            "README.md",
+            0,
+            format!("cannot read README.md for the flag cross-check: {e}"),
+        )),
     }
 }
 
-/// Run the interprocedural rules (D009/D010/D011) on the merged per-file
-/// models, appending their findings to `outcome`. `full` marks a
-/// whole-workspace scan, which is the only mode where "documented counter
-/// key has no emit site" is decidable. The README read here feeds the D010 counter-key
-/// registry cross-check.
+/// Run the workspace half of D010: the merged counter keys against the
+/// counter-key registry in `README.md`, appending findings to `outcome`.
+/// `full` marks a whole-workspace scan, the only mode where "documented
+/// counter key has no emit site" is decidable.
 pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {
     let readme = fs::read_to_string(root.join("README.md")).ok();
-    let allows = std::mem::take(&mut outcome.graph_allows);
-    let findings = graph::analyze(&outcome.models, readme.as_deref(), full, allows);
+    let findings = counters::analyze(
+        &outcome.counter_sites,
+        readme.as_deref(),
+        full,
+        &outcome.deferred_allows,
+    );
     outcome.findings.extend(findings);
 }
 
@@ -272,19 +273,20 @@ mod tests {
             files_scanned: 2,
             ..ScanOutcome::default()
         };
+        outcome.findings.push(Finding::new(
+            RuleId::D003,
+            "crates/x/src/lib.rs",
+            7,
+            "hash-ordered container `HashMap`".to_owned(),
+        ));
         outcome.findings.push(Finding {
-            rule: RuleId::D003,
-            path: "crates/x/src/lib.rs".to_owned(),
-            line: 7,
-            message: "hash-ordered container `HashMap`".to_owned(),
-            allowed: None,
-        });
-        outcome.findings.push(Finding {
-            rule: RuleId::D005,
-            path: "crates/core/src/pipeline.rs".to_owned(),
-            line: 9,
-            message: "unwrap".to_owned(),
             allowed: Some("invariant".to_owned()),
+            ..Finding::new(
+                RuleId::D005,
+                "crates/core/src/pipeline.rs",
+                9,
+                "unwrap".to_owned(),
+            )
         });
         let json = render_json(&outcome);
         assert!(json.contains("\"rule\": \"D003\""));
@@ -298,13 +300,7 @@ mod tests {
 
     #[test]
     fn sort_is_stable_by_path_line_rule() {
-        let f = |rule, path: &str, line| Finding {
-            rule,
-            path: path.to_owned(),
-            line,
-            message: String::new(),
-            allowed: None,
-        };
+        let f = |rule, path: &str, line| Finding::new(rule, path, line, String::new());
         let mut v = vec![
             f(RuleId::D005, "b.rs", 2),
             f(RuleId::D001, "b.rs", 2),

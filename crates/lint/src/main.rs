@@ -5,13 +5,13 @@
 //! cargo run -p lint --                     report findings, always exit 0
 //! cargo run -p lint -- --deny              exit non-zero on any violation (CI mode)
 //! cargo run -p lint -- --json              machine-readable report on stdout
-//! cargo run -p lint -- --graph-dump        dump the merged symbol/call graph
 //! cargo run -p lint -- [paths…]            scan only these files/directories
 //! ```
 //!
 //! With no paths, the whole workspace is scanned (`crates/`, `tests/`,
-//! `examples/`) and the D006 documentation cross-check runs against
-//! `README.md`. Rules and the allow-comment syntax are documented in
+//! `examples/`), the D006 documentation cross-check runs against
+//! `README.md`, and D010 also reports README counter-key rows that no
+//! code emits. Rules and the allow-comment syntax are documented in
 //! `LINTS.md`.
 //!
 //! Exit codes: 0 clean, 1 violations under `--deny`, 2 I/O or usage
@@ -20,22 +20,20 @@
 
 use dles_lint::{
     analyze_workspace, collect_rs_files, crosscheck_workspace_docs, find_workspace_root,
-    render_graph, render_human, render_json, scan_files, sort_findings, DEFAULT_ROOTS,
+    render_human, render_json, scan_files, sort_findings, DEFAULT_ROOTS,
 };
 use std::path::PathBuf;
 
 fn main() {
     let mut deny = false;
     let mut json = false;
-    let mut graph_dump = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--graph-dump" => graph_dump = true,
             "--help" | "-h" => {
-                eprintln!("usage: dles-lint [--deny] [--json] [--graph-dump] [paths…]");
+                eprintln!("usage: dles-lint [--deny] [--json] [paths…]");
                 return;
             }
             other if other.starts_with("--") => {
@@ -94,9 +92,7 @@ fn main() {
     analyze_workspace(&root, &mut outcome, !explicit);
     sort_findings(&mut outcome.findings);
 
-    if graph_dump {
-        print!("{}", render_graph(&outcome.models));
-    } else if json {
+    if json {
         print!("{}", render_json(&outcome));
     } else {
         print!("{}", render_human(&outcome));

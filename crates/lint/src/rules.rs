@@ -15,8 +15,10 @@
 //! The reason text after the dash is mandatory, and an allow that does not
 //! suppress anything is itself reported (D000), so suppressions cannot rot.
 
+use crate::counters::{collect_sites, CounterSite};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::suffixes::{suggested_type, unit_dimension, unit_suffix};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,20 +43,16 @@ pub enum RuleId {
     /// No arithmetic mixing identifiers with conflicting unit suffixes
     /// without a same-line conversion call.
     D008,
-    /// Interprocedural: no wall-clock/entropy/`unwrap` transitively
-    /// reachable from a hot-path root (event-dispatch files, `par_map`
-    /// callers). Reported at the root with the full call chain.
-    D009,
     /// Counter-key discipline: literal, single-owning-crate keys, all
     /// documented in README's counter-key registry, no dead registry rows.
     D010,
-    /// Lock-order discipline: no cycles in the simultaneously-held lock
-    /// graph, no lock held across a `par_map` boundary.
+    /// Lock-order discipline within one file: no acquisition cycles, no
+    /// re-acquisition of a held lock, no lock held across a `par_map`.
     D011,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D000,
         RuleId::D001,
         RuleId::D002,
@@ -64,15 +62,9 @@ impl RuleId {
         RuleId::D006,
         RuleId::D007,
         RuleId::D008,
-        RuleId::D009,
         RuleId::D010,
         RuleId::D011,
     ];
-
-    /// The interprocedural (pass-2) rules: their findings are produced by
-    /// [`crate::graph`] after every file's item model has been merged, so
-    /// their allow comments are matched there rather than per-file.
-    pub const GRAPH_RULES: [RuleId; 3] = [RuleId::D009, RuleId::D010, RuleId::D011];
 
     pub fn as_str(self) -> &'static str {
         match self {
@@ -85,7 +77,6 @@ impl RuleId {
             RuleId::D006 => "D006",
             RuleId::D007 => "D007",
             RuleId::D008 => "D008",
-            RuleId::D009 => "D009",
             RuleId::D010 => "D010",
             RuleId::D011 => "D011",
         }
@@ -93,24 +84,6 @@ impl RuleId {
 
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.iter().copied().find(|r| r.as_str() == s)
-    }
-
-    /// One-line description, shown in `--json` output and LINTS.md.
-    pub fn summary(self) -> &'static str {
-        match self {
-            RuleId::D000 => "allow-comment hygiene (reason required, no stale allows)",
-            RuleId::D001 => "no wall-clock (Instant/SystemTime) outside crates/criterion",
-            RuleId::D002 => "no OS/entropy randomness or env-dependent seeds; use SimRng",
-            RuleId::D003 => "no HashMap/HashSet (iteration order leaks into output)",
-            RuleId::D004 => "no float partial_cmp; use total_cmp",
-            RuleId::D005 => "no unwrap/expect in event-dispatch hot paths",
-            RuleId::D006 => "every repro CLI flag documented in README",
-            RuleId::D007 => "no bare f64 under a unit-suffixed name; use dles-units quantities",
-            RuleId::D008 => "no arithmetic mixing conflicting unit suffixes without a conversion",
-            RuleId::D009 => "no wall-clock/entropy/unwrap transitively reachable from hot paths",
-            RuleId::D010 => "counter keys: literal, one owning crate, documented, no dead rows",
-            RuleId::D011 => "lock order: no acquisition cycles, no lock held across par_map",
-        }
     }
 }
 
@@ -127,6 +100,17 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A finding that no allow comment has suppressed (yet).
+    pub fn new(rule: RuleId, path: &str, line: u32, message: String) -> Finding {
+        Finding {
+            rule,
+            path: path.to_owned(),
+            line,
+            message,
+            allowed: None,
+        }
+    }
+
     pub fn is_violation(&self) -> bool {
         self.allowed.is_none()
     }
@@ -143,14 +127,13 @@ pub struct DocCandidate {
     pub allowed: Option<String>,
 }
 
-/// An allow comment naming one of the interprocedural rules (D009–D011).
-/// Those findings only exist after pass 2 merges the whole workspace, so
-/// the directive is exported here and matched in [`crate::graph`]; one
-/// that suppresses nothing becomes a D000 there, exactly like a stale
-/// per-file allow.
+/// An `allow(D010)` comment that suppressed nothing in its own file. The
+/// cross-file D010 findings exist only once every file's counter sites are
+/// merged, so the directive is matched (same line only) in
+/// [`crate::counters::analyze`]; one that suppresses nothing becomes a
+/// D000 there, exactly like a stale per-file allow.
 #[derive(Debug, Clone)]
-pub struct GraphAllow {
-    pub rule: RuleId,
+pub struct DeferredAllow {
     pub path: String,
     pub line: u32,
     pub reason: String,
@@ -161,19 +144,18 @@ pub struct GraphAllow {
 pub struct FileScan {
     pub findings: Vec<Finding>,
     pub cli_flags: Vec<DocCandidate>,
-    /// The pass-1 item model [`crate::graph`] merges in pass 2.
-    pub model: crate::model::FileModel,
-    /// Allow directives for the pass-2 graph rules, matched after the merge.
-    pub graph_allows: Vec<GraphAllow>,
+    /// Literal counter keys for the workspace half of D010.
+    pub counter_sites: Vec<CounterSite>,
+    /// `allow(D010)` directives left for the workspace half of D010.
+    pub deferred_allows: Vec<DeferredAllow>,
 }
 
 /// Event-dispatch hot-path files covered by D005 (matched by file name so
-/// the rule is testable on fixtures). D009 uses the same list for its
-/// hot-path roots and to avoid double-reporting unwraps D005 already owns.
-pub(crate) const D005_FILES: [&str; 3] = ["pipeline.rs", "recovery.rs", "faults.rs"];
+/// the rule is testable on fixtures).
+const D005_FILES: [&str; 3] = ["pipeline.rs", "recovery.rs", "faults.rs"];
 
 /// Identifiers banned by D002 wherever they appear.
-pub(crate) const D002_IDENTS: [&str; 6] = [
+const D002_IDENTS: [&str; 6] = [
     "thread_rng",
     "ThreadRng",
     "OsRng",
@@ -198,20 +180,25 @@ struct AllowDirective {
     used: bool,
 }
 
+/// D010 and D011 cover production code: test, example and bench trees are
+/// exempt (their scratch counters and locks run once, off the hot path),
+/// but fixture corpora stay in scope so the rules are testable.
+fn in_scope(path: &str) -> bool {
+    if path.contains("fixtures/") {
+        return true;
+    }
+    let in_dir = |d: &str| path.starts_with(&format!("{d}/")) || path.contains(&format!("/{d}/"));
+    !(in_dir("tests") || in_dir("examples") || in_dir("benches"))
+}
+
 /// Scan one file's source. `rel_path` is workspace-relative and decides
 /// which rules apply (criterion is exempt from D001; D005 covers only the
 /// event-dispatch files; flag collection happens in `repro.rs`).
 pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
     let tokens = lex(src);
-    let sig: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
+    let sig = sig_indices(&tokens);
     let in_test = mark_test_mods(&tokens, &sig);
     let (mut allows, mut findings) = parse_allow_directives(rel_path, &tokens);
-    let model = crate::model::build_model(rel_path, &tokens, &sig, &in_test);
 
     let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
     let d001_applies = !rel_path.starts_with("crates/criterion");
@@ -232,29 +219,27 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
         match tok.kind {
             TokenKind::Ident => match tok.text.as_str() {
                 "Instant" | "SystemTime" if d001_applies && !test_code => {
-                    findings.push(Finding {
-                        rule: RuleId::D001,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: format!(
+                    findings.push(Finding::new(
+                        RuleId::D001,
+                        rel_path,
+                        tok.line,
+                        format!(
                             "wall-clock source `{}` — simulation time must come from the \
                              engine clock (SimTime), never the host",
                             tok.text
                         ),
-                        allowed: None,
-                    });
+                    ));
                 }
                 name if D002_IDENTS.contains(&name) && !test_code => {
-                    findings.push(Finding {
-                        rule: RuleId::D002,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: format!(
+                    findings.push(Finding::new(
+                        RuleId::D002,
+                        rel_path,
+                        tok.line,
+                        format!(
                             "entropy source `{name}` — all randomness must flow through a \
                              seeded SimRng so runs replay byte-identically"
                         ),
-                        allowed: None,
-                    });
+                    ));
                 }
                 "var" | "var_os"
                     if !test_code
@@ -263,54 +248,50 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
                         && tokens[sig[si - 2]].is_punct(':')
                         && tokens[sig[si - 3]].is_ident("env") =>
                 {
-                    findings.push(Finding {
-                        rule: RuleId::D002,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: format!(
+                    findings.push(Finding::new(
+                        RuleId::D002,
+                        rel_path,
+                        tok.line,
+                        format!(
                             "environment read `env::{}` — configuration must arrive through \
                              explicit CLI flags or seeds, not ambient state",
                             tok.text
                         ),
-                        allowed: None,
-                    });
+                    ));
                 }
                 name if D003_IDENTS.contains(&name) => {
-                    findings.push(Finding {
-                        rule: RuleId::D003,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: format!(
+                    findings.push(Finding::new(
+                        RuleId::D003,
+                        rel_path,
+                        tok.line,
+                        format!(
                             "hash-ordered container `{name}` — iteration order varies per \
                              process; use BTreeMap/BTreeSet or emit through a sorted view"
                         ),
-                        allowed: None,
-                    });
+                    ));
                 }
                 "partial_cmp" if is_method_call(si) => {
-                    findings.push(Finding {
-                        rule: RuleId::D004,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: "float comparison via `partial_cmp` — NaN turns this into a \
-                                  panic or a platform-dependent order; use `total_cmp`"
+                    findings.push(Finding::new(
+                        RuleId::D004,
+                        rel_path,
+                        tok.line,
+                        "float comparison via `partial_cmp` — NaN turns this into a \
+                         panic or a platform-dependent order; use `total_cmp`"
                             .to_owned(),
-                        allowed: None,
-                    });
+                    ));
                 }
                 "unwrap" | "expect" if d005_applies && !test_code && prev_punct(si, '.') => {
-                    findings.push(Finding {
-                        rule: RuleId::D005,
-                        path: rel_path.to_owned(),
-                        line: tok.line,
-                        message: format!(
+                    findings.push(Finding::new(
+                        RuleId::D005,
+                        rel_path,
+                        tok.line,
+                        format!(
                             "`{}` in an event-dispatch hot path — a panic here aborts the \
                              whole simulation; handle the None/Err arm or justify the \
                              invariant with an allow comment",
                             tok.text
                         ),
-                        allowed: None,
-                    });
+                    ));
                 }
                 _ => {}
             },
@@ -329,6 +310,11 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
     if unit_rules_apply(rel_path) {
         scan_unit_types(rel_path, &tokens, &sig, &in_test, &mut findings);
         scan_unit_mixing(rel_path, &tokens, &sig, &mut findings);
+    }
+    if in_scope(rel_path) {
+        scan.counter_sites = collect_sites(rel_path, &tokens, &sig, &in_test, &mut findings);
+        let locks = scan_locks(&tokens, &sig, &in_test);
+        check_lock_order(rel_path, &locks, &mut findings);
     }
 
     // Apply allow directives: same line, same rule.
@@ -352,9 +338,9 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
             }
         }
     }
-    // Stale allows are findings themselves — except directives naming a
-    // pass-2 rule, which cannot match anything until the whole-workspace
-    // graph analysis runs; those are exported for matching there.
+    // Stale allows are findings themselves — except `allow(D010)`, whose
+    // cross-file findings only exist once the workspace is merged; those
+    // are exported for matching there.
     let mut lines: Vec<u32> = allows.keys().copied().collect();
     lines.sort_unstable();
     for line in lines {
@@ -362,31 +348,38 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
             if a.used {
                 continue;
             }
-            if RuleId::GRAPH_RULES.contains(&a.rule) {
-                scan.graph_allows.push(GraphAllow {
-                    rule: a.rule,
+            if a.rule == RuleId::D010 {
+                scan.deferred_allows.push(DeferredAllow {
                     path: rel_path.to_owned(),
                     line,
                     reason: a.reason.clone(),
                 });
                 continue;
             }
-            findings.push(Finding {
-                rule: RuleId::D000,
-                path: rel_path.to_owned(),
+            findings.push(Finding::new(
+                RuleId::D000,
+                rel_path,
                 line,
-                message: format!(
+                format!(
                     "stale `lint: allow({})` — it suppresses nothing on this line",
                     a.rule.as_str()
                 ),
-                allowed: None,
-            });
+            ));
         }
     }
 
     scan.findings = findings;
-    scan.model = model;
     scan
+}
+
+/// Indices of the non-comment tokens, the stream the rules walk.
+fn sig_indices(tokens: &[Token]) -> Vec<usize> {
+    tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// D007/D008 cover only the unit-bearing crates (power, battery, core);
@@ -433,17 +426,18 @@ fn scan_unit_types(
 ) {
     let ident_at = |k: usize, w: &str| sig.get(k).is_some_and(|&ti| tokens[ti].is_ident(w));
     let punct_at = |k: usize, c: char| sig.get(k).is_some_and(|&ti| tokens[ti].is_punct(c));
-    let field_finding = |tok: &Token, suf: &str, what: &str| Finding {
-        rule: RuleId::D007,
-        path: rel_path.to_owned(),
-        line: tok.line,
-        message: format!(
-            "{what} `{}` is a bare f64 under a unit-suffixed name — \
-             use dles_units::{} so the unit is part of the type",
-            tok.text,
-            suggested_type(suf)
-        ),
-        allowed: None,
+    let field_finding = |tok: &Token, suf: &str, what: &str| {
+        Finding::new(
+            RuleId::D007,
+            rel_path,
+            tok.line,
+            format!(
+                "{what} `{}` is a bare f64 under a unit-suffixed name — \
+                 use dles_units::{} so the unit is part of the type",
+                tok.text,
+                suggested_type(suf)
+            ),
+        )
     };
 
     let mut si = 0;
@@ -626,22 +620,202 @@ fn scan_unit_mixing(rel_path: &str, tokens: &[Token], sig: &[usize], findings: &
         if !conflict || conv_lines.contains(&op.line) {
             continue;
         }
-        findings.push(Finding {
-            rule: RuleId::D008,
-            path: rel_path.to_owned(),
-            line: op.line,
-            message: format!(
+        findings.push(Finding::new(
+            RuleId::D008,
+            rel_path,
+            op.line,
+            format!(
                 "`{}` {} `{}` mixes unit suffixes `_{}` and `_{}` — convert \
                  explicitly or justify with an allow comment",
                 a.text, c, b.text, sa, sb
             ),
-            allowed: None,
-        });
+        ));
     }
 }
 
+/// Lock-acquisition methods. They count only with empty parentheses:
+/// `file.write(buf)` is I/O, not a lock.
+const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
+
+/// The parallel-executor entry points no lock may be held across.
+const PAR_CALLS: [&str; 2] = ["par_map", "par_map_slice"];
+
+/// One `Mutex`/`RwLock` acquisition.
+#[derive(Debug)]
+struct LockSite {
+    /// The dotted receiver chain, `self.` stripped (`self.cache.lock()`
+    /// → `cache`).
+    name: String,
+    line: u32,
+    /// The nearest enclosing `fn`.
+    in_fn: String,
+}
+
+/// What D011 sees of one file's non-test code.
+#[derive(Debug, Default)]
+struct LockScan {
+    /// Every acquisition, in source order.
+    locks: Vec<LockSite>,
+    /// Indices into `locks`: (outer, inner) where inner is acquired while
+    /// outer is held.
+    pairs: Vec<(usize, usize)>,
+    /// (lock index, callee, line): a `par_map` call made while held.
+    across_par: Vec<(usize, String, u32)>,
+}
+
+/// Track which lock guards are live through the file by brace depth: a
+/// `let`-bound guard lives to the end of its block, a temporary dies at
+/// the `;` that ends its statement.
+fn scan_locks(tokens: &[Token], sig: &[usize], in_test: &[bool]) -> LockScan {
+    let punct_at = |k: usize, c: char| sig.get(k).is_some_and(|&ti| tokens[ti].is_punct(c));
+    let ident_at = |k: usize| {
+        sig.get(k)
+            .is_some_and(|&ti| tokens[ti].kind == TokenKind::Ident)
+    };
+    let mut scan = LockScan::default();
+    // (index into `scan.locks`, brace depth, let-bound) per live guard.
+    let mut live: Vec<(usize, usize, bool)> = Vec::new();
+    let (mut depth, mut stmt_is_let, mut in_fn) = (0usize, false, "");
+    for (k, &ti) in sig.iter().enumerate() {
+        let tok = &tokens[ti];
+        if in_test[ti] {
+            continue;
+        }
+        if tok.is_punct('{') {
+            (depth, stmt_is_let) = (depth + 1, false);
+        } else if tok.is_punct('}') {
+            (depth, stmt_is_let) = (depth.saturating_sub(1), false);
+            live.retain(|l| l.1 <= depth);
+        } else if tok.is_punct(';') {
+            live.retain(|l| l.2 || l.1 < depth);
+            stmt_is_let = false;
+        } else if tok.is_ident("let") {
+            stmt_is_let = true;
+        } else if tok.is_ident("fn") && ident_at(k + 1) {
+            in_fn = &tokens[sig[k + 1]].text;
+        } else if LOCK_METHODS.contains(&tok.text.as_str())
+            && punct_at(k.wrapping_sub(1), '.')
+            && punct_at(k + 1, '(')
+            && punct_at(k + 2, ')')
+        {
+            let idx = scan.locks.len();
+            scan.pairs.extend(live.iter().map(|l| (l.0, idx)));
+            scan.locks.push(LockSite {
+                name: receiver_chain(tokens, sig, k),
+                line: tok.line,
+                in_fn: in_fn.to_owned(),
+            });
+            live.push((idx, depth, stmt_is_let));
+        } else if PAR_CALLS.contains(&tok.text.as_str())
+            && punct_at(k + 1, '(')
+            && !(k > 0 && tokens[sig[k - 1]].is_ident("fn"))
+        {
+            for l in &live {
+                scan.across_par.push((l.0, tok.text.clone(), tok.line));
+            }
+        }
+    }
+    scan
+}
+
+/// The dotted receiver chain before a method call at sig index `k`
+/// (`self.cache.lock` → `cache`): idents joined by `.`, `self.` stripped.
+fn receiver_chain(tokens: &[Token], sig: &[usize], k: usize) -> String {
+    let mut segs: Vec<&str> = Vec::new();
+    let mut p = k;
+    while p >= 2 && tokens[sig[p - 1]].is_punct('.') && tokens[sig[p - 2]].kind == TokenKind::Ident
+    {
+        segs.insert(0, &tokens[sig[p - 2]].text);
+        p -= 2;
+    }
+    if segs.first() == Some(&"self") {
+        segs.remove(0);
+    }
+    if segs.is_empty() {
+        return "<expr>".to_owned();
+    }
+    segs.join(".")
+}
+
+/// D011: within one file, a lock taken again while held, a lock-order
+/// cycle, and a lock held across a `par_map` call. Locks a called fn takes
+/// are not seen.
+fn check_lock_order(rel_path: &str, scan: &LockScan, findings: &mut Vec<Finding>) {
+    let mut report = |line: u32, message: String| {
+        findings.push(Finding::new(RuleId::D011, rel_path, line, message));
+    };
+    for (li, call, line) in &scan.across_par {
+        report(
+            *line,
+            format!(
+                "lock `{}` is held across the `{call}` boundary — a worker touching the same \
+                 lock deadlocks, and the serialized section defeats the parallel sweep",
+                scan.locks[*li].name
+            ),
+        );
+    }
+    // One edge per (outer, inner) name pair, at its first acquisition.
+    let mut edges: Vec<(&str, &str, &LockSite)> = Vec::new();
+    for &(a, b) in &scan.pairs {
+        let (from, to) = (scan.locks[a].name.as_str(), scan.locks[b].name.as_str());
+        if !edges.iter().any(|e| (e.0, e.1) == (from, to)) {
+            edges.push((from, to, &scan.locks[b]));
+        }
+    }
+    for &(from, to, site) in &edges {
+        if from == to {
+            report(
+                site.line,
+                format!(
+                    "lock `{from}` is acquired in `{}` while already held — a non-reentrant \
+                     Mutex self-deadlocks here",
+                    site.in_fn
+                ),
+            );
+        } else if let Some(back) = lock_path(&edges, to, from) {
+            report(
+                site.line,
+                format!(
+                    "lock-order cycle: `{}` acquires `{to}` while holding `{from}`, but the \
+                     reverse order exists elsewhere in this file — cycle: {from} → {}",
+                    site.in_fn,
+                    back.join(" → ")
+                ),
+            );
+        }
+    }
+}
+
+/// Shortest lock path `from → … → to` over the edges, by breadth-first
+/// search; `from` and `to` differ.
+fn lock_path<'a>(
+    edges: &[(&'a str, &'a str, &LockSite)],
+    from: &'a str,
+    to: &str,
+) -> Option<Vec<&'a str>> {
+    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut queue = VecDeque::from([from]);
+    while let Some(n) = queue.pop_front() {
+        if n == to {
+            let mut path = vec![n];
+            while let Some(&p) = prev.get(path[path.len() - 1]) {
+                path.push(p);
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for &(a, b, _) in edges {
+            if a == n && b != from && !prev.contains_key(b) {
+                prev.insert(b, a);
+                queue.push_back(b);
+            }
+        }
+    }
+    None
+}
+
 /// Mark every token that sits inside a `#[cfg(test)] mod … { … }` block.
-pub(crate) fn mark_test_mods(tokens: &[Token], sig: &[usize]) -> Vec<bool> {
+fn mark_test_mods(tokens: &[Token], sig: &[usize]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let ident_at = |si: usize, w: &str| sig.get(si).is_some_and(|&ti| tokens[ti].is_ident(w));
     let punct_at = |si: usize, c: char| sig.get(si).is_some_and(|&ti| tokens[ti].is_punct(c));
@@ -662,43 +836,15 @@ pub(crate) fn mark_test_mods(tokens: &[Token], sig: &[usize]) -> Vec<bool> {
         // Skip over any further attributes between #[cfg(test)] and `mod`.
         let mut j = si + 7;
         while punct_at(j, '#') && punct_at(j + 1, '[') {
-            let mut depth = 1usize;
-            j += 2;
-            while j < sig.len() && depth > 0 {
-                if punct_at(j, '[') {
-                    depth += 1;
-                } else if punct_at(j, ']') {
-                    depth -= 1;
-                }
-                j += 1;
-            }
+            j = close_of(tokens, sig, j + 1) + 1;
         }
         if !(ident_at(j, "mod") && punct_at(j + 2, '{')) {
             si += 1;
             continue;
         }
-        // Brace-match from the module's opening brace.
-        let open = j + 2;
-        let mut depth = 0usize;
-        let mut k = open;
-        while k < sig.len() {
-            if punct_at(k, '{') {
-                depth += 1;
-            } else if punct_at(k, '}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            k += 1;
-        }
-        let start_tok = sig[si];
-        let end_tok = if k < sig.len() {
-            sig[k]
-        } else {
-            tokens.len() - 1
-        };
-        for slot in in_test.iter_mut().take(end_tok + 1).skip(start_tok) {
+        let k = close_of(tokens, sig, j + 2);
+        let end_tok = sig.get(k).map_or(tokens.len() - 1, |&ti| ti);
+        for slot in &mut in_test[sig[si]..=end_tok] {
             *slot = true;
         }
         si = k.max(si + 1);
@@ -706,7 +852,29 @@ pub(crate) fn mark_test_mods(tokens: &[Token], sig: &[usize]) -> Vec<bool> {
     in_test
 }
 
-type AllowMap = std::collections::BTreeMap<u32, Vec<AllowDirective>>;
+/// Sig index of the delimiter that closes the `(`, `[` or `{` at sig
+/// index `open`; `sig.len()` when the file ends first.
+pub(crate) fn close_of(tokens: &[Token], sig: &[usize], open: usize) -> usize {
+    let (o, c) = match tokens[sig[open]].text.as_str() {
+        "(" => ('(', ')'),
+        "[" => ('[', ']'),
+        _ => ('{', '}'),
+    };
+    let mut depth = 0usize;
+    for (k, &ti) in sig.iter().enumerate().skip(open) {
+        if tokens[ti].is_punct(o) {
+            depth += 1;
+        } else if tokens[ti].is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return k;
+            }
+        }
+    }
+    sig.len()
+}
+
+type AllowMap = BTreeMap<u32, Vec<AllowDirective>>;
 
 /// Extract `// lint: allow(Dxxx[, Dyyy]) — reason` directives, reporting
 /// malformed ones (missing reason, unknown rule) as D000 findings.
@@ -722,13 +890,7 @@ fn parse_allow_directives(rel_path: &str, tokens: &[Token]) -> (AllowMap, Vec<Fi
             continue;
         };
         let mut bad = |msg: String| {
-            findings.push(Finding {
-                rule: RuleId::D000,
-                path: rel_path.to_owned(),
-                line: tok.line,
-                message: msg,
-                allowed: None,
-            });
+            findings.push(Finding::new(RuleId::D000, rel_path, tok.line, msg));
         };
         let rest = rest.trim_start();
         let Some(rest) = rest.strip_prefix("allow") else {
@@ -791,11 +953,13 @@ pub fn crosscheck_docs(doc_name: &str, doc_text: &str, flags: &[DocCandidate]) -
     for cand in flags {
         if !contains_word(doc_text, &cand.name) {
             findings.push(Finding {
-                rule: RuleId::D006,
-                path: cand.path.clone(),
-                line: cand.line,
-                message: format!("CLI flag `{}` is not documented in {doc_name}", cand.name),
                 allowed: cand.allowed.clone(),
+                ..Finding::new(
+                    RuleId::D006,
+                    &cand.path,
+                    cand.line,
+                    format!("CLI flag `{}` is not documented in {doc_name}", cand.name),
+                )
             });
         }
     }
@@ -1057,6 +1221,99 @@ mod tests {
                    let t = dur_s + to_secs(dur_h);\n\
                    q + t }";
         assert!(violations("crates/core/src/x.rs", src).is_empty());
+    }
+
+    /// D011's view of `src`: acquisitions as (name, line), and the
+    /// (outer, inner) name pairs held together.
+    type Named<T> = Vec<(String, T)>;
+
+    fn locks(src: &str) -> (Named<u32>, Named<String>) {
+        let tokens = lex(src);
+        let sig = sig_indices(&tokens);
+        let scan = scan_locks(&tokens, &sig, &mark_test_mods(&tokens, &sig));
+        let name = |i: usize| scan.locks[i].name.clone();
+        let pairs = scan.pairs.iter().map(|&(a, b)| (name(a), name(b)));
+        let sites = scan.locks.iter().map(|l| (l.name.clone(), l.line));
+        (sites.collect(), pairs.collect())
+    }
+
+    fn d011(src: &str) -> Vec<String> {
+        let scan = scan_file("crates/core/src/engine2.rs", src);
+        let d011 = scan.findings.into_iter().filter(|f| f.rule == RuleId::D011);
+        d011.map(|f| f.message).collect()
+    }
+
+    #[test]
+    fn lock_sites_and_nested_pairs() {
+        let (sites, pairs) =
+            locks("fn f(&self) {\nlet a = self.cache.lock();\nlet b = self.counters.lock();\n}");
+        assert_eq!(sites, [("cache".into(), 2), ("counters".into(), 3)]);
+        assert_eq!(pairs, [("cache".into(), "counters".into())]);
+    }
+
+    #[test]
+    fn block_scoped_guards_do_not_pair() {
+        let src = "fn f(&self) { { let a = self.cache.lock(); } { let b = self.stats.lock(); } }";
+        assert!(locks(src).1.is_empty());
+    }
+
+    #[test]
+    fn temporary_guard_dies_at_statement_end() {
+        let src = "fn f(&self) { self.counters.lock().clone(); let b = self.cache.lock(); }";
+        assert!(locks(src).1.is_empty());
+    }
+
+    #[test]
+    fn guards_do_not_outlive_their_fn() {
+        let src = "fn f(&self) { if let Some(x) = self.a.lock().get(0) { x; } }\n\
+                   fn g(&self) { self.b.lock().clear(); let c = self.c.lock(); }";
+        assert!(locks(src).1.is_empty());
+    }
+
+    #[test]
+    fn lock_methods_need_empty_parens() {
+        // `file.write(buf)` is I/O, not a lock acquisition.
+        let (sites, _) = locks("fn f() { file.write(buf); port.read(n); q.lock(); }");
+        assert_eq!(sites, [("q".into(), 1)]);
+    }
+
+    #[test]
+    fn d011_cycle_detected_and_consistent_order_clean() {
+        let cyclic = d011(
+            "fn f(&self) { let a = self.cache.lock(); let b = self.stats.lock(); }\n\
+             fn g(&self) { let b = self.stats.lock(); let a = self.cache.lock(); }\n",
+        );
+        assert_eq!(cyclic.len(), 2, "{cyclic:?}");
+        assert!(cyclic[0].contains("`f` acquires `stats` while holding `cache`"));
+        assert!(cyclic[0].contains("cycle: cache → stats → cache"));
+        assert!(cyclic[1].contains("cycle: stats → cache → stats"));
+
+        let clean = d011(
+            "fn f(&self) { let a = self.cache.lock(); let b = self.stats.lock(); }\n\
+             fn g(&self) { let a = self.cache.lock(); let b = self.stats.lock(); }\n",
+        );
+        assert!(clean.is_empty(), "{clean:?}");
+    }
+
+    #[test]
+    fn d011_self_deadlock_in_one_body() {
+        let found = d011("fn f(&self) { let a = self.cache.lock(); let b = self.cache.lock(); }");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("lock `cache` is acquired in `f` while already held"));
+    }
+
+    #[test]
+    fn d011_lock_held_across_par_map() {
+        let found = d011("fn run(&self) { let g = self.cache.lock(); par_map_slice(2, &x, f); }");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("lock `cache` is held across the `par_map_slice`"));
+    }
+
+    #[test]
+    fn d011_skips_test_code_and_test_trees() {
+        let src = "fn t(&self) { let a = self.m.lock(); let b = self.m.lock(); }";
+        assert!(d011(&format!("#[cfg(test)]\nmod tests {{ {src} }}")).is_empty());
+        assert!(scan_file("tests/x.rs", src).findings.is_empty());
     }
 
     #[test]

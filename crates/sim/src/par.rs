@@ -32,7 +32,6 @@ pub fn resolve_workers(threads: usize, jobs: usize) -> usize {
 ///
 /// Results come back in index order regardless of scheduling; a single
 /// worker degenerates to a plain serial loop with no thread spawned.
-// lint: allow(D009) — slot invariant: the work-pull loop writes every index in 0..n exactly once before scope join, so the final expect cannot fire
 pub fn par_map<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -68,6 +67,8 @@ where
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .into_iter()
+        // Slot invariant: the work-pull loop writes every index in 0..n
+        // exactly once before the scope joins, so this cannot fire.
         .map(|r| r.expect("every job filled its slot"))
         .collect()
 }
