@@ -2,22 +2,26 @@
 //! through `dles_core::sweep::SweepEngine` serially (`--threads 1`),
 //! with one worker per core, and again against a warm cache.
 //!
-//! Besides printing the usual criterion lines, `main` writes the measured
+//! Besides printing one timing line per label, `main` writes the measured
 //! medians and the parallel speedup to `BENCH_sweep.json` at the repo
 //! root — the committed baseline the docs quote. Horizons are capped so a
 //! sample is one bounded slice of the real pipeline physics rather than a
 //! full multi-hour discharge.
 
-use criterion::{black_box, Criterion};
+use dles_bench::bench;
 use dles_core::policy::DvsPolicy;
 use dles_core::rotation::RotationConfig;
 use dles_core::scale::n_node_config;
 use dles_core::sweep::SweepEngine;
 use dles_core::{PipelineConfig, SystemConfig};
 use dles_sim::SimTime;
+use std::hint::black_box;
+
+/// Timed samples per label.
+const SAMPLES: usize = 10;
 
 /// The scaling-study fan-out (1..=4 nodes, static and rotation variants),
-/// horizon-capped to keep one serial pass around a second.
+/// horizon-capped to keep one serial pass under a tenth of a second.
 fn scaling_jobs() -> Vec<PipelineConfig> {
     let sys = SystemConfig::paper();
     let mut jobs = Vec::new();
@@ -41,58 +45,38 @@ fn scaling_jobs() -> Vec<PipelineConfig> {
     jobs
 }
 
-fn bench_sweep(c: &mut Criterion) {
+fn main() {
     let jobs = scaling_jobs();
-    let mut group = c.benchmark_group("sweep_parallel");
-    group.sample_size(10);
-    group.bench_function("serial_1thread", |b| {
-        b.iter(|| SweepEngine::new().run(black_box(&jobs), 1))
+    let serial = bench("sweep_parallel/serial_1thread", SAMPLES, || {
+        SweepEngine::new().run(black_box(&jobs), 1)
     });
-    group.bench_function("parallel_all_cores", |b| {
-        b.iter(|| SweepEngine::new().run(black_box(&jobs), 0))
+    let parallel = bench("sweep_parallel/parallel_all_cores", SAMPLES, || {
+        SweepEngine::new().run(black_box(&jobs), 0)
     });
-    let warm = SweepEngine::new();
-    warm.run(&jobs, 0); // populate the cache once, outside the timing loop
-    group.bench_function("warm_cache", |b| b.iter(|| warm.run(black_box(&jobs), 0)));
-    group.finish();
-}
+    let warm_engine = SweepEngine::new();
+    warm_engine.run(&jobs, 0); // populate the cache once, outside the timing loop
+    let warm = bench("sweep_parallel/warm_cache", SAMPLES, || {
+        warm_engine.run(black_box(&jobs), 0)
+    });
 
-fn write_baseline(c: &Criterion) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let median_ns = |label: &str| {
-        c.results()
-            .iter()
-            .find(|s| s.label == format!("sweep_parallel/{label}"))
-            .map(|s| s.median.as_nanos())
-            .unwrap_or(0)
-    };
-    let serial = median_ns("serial_1thread");
-    let parallel = median_ns("parallel_all_cores");
-    let warm = median_ns("warm_cache");
+    let (serial, parallel, warm) = (serial.as_nanos(), parallel.as_nanos(), warm.as_nanos());
     // One core runs "parallel" serially: that is no measurement of a
     // parallel speedup, so say so instead of writing 1.00.
     let speedup = if cores == 1 {
         "null,\n  \"not_measured\": \"1 core\"".to_owned()
-    } else if parallel > 0 {
-        format!("{:.2}", serial as f64 / parallel as f64)
     } else {
-        "0.00".to_owned()
+        format!("{:.2}", serial as f64 / parallel as f64)
     };
     let json = format!(
         "{{\n  \"bench\": \"sweep_parallel\",\n  \"cores\": {cores},\n  \"jobs\": {jobs},\n  \
          \"serial_1thread_median_ns\": {serial},\n  \"parallel_all_cores_median_ns\": {parallel},\n  \
          \"warm_cache_median_ns\": {warm},\n  \"parallel_speedup\": {speedup}\n}}\n",
-        jobs = scaling_jobs().len(),
+        jobs = jobs.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
     std::fs::write(path, &json).expect("write BENCH_sweep.json");
     println!("wrote {path}:\n{json}");
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    bench_sweep(&mut c);
-    write_baseline(&c);
 }

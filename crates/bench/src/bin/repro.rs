@@ -23,10 +23,9 @@
 //!                       the 2C base instead of 2B) and `--sweep policy`.
 //! repro --ablations     the ablation studies (battery models, rotation
 //!                       period, serial link, N-node partitions)
-//! repro --scale         N-node generalization study (full discharges)
 //! repro --sweep NAME    deterministic parallel sweep through the keyed
 //!                       simulation cache; NAME is `scaling` (the N-node
-//!                       study), `fig8` (partition schemes by simulated
+//!                       study, 1..=4 nodes), `fig8` (partition schemes by simulated
 //!                       lifetime) or `policy` (scheduling policies vs the
 //!                       fixed-100 baseline on the 2C workload). Prints
 //!                       the table, then the cache hit/miss counters.
@@ -70,7 +69,6 @@ fn main() {
     let mut exp_label: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut counters = false;
-    let mut scale_max: usize = 4;
     let mut sweep_name: Option<String> = None;
     let mut montecarlo = false;
     let mut trials: usize = 16;
@@ -148,20 +146,13 @@ fn main() {
                 }
             }
             "--counters" => counters = true,
-            "--scale" => {
-                commands.push("--scale".to_owned());
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    scale_max = n;
-                    i += 1;
-                }
-            }
             other => commands.push(other.to_owned()),
         }
         i += 1;
     }
 
     if let Some(name) = &sweep_name {
-        run_sweep_study(name, &sys, scale_max, threads);
+        run_sweep_study(name, &sys, threads);
         return;
     }
 
@@ -236,10 +227,6 @@ fn main() {
             "--fig10" => run_fig10(false),
             "--json" => run_fig10(true),
             "--ablations" => run_ablations(),
-            "--scale" => {
-                let rows = dles_core::scale::scaling_study(&sys, scale_max);
-                print!("{}", dles_core::scale::render_scaling(&rows));
-            }
             "--calibrate" => {
                 println!("run `cargo run -p dles-bench --bin calibrate_packs` for the full fit;");
                 println!("current pack parameters:");
@@ -257,7 +244,7 @@ fn main() {
 /// One named sweep through a fresh `SweepEngine`: print the study table,
 /// then the engine's cache hit/miss counters. Output is byte-identical
 /// for any `--threads` value — CI diffs `--threads 1` against `2`.
-fn run_sweep_study(name: &str, sys: &SystemConfig, scale_max: usize, threads: usize) {
+fn run_sweep_study(name: &str, sys: &SystemConfig, threads: usize) {
     use dles_core::scale::{render_scaling, scaling_study_with};
     use dles_core::sweep::{
         fig8_lifetime_sweep, policy_lifetime_sweep, render_fig8_sweep, render_policy_sweep,
@@ -266,7 +253,7 @@ fn run_sweep_study(name: &str, sys: &SystemConfig, scale_max: usize, threads: us
     let engine = SweepEngine::new();
     match name {
         "scaling" => {
-            let rows = scaling_study_with(&engine, sys, scale_max, threads);
+            let rows = scaling_study_with(&engine, sys, 4, threads);
             print!("{}", render_scaling(&rows));
         }
         "fig8" => {

@@ -445,14 +445,28 @@ impl PipelineWorld {
         let base = self.base_level(node);
         let policy = self.policy_for(node);
         let level = policy.level_for(mode, base, &self.cfg.sys.dvs);
+        self.enter(ctx, node, mode, level, None, None);
+    }
+
+    /// Move a live node into `mode` at `level`: count and trace the
+    /// transition, then re-arm the node's death event for the new load.
+    fn enter(
+        &mut self,
+        ctx: &mut Ctx<Ev>,
+        node: usize,
+        mode: Mode,
+        level: FreqLevel,
+        share: Option<usize>,
+        frame: Option<u64>,
+    ) {
         self.counters.incr("state_transitions");
         if ctx.tracing() {
             ctx.emit(
                 TraceEvent::StateTransition {
                     mode: mode.name(),
                     freq_mhz: level.freq_mhz.mhz(),
-                    share: None,
-                    frame: None,
+                    share,
+                    frame,
                 }
                 .record(ctx.now(), component_of(node)),
             );
@@ -551,32 +565,15 @@ impl PipelineWorld {
         }
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
-        self.counters.incr("state_transitions");
-        if ctx.tracing() {
-            ctx.emit(
-                TraceEvent::StateTransition {
-                    mode: Mode::Computation.name(),
-                    freq_mhz: level.freq_mhz.mhz(),
-                    share: Some(share),
-                    frame: Some(frame),
-                }
-                .record(ctx.now(), component_of(node)),
-            );
-        }
         // PROC always runs at the share's level regardless of policy.
-        let ttd = self.nodes[node].transition_recorded(
-            ctx.now(),
+        self.enter(
+            ctx,
+            node,
             Mode::Computation,
             level,
-            ctx.recorder(),
-            node,
+            Some(share),
+            Some(frame),
         );
-        if let Some(ev) = self.death_events[node].take() {
-            ctx.cancel(ev);
-        }
-        if let Some(ttd) = ttd {
-            self.death_events[node] = Some(ctx.schedule_in(ttd, Ev::NodeDeath(node)));
-        }
         self.nodes[node].busy_until = ctx.now() + dur;
         ctx.schedule_in(dur, Ev::ProcEnd { node, frame, share });
     }
@@ -1215,31 +1212,7 @@ impl PipelineWorld {
         let share = self.share_of_node[node].expect("local node keeps its share"); // lint: allow(D005) — invariant: ProcEnd only fires on nodes the share map still assigns work to
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
-        self.counters.incr("state_transitions");
-        if ctx.tracing() {
-            ctx.emit(
-                TraceEvent::StateTransition {
-                    mode: Mode::Computation.name(),
-                    freq_mhz: level.freq_mhz.mhz(),
-                    share: Some(share),
-                    frame: None,
-                }
-                .record(ctx.now(), component_of(node)),
-            );
-        }
-        let ttd = self.nodes[node].transition_recorded(
-            ctx.now(),
-            Mode::Computation,
-            level,
-            ctx.recorder(),
-            node,
-        );
-        if let Some(ev) = self.death_events[node].take() {
-            ctx.cancel(ev);
-        }
-        if let Some(ttd) = ttd {
-            self.death_events[node] = Some(ctx.schedule_in(ttd, Ev::NodeDeath(node)));
-        }
+        self.enter(ctx, node, Mode::Computation, level, Some(share), None);
         ctx.schedule_in(dur, Ev::LocalLoop { node });
     }
 

@@ -63,12 +63,6 @@ pub fn n_node_config(
     Some(cfg)
 }
 
-/// Run the scaling study with a fresh sweep engine and one worker per
-/// core. See [`scaling_study_with`].
-pub fn scaling_study(sys: &SystemConfig, max_nodes: usize) -> Vec<ScaleRow> {
-    scaling_study_with(&SweepEngine::new(), sys, max_nodes, 0)
-}
-
 /// Run the scaling study through `engine`: for each node count, static
 /// partitioning and partitioning + rotation (+ DVS during I/O), to
 /// battery exhaustion. Identical configurations (within this sweep or
@@ -355,7 +349,7 @@ mod tests {
         let mut sys = SystemConfig::paper();
         sys.serial = sys.serial.with_effective_bps(4_000.0);
         let max_nodes = 3;
-        let rows = scaling_study(&sys, max_nodes);
+        let rows = scaling_study_with(&SweepEngine::new(), &sys, max_nodes, 0);
         assert_eq!(
             rows.len(),
             1 + 2 * (max_nodes - 1),

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 pub enum RuleId {
     /// Allow-comment hygiene: malformed, reasonless, unknown or unused.
     D000,
-    /// No wall-clock time sources outside `crates/criterion`.
+    /// No wall-clock time sources outside test code.
     D001,
     /// No OS/entropy randomness or env-dependent seeds.
     D002,
@@ -192,8 +192,8 @@ fn in_scope(path: &str) -> bool {
 }
 
 /// Scan one file's source. `rel_path` is workspace-relative and decides
-/// which rules apply (criterion is exempt from D001; D005 covers only the
-/// event-dispatch files; flag collection happens in `repro.rs`).
+/// which rules apply (D005 covers only the event-dispatch files; flag
+/// collection happens in `repro.rs`).
 pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
     let tokens = lex(src);
     let sig = sig_indices(&tokens);
@@ -201,7 +201,6 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
     let (mut allows, mut findings) = parse_allow_directives(rel_path, &tokens);
 
     let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
-    let d001_applies = !rel_path.starts_with("crates/criterion");
     let d005_applies = D005_FILES.contains(&file_name);
     let collect_flags = file_name == "repro.rs";
 
@@ -218,7 +217,7 @@ pub fn scan_file(rel_path: &str, src: &str) -> FileScan {
         let test_code = in_test[ti];
         match tok.kind {
             TokenKind::Ident => match tok.text.as_str() {
-                "Instant" | "SystemTime" if d001_applies && !test_code => {
+                "Instant" | "SystemTime" if !test_code => {
                     findings.push(Finding::new(
                         RuleId::D001,
                         rel_path,
@@ -1002,11 +1001,12 @@ mod tests {
     }
 
     #[test]
-    fn d001_flags_wall_clock_outside_criterion() {
+    fn d001_flags_wall_clock_outside_test_code_everywhere() {
         let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }\n";
         let v = violations("crates/sim/src/engine.rs", src);
         assert_eq!(v, vec![(RuleId::D001, 1), (RuleId::D001, 2)]);
-        assert!(violations("crates/criterion/src/lib.rs", src).is_empty());
+        // No path is exempt: the retired criterion shim's path is flagged too.
+        assert_eq!(violations("crates/criterion/src/lib.rs", src), v);
     }
 
     #[test]
