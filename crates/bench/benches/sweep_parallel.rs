@@ -1,6 +1,6 @@
-//! Sweep-engine scaling bench: the Fig. 10 scaling-study job set pushed
-//! through `dles_core::sweep::SweepEngine` serially (`--threads 1`),
-//! with one worker per core, and again against a warm cache.
+//! Sweep scaling bench: the N-node scaling-study job set fanned out
+//! through `dles_sim::par_map_slice`, the way `repro --sweep` runs it,
+//! serially (`--threads 1`) and with one worker per core.
 //!
 //! Besides printing one timing line per label, `main` writes the measured
 //! medians and the parallel speedup to `BENCH_sweep.json` at the repo
@@ -12,20 +12,21 @@ use dles_bench::bench;
 use dles_core::policy::DvsPolicy;
 use dles_core::rotation::RotationConfig;
 use dles_core::scale::n_node_config;
-use dles_core::sweep::SweepEngine;
-use dles_core::{PipelineConfig, SystemConfig};
-use dles_sim::SimTime;
+use dles_core::{run_pipeline, PipelineConfig, SystemConfig};
+use dles_sim::{par_map_slice, SimTime};
 use std::hint::black_box;
 
 /// Timed samples per label.
 const SAMPLES: usize = 10;
 
 /// The scaling-study fan-out (1..=4 nodes, static and rotation variants),
-/// horizon-capped to keep one serial pass under a tenth of a second.
+/// horizon-capped to keep one serial pass under a tenth of a second. The
+/// jobs are listed heaviest first (descending node count), the order the
+/// sweeps start them in.
 fn scaling_jobs() -> Vec<PipelineConfig> {
     let sys = SystemConfig::paper();
     let mut jobs = Vec::new();
-    for n in 1..=4 {
+    for n in (1..=4).rev() {
         let mut variants = vec![n_node_config(&sys, n, DvsPolicy::DvsDuringIo, None)];
         if n >= 2 {
             variants.push(n_node_config(
@@ -47,22 +48,14 @@ fn scaling_jobs() -> Vec<PipelineConfig> {
 
 fn main() {
     let jobs = scaling_jobs();
-    let serial = bench("sweep_parallel/serial_1thread", SAMPLES, || {
-        SweepEngine::new().run(black_box(&jobs), 1)
-    });
-    let parallel = bench("sweep_parallel/parallel_all_cores", SAMPLES, || {
-        SweepEngine::new().run(black_box(&jobs), 0)
-    });
-    let warm_engine = SweepEngine::new();
-    warm_engine.run(&jobs, 0); // populate the cache once, outside the timing loop
-    let warm = bench("sweep_parallel/warm_cache", SAMPLES, || {
-        warm_engine.run(black_box(&jobs), 0)
-    });
+    let sweep = |threads| par_map_slice(black_box(&jobs), threads, |_, c| run_pipeline(c.clone()));
+    let serial = bench("sweep_parallel/serial_1thread", SAMPLES, || sweep(1));
+    let parallel = bench("sweep_parallel/parallel_all_cores", SAMPLES, || sweep(0));
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (serial, parallel, warm) = (serial.as_nanos(), parallel.as_nanos(), warm.as_nanos());
+    let (serial, parallel) = (serial.as_nanos(), parallel.as_nanos());
     // One core runs "parallel" serially: that is no measurement of a
     // parallel speedup, so say so instead of writing 1.00.
     let speedup = if cores == 1 {
@@ -73,7 +66,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"sweep_parallel\",\n  \"cores\": {cores},\n  \"jobs\": {jobs},\n  \
          \"serial_1thread_median_ns\": {serial},\n  \"parallel_all_cores_median_ns\": {parallel},\n  \
-         \"warm_cache_median_ns\": {warm},\n  \"parallel_speedup\": {speedup}\n}}\n",
+         \"parallel_speedup\": {speedup}\n}}\n",
         jobs = jobs.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");

@@ -23,12 +23,11 @@
 //!                       the 2C base instead of 2B) and `--sweep policy`.
 //! repro --ablations     the ablation studies (battery models, rotation
 //!                       period, serial link, N-node partitions)
-//! repro --sweep NAME    deterministic parallel sweep through the keyed
-//!                       simulation cache; NAME is `scaling` (the N-node
-//!                       study, 1..=4 nodes), `fig8` (partition schemes by simulated
-//!                       lifetime) or `policy` (scheduling policies vs the
-//!                       fixed-100 baseline on the 2C workload). Prints
-//!                       the table, then the cache hit/miss counters.
+//! repro --sweep NAME    deterministic parallel sweep; NAME is `scaling`
+//!                       (the N-node study, 1..=4 nodes), `fig8` (partition
+//!                       schemes by simulated lifetime) or `policy`
+//!                       (scheduling policies vs the fixed-100 baseline on
+//!                       the 2C workload). Prints the study table.
 //!                       `--threads N` picks the worker count (default:
 //!                       one per core) and never changes the output bytes.
 //! repro --montecarlo    Monte Carlo robustness study of experiment 2B
@@ -241,27 +240,24 @@ fn main() {
     }
 }
 
-/// One named sweep through a fresh `SweepEngine`: print the study table,
-/// then the engine's cache hit/miss counters. Output is byte-identical
-/// for any `--threads` value — CI diffs `--threads 1` against `2`.
+/// One named sweep: print the study table. Output is byte-identical for
+/// any `--threads` value — CI diffs `--threads 1` against `2`.
 fn run_sweep_study(name: &str, sys: &SystemConfig, threads: usize) {
-    use dles_core::scale::{render_scaling, scaling_study_with};
+    use dles_core::scale::{render_scaling, scaling_study};
     use dles_core::sweep::{
         fig8_lifetime_sweep, policy_lifetime_sweep, render_fig8_sweep, render_policy_sweep,
-        SweepEngine,
     };
-    let engine = SweepEngine::new();
     match name {
         "scaling" => {
-            let rows = scaling_study_with(&engine, sys, 4, threads);
+            let rows = scaling_study(sys, 4, threads);
             print!("{}", render_scaling(&rows));
         }
         "fig8" => {
-            let rows = fig8_lifetime_sweep(&engine, sys, threads);
+            let rows = fig8_lifetime_sweep(sys, threads);
             print!("{}", render_fig8_sweep(&rows));
         }
         "policy" => {
-            let rows = policy_lifetime_sweep(&engine, threads);
+            let rows = policy_lifetime_sweep(threads);
             print!("{}", render_policy_sweep(&rows));
         }
         other => {
@@ -269,7 +265,6 @@ fn run_sweep_study(name: &str, sys: &SystemConfig, threads: usize) {
             std::process::exit(2);
         }
     }
-    print!("{}", report::render_counters("sweep", &engine.counters()));
 }
 
 /// Parse a numeric flag argument or exit with a usage error.

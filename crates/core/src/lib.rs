@@ -30,10 +30,9 @@
 //!   (§4.5);
 //! * [`experiment`] — ready-made configurations for every experiment of
 //!   §6 (0A, 0B, 1, 1A, 2, 2A, 2B, 2C) and an experiment runner;
-//! * [`sweep`] — the deterministic parallel sweep engine: run a batch of
-//!   configurations across scoped worker threads with byte-identical
-//!   output for any worker count, deduplicating identical simulations
-//!   through a keyed result cache;
+//! * [`sweep`] — deterministic parallel sweeps (Fig. 8 schemes,
+//!   scheduling policies): a batch of configurations across scoped worker
+//!   threads with byte-identical output for any worker count;
 //! * [`report`] — the tables and figure data of the paper, regenerated.
 //!
 //! ```no_run
@@ -75,6 +74,6 @@ pub use pipeline::{
 pub use policy::{DvsPolicy, SchedulingPolicy};
 pub use sweep::{
     fig8_lifetime_sweep, policy_lifetime_sweep, render_fig8_sweep, render_policy_sweep, Fig8Row,
-    PolicyRow, SimKey, SweepEngine,
+    PolicyRow,
 };
 pub use workload::{NodeShare, SystemConfig};

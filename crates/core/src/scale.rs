@@ -3,10 +3,9 @@
 //! §5.3: "We experiment with two Itsy nodes, although the results do
 //! generalize to more nodes." This module builds the N-node counterparts
 //! of the §6 configurations — best feasible partition, optional DVS during
-//! I/O, optional rotation — and runs them to battery exhaustion through
-//! the [`crate::sweep`] engine: in parallel across configurations, with
-//! byte-identical output for any worker count, and with identical
-//! configurations simulated at most once.
+//! I/O, optional rotation — and runs them to battery exhaustion as one
+//! [`crate::sweep`] fan-out: in parallel across configurations, with
+//! byte-identical output for any worker count.
 //!
 //! It also provides *lifetime-based* partition selection
 //! ([`best_partition_by_lifetime`]): instead of ranking schemes by the
@@ -19,7 +18,7 @@ use crate::partition::{analyze_partition, PartitionAnalysis};
 use crate::pipeline::PipelineConfig;
 use crate::policy::DvsPolicy;
 use crate::rotation::RotationConfig;
-use crate::sweep::SweepEngine;
+use crate::sweep::run_jobs;
 use crate::workload::SystemConfig;
 use dles_atr::blocks::partitions;
 use dles_sim::SimTime;
@@ -63,17 +62,11 @@ pub fn n_node_config(
     Some(cfg)
 }
 
-/// Run the scaling study through `engine`: for each node count, static
-/// partitioning and partitioning + rotation (+ DVS during I/O), to
-/// battery exhaustion. Identical configurations (within this sweep or
-/// cached from an earlier one) are simulated only once, and the returned
-/// rows are byte-identical for any `threads` (0 = one worker per core).
-pub fn scaling_study_with(
-    engine: &SweepEngine,
-    sys: &SystemConfig,
-    max_nodes: usize,
-    threads: usize,
-) -> Vec<ScaleRow> {
+/// Run the scaling study: for each node count, static partitioning and
+/// partitioning + rotation (+ DVS during I/O), to battery exhaustion. The
+/// returned rows are byte-identical for any `threads` (0 = one worker per
+/// core).
+pub fn scaling_study(sys: &SystemConfig, max_nodes: usize, threads: usize) -> Vec<ScaleRow> {
     assert!((1..=4).contains(&max_nodes), "1..=4 nodes supported");
     // One planned row per (n, technique) — infeasible ones keep a `None`
     // job so they surface as explicit marker rows instead of vanishing.
@@ -98,7 +91,7 @@ pub fn scaling_study_with(
         }
     }
     let jobs: Vec<PipelineConfig> = plan.iter().filter_map(|(_, _, cfg)| cfg.clone()).collect();
-    let mut results = engine.run(&jobs, threads).into_iter();
+    let mut results = run_jobs(&jobs, threads).into_iter();
     let mut rows: Vec<ScaleRow> = plan
         .into_iter()
         .map(|(n, technique, cfg)| match cfg {
@@ -134,7 +127,7 @@ pub fn scaling_study_with(
 /// Rank every feasible N-node partition by *simulated system lifetime*
 /// (time to first battery failure) instead of the power proxy, and return
 /// the winner with its lifetime in hours. Candidates are simulated
-/// concurrently through a fresh sweep engine.
+/// concurrently, one worker per core.
 ///
 /// This is the fix for the paper's §6.4 observation: "Minimizing global
 /// energy does not guarantee to extend the lifetime for all batteries."
@@ -142,18 +135,6 @@ pub fn best_partition_by_lifetime(
     sys: &SystemConfig,
     n: usize,
     policy: DvsPolicy,
-) -> Option<(PartitionAnalysis, f64)> {
-    best_partition_by_lifetime_with(&SweepEngine::new(), sys, n, policy, 0)
-}
-
-/// [`best_partition_by_lifetime`] through a caller-supplied engine, so
-/// repeated rankings (and overlapping sweeps) reuse cached simulations.
-pub fn best_partition_by_lifetime_with(
-    engine: &SweepEngine,
-    sys: &SystemConfig,
-    n: usize,
-    policy: DvsPolicy,
-    threads: usize,
 ) -> Option<(PartitionAnalysis, f64)> {
     let candidates: Vec<PartitionAnalysis> = partitions(n)
         .iter()
@@ -176,11 +157,7 @@ pub fn best_partition_by_lifetime_with(
             cfg
         })
         .collect();
-    let lifetimes: Vec<f64> = engine
-        .run(&jobs, threads)
-        .iter()
-        .map(|r| r.life_hours())
-        .collect();
+    let lifetimes: Vec<f64> = run_jobs(&jobs, 0).iter().map(|r| r.life_hours()).collect();
     // Single ranking path: every lifetime comparison in this module goes
     // through `best_lifetime_index`, so candidate selection and any
     // caller-side re-ranking of the same vector cannot disagree.
@@ -349,7 +326,7 @@ mod tests {
         let mut sys = SystemConfig::paper();
         sys.serial = sys.serial.with_effective_bps(4_000.0);
         let max_nodes = 3;
-        let rows = scaling_study_with(&SweepEngine::new(), &sys, max_nodes, 0);
+        let rows = scaling_study(&sys, max_nodes, 0);
         assert_eq!(
             rows.len(),
             1 + 2 * (max_nodes - 1),

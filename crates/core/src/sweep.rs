@@ -1,197 +1,32 @@
-//! Deterministic parallel sweep engine with a keyed simulation cache.
+//! Deterministic parallel sweeps over pipeline configurations.
 //!
-//! Every headline result of the paper is a *sweep* — lifetime across the
-//! six §6 configurations, the Fig. 8 partition schemes, Fig. 10 scaling
-//! over 1..N nodes — and the sweeps overlap: the scaling study, the
-//! lifetime-based partition ranking and the Fig. 8 comparison all
-//! re-simulate byte-identical configurations. This module generalizes the
-//! Monte Carlo scoped-thread work-pull (shared index, index-ordered
-//! result slots; see [`dles_sim::par`]) to arbitrary config fan-outs and
-//! adds a keyed result cache so a configuration is simulated **at most
-//! once per engine**, within and across sweeps.
-//!
-//! Determinism contract:
-//!
-//! * [`SimKey`] is a canonical 128-bit hash of the *semantic* pipeline
-//!   configuration — label excluded, seeds and horizon included — so two
-//!   jobs that would produce identical simulations share a key.
-//! * [`SweepEngine::run`] returns results in job order, byte-identical
-//!   for any worker count and any cache state (a hit only skips work; the
-//!   returned rows are indistinguishable from a cold run).
-//! * The cache is a `BTreeMap` (D003: no hash-ordered iteration can leak
-//!   into output) behind the engine's one mutex, and the hit/miss counters
-//!   are a pure function of the job list and prior cache contents — never
-//!   of scheduling.
+//! The paper's sweeps — the Fig. 8 partition schemes, the §5.3 N-node
+//! scaling study ([`crate::scale`]) and the scheduling-policy comparison —
+//! are small fan-outs of distinct configurations, each simulated to
+//! battery exhaustion. They run through the same scoped-thread work-pull
+//! as every other study ([`dles_sim::par_map_slice`]: shared index,
+//! index-ordered result slots), so the returned rows are in job order and
+//! byte-identical for any worker count.
 
 use crate::metrics::ExperimentResult;
 use crate::pipeline::{run_pipeline, PipelineConfig};
 use crate::workload::SystemConfig;
-use dles_sim::{par_map_slice, CounterSet};
+use dles_sim::par_map_slice;
 use dles_units::{Hertz, Hours};
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
 
-/// Canonical identity of one simulation: a 128-bit FNV-1a hash of the
-/// pipeline configuration's canonical field-by-field encoding with the
-/// display label excluded (the label names a run, it does not change
-/// physics), so the key covers system constants, shares, levels, DVS +
-/// scheduling policy, battery, rotation/recovery, fault plan, jitter seed
-/// and horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SimKey {
-    hi: u64,
-    lo: u64,
-}
-
-/// The canonical semantic encoding behind [`SimKey`]. The exhaustive
-/// destructuring is the point: adding a `PipelineConfig` field without
-/// deciding whether it is physics refuses to compile here, instead of
-/// silently minting colliding keys (the regression that motivated this —
-/// a policy field invisible to the key let two different-policy jobs
-/// share one cached `ExperimentResult`).
-fn canonical_encoding(cfg: &PipelineConfig) -> String {
-    let PipelineConfig {
-        label: _,
-        sys,
-        shares,
-        levels,
-        policy,
-        scheduling,
-        battery,
-        current_model,
-        rotation,
-        recovery,
-        io_enabled,
-        jitter_seed,
-        faults,
-        battery_scales,
-        horizon,
-    } = cfg;
-    format!(
-        "sys={sys:?};shares={shares:?};levels={levels:?};policy={policy:?};\
-         scheduling={scheduling:?};battery={battery:?};current={current_model:?};\
-         rotation={rotation:?};recovery={recovery:?};io={io_enabled:?};\
-         jitter={jitter_seed:?};faults={faults:?};scales={battery_scales:?};\
-         horizon={horizon:?}"
-    )
-}
-
-impl SimKey {
-    /// Key of a pipeline configuration.
-    pub fn of(cfg: &PipelineConfig) -> SimKey {
-        Self::of_bytes(canonical_encoding(cfg).as_bytes())
-    }
-
-    /// FNV-1a 128 over raw bytes (split into two u64 halves for `Ord`).
-    fn of_bytes(bytes: &[u8]) -> SimKey {
-        const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-        const PRIME: u128 = 0x0000000001000000000000000000013b;
-        let mut h = OFFSET;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(PRIME);
-        }
-        SimKey {
-            hi: (h >> 64) as u64,
-            lo: h as u64,
-        }
-    }
-}
-
-/// The sweep engine: a shared, thread-safe simulation cache plus the
-/// deterministic fan-out runner. One engine per process (or per CLI
-/// invocation) dedupes identical simulations across every sweep routed
-/// through it.
-#[derive(Debug, Default)]
-pub struct SweepEngine {
-    state: Mutex<SweepState>,
-}
-
-/// Everything the engine shares between calls, behind its one lock. A
-/// panic in another thread cannot leave it half updated (every write is
-/// one `insert` or `add`), so a poisoned lock is recovered.
-#[derive(Debug, Default)]
-struct SweepState {
-    cache: BTreeMap<SimKey, ExperimentResult>,
-    counters: CounterSet,
-}
-
-impl SweepEngine {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run every job, in parallel, reusing cached results where the key
-    /// matches. Returns one result per job, in job order; `threads` = 0
-    /// means one worker per core and never affects the output.
-    ///
-    /// Counters accumulated per call (observable via [`Self::counters`]):
-    /// `sweep_jobs`, `sweep_cache_hits` (key already cached before this
-    /// call), `sweep_dedup_hits` (key repeated within this call),
-    /// `sweep_sims_run` (simulations actually executed).
-    pub fn run(&self, jobs: &[PipelineConfig], threads: usize) -> Vec<ExperimentResult> {
-        let keys: Vec<SimKey> = jobs.iter().map(SimKey::of).collect();
-        // Decide hits/misses/dedups and count them under the lock,
-        // *before* any parallel work, so the counters are a pure function
-        // of jobs × cache state. The guard drops before the fan-out.
-        let mut work: Vec<(SimKey, &PipelineConfig)> = Vec::new();
-        {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let (mut hits, mut dedups) = (0u64, 0u64);
-            for (key, job) in keys.iter().zip(jobs) {
-                if state.cache.contains_key(key) {
-                    hits += 1;
-                } else if work.iter().any(|(k, _)| k == key) {
-                    dedups += 1;
-                } else {
-                    work.push((*key, job));
-                }
-            }
-            let c = &mut state.counters;
-            c.add("sweep_jobs", jobs.len() as u64);
-            c.add("sweep_cache_hits", hits);
-            c.add("sweep_dedup_hits", dedups);
-            c.add("sweep_sims_run", work.len() as u64);
-        }
-        // Start the heaviest simulations first so the work-pull packs
-        // them tightly: sort by descending node count, stable on first
-        // appearance. Purely a scheduling hint — slots, cache and output
-        // order are all keyed, so the result cannot observe it.
-        let mut order: Vec<usize> = (0..work.len()).collect();
-        order.sort_by_key(|&i| (usize::MAX - work[i].1.n_nodes(), i));
-        work = order.into_iter().map(|i| work[i]).collect();
-        let fresh = par_map_slice(&work, threads, |_, (_, cfg)| run_pipeline((*cfg).clone()));
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        for ((key, _), result) in work.iter().zip(fresh) {
-            state.cache.insert(*key, result);
-        }
-        keys.iter()
-            .zip(jobs)
-            .map(|(key, job)| {
-                // Cache invariant: every key was either already cached or
-                // inserted from `fresh` just above, so this cannot fire.
-                let mut r = state
-                    .cache
-                    .get(key)
-                    .expect("every job key simulated or cached")
-                    .clone();
-                r.label = job.label.clone();
-                r
-            })
-            .collect()
-    }
-
-    /// Snapshot of the accumulated sweep counters.
-    pub fn counters(&self) -> CounterSet {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.counters.clone()
-    }
-
-    /// Number of distinct simulations currently cached.
-    pub fn cache_len(&self) -> usize {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.cache.len()
-    }
+/// Simulate every job, in parallel, and return one result per job in job
+/// order; `threads` = 0 means one worker per core and never affects the
+/// output. The heaviest simulations start first so the work-pull packs
+/// them tightly: jobs are sorted by descending node count, stable on job
+/// order. That is purely a scheduling hint — results are put back in job
+/// order, so the output cannot observe it.
+pub(crate) fn run_jobs(jobs: &[PipelineConfig], threads: usize) -> Vec<ExperimentResult> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].n_nodes()));
+    let results = par_map_slice(&order, threads, |_, &i| run_pipeline(jobs[i].clone()));
+    let mut indexed: Vec<(usize, ExperimentResult)> = order.into_iter().zip(results).collect();
+    indexed.sort_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One row of the Fig. 8 lifetime sweep: a partition scheme simulated to
@@ -212,15 +47,11 @@ pub struct Fig8Row {
     pub deadline_misses: u64,
 }
 
-/// Simulate every Fig. 8 partition scheme to battery exhaustion through
-/// the sweep engine, in the figure's order. Infeasible schemes produce an
+/// Simulate every Fig. 8 partition scheme to battery exhaustion, in the
+/// figure's order. Infeasible schemes produce an
 /// explicit marker row instead of being dropped, so the table always has
 /// one row per scheme.
-pub fn fig8_lifetime_sweep(
-    engine: &SweepEngine,
-    sys: &SystemConfig,
-    threads: usize,
-) -> Vec<Fig8Row> {
+pub fn fig8_lifetime_sweep(sys: &SystemConfig, threads: usize) -> Vec<Fig8Row> {
     use crate::experiment::Experiment;
     use crate::partition::fig8_schemes;
     let schemes = fig8_schemes(sys);
@@ -239,7 +70,7 @@ pub fn fig8_lifetime_sweep(
             job_of_scheme.push(None);
         }
     }
-    let results = engine.run(&jobs, threads);
+    let results = run_jobs(&jobs, threads);
     schemes
         .iter()
         .enumerate()
@@ -337,17 +168,16 @@ pub struct PolicyRow {
     pub delta_percent: f64,
 }
 
-/// Simulate every scheduling policy on the 2C workload through the sweep
-/// engine and compare against the paper's fixed rotation-100 baseline
-/// (always the first row).
-pub fn policy_lifetime_sweep(engine: &SweepEngine, threads: usize) -> Vec<PolicyRow> {
+/// Simulate every scheduling policy on the 2C workload and compare against
+/// the paper's fixed rotation-100 baseline (always the first row).
+pub fn policy_lifetime_sweep(threads: usize) -> Vec<PolicyRow> {
     use crate::experiment::policy_config;
     use crate::policy::SchedulingPolicy;
     let jobs: Vec<PipelineConfig> = SchedulingPolicy::NAMES
         .iter()
         .map(|name| policy_config(SchedulingPolicy::by_name(name).expect("NAMES entries resolve")))
         .collect();
-    let results = engine.run(&jobs, threads);
+    let results = run_jobs(&jobs, threads);
     let base_h = results[0].life_hours();
     SchedulingPolicy::NAMES
         .iter()
@@ -410,87 +240,29 @@ mod tests {
     }
 
     #[test]
-    fn sim_key_ignores_label_but_not_physics() {
-        let a = short("alpha", 300);
-        let b = short("beta", 300);
-        assert_eq!(SimKey::of(&a), SimKey::of(&b), "label must not split keys");
-        let c = short("alpha", 301);
-        assert_ne!(SimKey::of(&a), SimKey::of(&c), "horizon is physics");
-        let mut d = short("alpha", 300);
-        d.jitter_seed = Some(7);
-        assert_ne!(SimKey::of(&a), SimKey::of(&d), "seed is physics");
-    }
-
-    /// Regression (pre-fix-failing): two configurations identical except
-    /// for their scheduling policy must get distinct keys *and* distinct
-    /// sweep results. With the policy invisible to the canonical encoding
-    /// they collided in the keyed cache and the second job silently got
-    /// the first job's cached `ExperimentResult`.
-    #[test]
-    fn sim_key_separates_scheduling_policies() {
-        use crate::policy::SchedulingPolicy;
-        let mut a = Experiment::Exp2C.config();
-        a.label = "static".to_owned();
-        a.horizon = SimTime::from_secs(1200);
-        let mut b = a.clone();
-        b.label = "skew".to_owned();
-        b.scheduling = SchedulingPolicy::by_name("soc-skew").unwrap();
-        assert_ne!(SimKey::of(&a), SimKey::of(&b), "policy is physics");
-        let engine = SweepEngine::new();
-        let out = engine.run(&[a, b], 2);
-        assert_eq!(
-            engine.counters().get("sweep_sims_run"),
-            2,
-            "different-policy jobs must not share one simulation"
-        );
-        assert_ne!(
-            out[0].counters.get("rotations"),
-            out[1].counters.get("rotations"),
-            "the SoC-skew policy rotates far more often than fixed-100"
-        );
-    }
-
-    #[test]
-    fn identical_jobs_simulate_once_and_keep_their_labels() {
-        let engine = SweepEngine::new();
-        let jobs = vec![short("first", 300), short("second", 300)];
-        let out = engine.run(&jobs, 2);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].label, "first");
-        assert_eq!(out[1].label, "second");
-        assert_eq!(out[0].lifetime, out[1].lifetime);
-        let c = engine.counters();
-        assert_eq!(c.get("sweep_jobs"), 2);
-        assert_eq!(c.get("sweep_sims_run"), 1);
-        assert_eq!(c.get("sweep_dedup_hits"), 1);
-        assert_eq!(c.get("sweep_cache_hits"), 0);
-        assert_eq!(engine.cache_len(), 1);
-    }
-
-    #[test]
-    fn second_sweep_hits_the_cache() {
-        let engine = SweepEngine::new();
-        let jobs = vec![short("x", 300)];
-        let cold = engine.run(&jobs, 1);
-        let warm = engine.run(&jobs, 3);
-        assert_eq!(cold[0].lifetime, warm[0].lifetime);
-        assert_eq!(cold[0].counters, warm[0].counters);
-        let c = engine.counters();
-        assert_eq!(c.get("sweep_cache_hits"), 1);
-        assert_eq!(c.get("sweep_sims_run"), 1);
-    }
-
-    #[test]
     fn results_are_worker_count_invariant() {
+        let sys = SystemConfig::paper();
+        let n_node = |n| {
+            let policy = crate::policy::DvsPolicy::DvsDuringIo;
+            let mut cfg = crate::scale::n_node_config(&sys, n, policy, None).unwrap();
+            cfg.horizon = SimTime::from_secs(300);
+            cfg
+        };
+        // Mixed node counts, so the heaviest-first start order differs
+        // from job order and the results must be put back.
         let jobs = vec![
             short("a", 300),
+            n_node(1),
             short("b", 450),
             short("c", 300),
+            n_node(3),
             short("d", 600),
         ];
-        let baseline = SweepEngine::new().run(&jobs, 1);
+        let baseline = run_jobs(&jobs, 1);
+        let labels: Vec<&str> = baseline.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["a", "1-node", "b", "c", "3-node", "d"]);
         for threads in [2, 3, 8] {
-            let out = SweepEngine::new().run(&jobs, threads);
+            let out = run_jobs(&jobs, threads);
             for (l, r) in baseline.iter().zip(&out) {
                 assert_eq!(l.label, r.label);
                 assert_eq!(l.lifetime, r.lifetime);
@@ -502,9 +274,8 @@ mod tests {
 
     #[test]
     fn fig8_sweep_emits_one_row_per_scheme() {
-        let engine = SweepEngine::new();
         let sys = SystemConfig::paper();
-        let rows = fig8_lifetime_sweep(&engine, &sys, 0);
+        let rows = fig8_lifetime_sweep(&sys, 0);
         assert_eq!(rows.len(), 3, "one row per Fig. 8 scheme, always");
         assert!(rows[0].feasible && rows[1].feasible);
         assert!(!rows[2].feasible, "scheme 3 needs ~380 MHz — infeasible");
@@ -516,8 +287,7 @@ mod tests {
 
     #[test]
     fn policy_sweep_adaptive_beats_the_fixed_baseline() {
-        let engine = SweepEngine::new();
-        let rows = policy_lifetime_sweep(&engine, 0);
+        let rows = policy_lifetime_sweep(0);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].name, "static");
         assert_eq!(rows[0].delta_percent, 0.0, "baseline is its own reference");
@@ -536,8 +306,6 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_a_no_op() {
-        let engine = SweepEngine::new();
-        assert!(engine.run(&[], 4).is_empty());
-        assert_eq!(engine.counters().get("sweep_jobs"), 0);
+        assert!(run_jobs(&[], 4).is_empty());
     }
 }

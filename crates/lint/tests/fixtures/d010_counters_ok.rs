@@ -3,7 +3,7 @@
 //! fixture-local key is justified with an on-line allow.
 
 pub fn emit(counters: &mut CounterSet, kind: TransferKind) {
-    counters.incr("sweep_jobs");
+    counters.incr("frames_emitted");
     counters.incr(match kind {
         TransferKind::Data => "transfers_data",
         TransferKind::Ack => "transfers_ack",

@@ -6,15 +6,14 @@
 //! a worker-count-dependent result would hide. The contract stays the
 //! same as for the static sweeps: rendered reports are byte-identical for
 //! any worker count, and `Static` is indistinguishable from the paper's
-//! fixed configuration down to the simulation cache key.
+//! fixed configuration field for field.
 
 use dles_core::experiment::{policy_config, Experiment};
 use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
-use dles_core::pipeline::PipelineConfig;
+use dles_core::pipeline::{run_pipeline, PipelineConfig};
 use dles_core::policy::SchedulingPolicy;
-use dles_core::sweep::{SimKey, SweepEngine};
-use dles_sim::SimTime;
+use dles_sim::{par_map_slice, SimTime};
 
 /// One horizon-capped job per policy: real 2C physics, bounded runtime.
 fn policy_jobs(horizon_s: u64) -> Vec<PipelineConfig> {
@@ -28,19 +27,18 @@ fn policy_jobs(horizon_s: u64) -> Vec<PipelineConfig> {
         .collect()
 }
 
-/// Render a sweep the way `repro --sweep policy` does underneath: result
-/// lines in job order, then the engine counters.
+/// Render a sweep the way `repro --sweep policy` fans it out underneath:
+/// every job through `par_map_slice`, one result line per job in job order.
 fn sweep_report(jobs: &[PipelineConfig], threads: usize) -> String {
-    let engine = SweepEngine::new();
-    let mut out = String::new();
-    for r in engine.run(jobs, threads) {
-        out.push_str(&format!(
-            "{} lifetime={:?} frames={} misses={} counters={:?}\n",
-            r.label, r.lifetime, r.frames_completed, r.deadline_misses, r.counters
-        ));
-    }
-    out.push_str(&format!("{:?}\n", engine.counters()));
-    out
+    par_map_slice(jobs, threads, |_, cfg| run_pipeline(cfg.clone()))
+        .iter()
+        .map(|r| {
+            format!(
+                "{} lifetime={:?} frames={} misses={} counters={:?}\n",
+                r.label, r.lifetime, r.frames_completed, r.deadline_misses, r.counters
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -86,19 +84,24 @@ fn adaptive_montecarlo_report_does_not_depend_on_worker_count() {
 #[test]
 fn static_policy_is_the_paper_configuration_down_to_the_cache_key() {
     // `Static` must not merely behave like experiment 2C — it must *be*
-    // 2C as far as the keyed simulation cache can tell, so golden traces
-    // and cached results carry over unchanged.
+    // 2C field for field (the label aside, which names a run and changes
+    // no physics), so golden traces carry over unchanged.
     let paper = Experiment::Exp2C.config();
+    let same_label = |mut cfg: PipelineConfig| {
+        cfg.label = paper.label.clone();
+        format!("{cfg:?}")
+    };
+    let paper_key = format!("{paper:?}");
     assert_eq!(
-        SimKey::of(&policy_config(SchedulingPolicy::Static)),
-        SimKey::of(&paper)
+        same_label(policy_config(SchedulingPolicy::Static)),
+        paper_key
     );
     for name in ["soc-skew", "adaptive"] {
         let adaptive = policy_config(SchedulingPolicy::by_name(name).expect("known name"));
         assert_ne!(
-            SimKey::of(&adaptive),
-            SimKey::of(&paper),
-            "{name} must key separately from the static baseline"
+            same_label(adaptive),
+            paper_key,
+            "{name} must differ from the static baseline"
         );
     }
 }

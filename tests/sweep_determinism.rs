@@ -1,9 +1,9 @@
-//! End-to-end determinism of the parallel sweep engine.
+//! End-to-end determinism of the parallel sweeps.
 //!
-//! The sweep engine's contract is that the *rendered report* — not just
-//! the numbers — is byte-identical for any worker count and any cache
-//! state, and that the parallel rewiring of the Monte Carlo and trace
-//! paths changed no output byte (pinned against `tests/goldens/`).
+//! A sweep's contract is that the *rendered report* — not just the
+//! numbers — is byte-identical for any worker count, and that the
+//! parallel rewiring of the Monte Carlo and trace paths changed no output
+//! byte (pinned against `tests/goldens/`).
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -12,11 +12,9 @@ use std::sync::{Arc, Mutex};
 use dles_core::experiment::Experiment;
 use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
-use dles_core::pipeline::{run_pipeline_with, PipelineConfig};
+use dles_core::pipeline::{run_pipeline, run_pipeline_with, PipelineConfig};
 use dles_core::rotation::RotationConfig;
-use dles_core::sweep::{fig8_lifetime_sweep, render_fig8_sweep, SweepEngine};
-use dles_core::workload::SystemConfig;
-use dles_sim::{JsonlRecorder, SimTime};
+use dles_sim::{par_map_slice, JsonlRecorder, SimTime};
 
 /// A short Exp2-shaped job: real pipeline physics, capped horizon.
 fn job(label: &str, horizon_s: u64, seed: u64) -> PipelineConfig {
@@ -27,19 +25,18 @@ fn job(label: &str, horizon_s: u64, seed: u64) -> PipelineConfig {
     cfg
 }
 
-/// Render a sweep the way `repro --sweep` does: result lines, then the
-/// engine counters.
+/// Render a sweep the way `repro --sweep` fans it out: every job through
+/// `par_map_slice`, one result line per job in job order.
 fn sweep_report(jobs: &[PipelineConfig], threads: usize) -> String {
-    let engine = SweepEngine::new();
-    let mut out = String::new();
-    for r in engine.run(jobs, threads) {
-        out.push_str(&format!(
-            "{} lifetime={:?} frames={} misses={} counters={:?}\n",
-            r.label, r.lifetime, r.frames_completed, r.deadline_misses, r.counters
-        ));
-    }
-    out.push_str(&format!("{:?}\n", engine.counters()));
-    out
+    par_map_slice(jobs, threads, |_, cfg| run_pipeline(cfg.clone()))
+        .iter()
+        .map(|r| {
+            format!(
+                "{} lifetime={:?} frames={} misses={} counters={:?}\n",
+                r.label, r.lifetime, r.frames_completed, r.deadline_misses, r.counters
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -52,6 +49,17 @@ fn sweep_report_is_byte_identical_across_worker_counts() {
         job("e", 150, 4),
     ];
     let baseline = sweep_report(&jobs, 1);
+    let lines: Vec<&str> = baseline.lines().collect();
+    let (a, c) = (lines[0].strip_prefix("a "), lines[2].strip_prefix("c "));
+    assert!(
+        c.is_some(),
+        "duplicate job `c` keeps its own label: {}",
+        lines[2]
+    );
+    assert_eq!(
+        c, a,
+        "duplicate job `c` must return `a`'s lifetime, frames and counters"
+    );
     for threads in [3, 8] {
         assert_eq!(
             baseline,
@@ -59,31 +67,6 @@ fn sweep_report_is_byte_identical_across_worker_counts() {
             "sweep report must not depend on the worker count ({threads} threads)"
         );
     }
-}
-
-#[test]
-fn second_identical_sweep_is_served_from_the_cache() {
-    let engine = SweepEngine::new();
-    let sys = SystemConfig::paper();
-    let first = fig8_lifetime_sweep(&engine, &sys, 0);
-    assert_eq!(engine.counters().get("sweep_cache_hits"), 0);
-    let sims_after_first = engine.counters().get("sweep_sims_run");
-    assert!(sims_after_first > 0, "cold sweep must simulate something");
-    let second = fig8_lifetime_sweep(&engine, &sys, 3);
-    assert!(
-        engine.counters().get("sweep_cache_hits") > 0,
-        "identical second sweep must hit the cache"
-    );
-    assert_eq!(
-        engine.counters().get("sweep_sims_run"),
-        sims_after_first,
-        "identical second sweep must not simulate again"
-    );
-    assert_eq!(
-        render_fig8_sweep(&first),
-        render_fig8_sweep(&second),
-        "cache hits must be observationally invisible"
-    );
 }
 
 // ---- golden pins: the parallel rewiring changed no output byte ----
