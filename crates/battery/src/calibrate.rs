@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn nelder_mead_survives_nan_objective_regions() {
-        // Pre-D004 this panicked ("NaN objective") the first time the
+        // Before total_cmp this panicked ("NaN objective") the first time the
         // simplex wandered into the invalid region; with total_cmp the NaN
         // vertex just ranks worst and the fit walks away from it.
         let f = |x: &[f64; 3]| {

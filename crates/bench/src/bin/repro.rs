@@ -280,7 +280,6 @@ fn parse_num<T: std::str::FromStr>(arg: Option<&String>, flag: &str) -> T {
 /// non-static `--policy` the base switches to the 2C rotation workload —
 /// adaptive scheduling needs the rotation wave, which is mutually
 /// exclusive with §5.4 recovery.
-#[allow(clippy::too_many_arguments)]
 fn run_montecarlo_study(
     trials: usize,
     faults_name: &str,
@@ -532,4 +531,23 @@ fn print_timeline_fig(exp: Experiment, rotation_period: Option<u64>, title: &str
     let tl = capture_timeline(cfg, frames);
     println!("{title}");
     print!("{}", render_timeline(&tl, SimTime::from_millis(100)));
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every `"--flag"` literal the parser above matches appears in
+    /// README.md as a whole word, so `--fig1` is not satisfied by
+    /// `--fig10`.
+    #[test]
+    fn every_parsed_flag_is_documented_in_readme() {
+        let scan = dles_lint::scan_file("crates/bench/src/bin/repro.rs", include_str!("repro.rs"));
+        let flags: Vec<&str> = scan.cli_flags.iter().map(|f| f.name.as_str()).collect();
+        assert!(
+            flags.contains(&"--exp") && flags.contains(&"--fig10"),
+            "{flags:?}"
+        );
+        let readme = include_str!("../../../../README.md");
+        let missing = dles_lint::crosscheck_docs("README.md", readme, &scan.cli_flags);
+        assert!(missing.is_empty(), "{missing:#?}");
+    }
 }

@@ -27,7 +27,12 @@ pub fn bench<O>(label: &str, samples: usize, mut f: impl FnMut() -> O) -> Durati
     }
     let mut times: Vec<Duration> = (0..samples.max(1))
         .map(|_| {
-            let t0 = std::time::Instant::now(); // lint: allow(D001) — the bench timer: wall time is what it measures, and nothing simulated reads it
+            #[expect(
+                clippy::disallowed_types,
+                clippy::disallowed_methods,
+                reason = "the bench timer: wall time is what it measures, and nothing simulated reads it"
+            )]
+            let t0 = std::time::Instant::now();
             black_box(f());
             t0.elapsed()
         })

@@ -11,6 +11,9 @@
 //! plan seed, so a trial is a pure function of `(config, FaultPlan)` —
 //! which is what lets the Monte Carlo driver in [`crate::montecarlo`]
 //! shard trials across threads without changing any result.
+// A panic mid-dispatch leaves a half-applied world state; the few
+// protocol invariants that may panic carry an `#[expect]` with a reason.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use dles_sim::{SimRng, SimTime};
 

@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn rank_order_is_total_under_nan_proxies() {
         use std::cmp::Ordering;
-        // Pre-D004 a NaN power proxy panicked best_partition; now it must
+        // Before total_cmp a NaN power proxy panicked best_partition; now it must
         // rank strictly worse than any finite or infinite proxy.
         assert_eq!(rank_order((f64::NAN, 0), (1.0, 9)), Ordering::Greater);
         assert_eq!(rank_order((1.0, 9), (f64::NAN, 0)), Ordering::Less);

@@ -14,6 +14,9 @@
 //! recovery adds acknowledgment transactions, timeouts and share
 //! migration; node rotation periodically shifts every node's role by one
 //! with the §5.5 doubling trick that preserves throughput.
+// A panic mid-dispatch leaves a half-applied world state; the few
+// protocol invariants that may panic carry an `#[expect]` with a reason.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::faults::{FaultPlan, FaultState, LinkFault};
 use crate::metrics::ExperimentResult;
@@ -1073,7 +1076,11 @@ impl PipelineWorld {
                             self.set_node_state(ctx, r, Mode::Idle);
                             return;
                         }
-                        let share = t.next_share.expect("data to a node carries a share"); // lint: allow(D005) — protocol invariant: every Data transfer is planned with Some(next_share)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "protocol invariant: every Data transfer is planned with Some(next_share)"
+                        )]
+                        let share = t.next_share.expect("data to a node carries a share");
                         if self.cfg.recovery.is_some() && self.recent_frames[r].contains(&t.frame) {
                             // Duplicate delivery after a lost ack: re-ack
                             // (without re-processing) so the sender stops.
@@ -1175,16 +1182,15 @@ impl PipelineWorld {
         // Under recovery, a migration may have renumbered the share table
         // while this frame was mid-PROC, making the event's `share` index
         // stale. The node's computed range is still the one it holds, so
-        // forward under its *current* index — or drop the frame if the node
-        // no longer holds any share (it migrated away). Under rotation the
-        // event index stays authoritative: the §5.5 wave reassigns nodes to
-        // different shares mid-PROC without renumbering them.
+        // forward under its *current* index. Under rotation the event index
+        // stays authoritative: the §5.5 wave reassigns nodes to different
+        // shares mid-PROC without renumbering them.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: migrate unassigns only the dead node, and a dead node returned above"
+        )]
         let cur = if self.cfg.recovery.is_some() {
-            let Some(cur) = self.share_of_node[node] else {
-                self.counters.incr("frames_lost_migration");
-                return;
-            };
-            cur
+            self.share_of_node[node].expect("a live node keeps its share")
         } else {
             share
         };
@@ -1209,7 +1215,11 @@ impl PipelineWorld {
             self.frames_completed += 1;
             self.counters.incr("frames_completed");
         }
-        let share = self.share_of_node[node].expect("local node keeps its share"); // lint: allow(D005) — invariant: ProcEnd only fires on nodes the share map still assigns work to
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: ProcEnd only fires on nodes the share map still assigns work to"
+        )]
+        let share = self.share_of_node[node].expect("local node keeps its share");
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.enter(ctx, node, Mode::Computation, level, Some(share), None);
@@ -2044,5 +2054,16 @@ mod tests {
             }
         }
         assert!(checked > 0, "no in-flight frame straddled the migration");
+    }
+
+    /// Every counter key the workspace emits is a string literal (or a
+    /// `match` whose arms are literals) owned by one crate, and the
+    /// emitted set equals the rows of README's counter-key registry.
+    #[test]
+    fn counter_keys_match_the_readme_registry() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let findings =
+            dles_lint::check_workspace_counters(&root).expect("workspace sources are readable");
+        assert!(findings.is_empty(), "{findings:#?}");
     }
 }

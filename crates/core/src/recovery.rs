@@ -10,6 +10,9 @@
 //! levels to stay within the frame delay — "the node will fail even
 //! sooner" per transaction, traded for the ability to keep computing after
 //! a neighbor dies.
+// A panic mid-dispatch leaves a half-applied world state; the few
+// protocol invariants that may panic carry an `#[expect]` with a reason.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use dles_sim::SimTime;
 

@@ -1,4 +1,4 @@
-//! D010, counter-key discipline: the one rule that needs the whole
+//! D010, counter-key discipline: the one check that needs the whole
 //! workspace in view.
 //!
 //! [`crate::scan_file`] collects each file's literal-keyed `CounterSet`
@@ -8,7 +8,7 @@
 //! scan every registry row still has an emit site.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{close_of, DeferredAllow, Finding, RuleId};
+use crate::rules::{close_of, Finding, RuleId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One literal key a `CounterSet` emit site can produce:
@@ -102,43 +102,11 @@ fn site_keys(tokens: &[Token], sig: &[usize], open: usize) -> Option<(Vec<String
     Some((keys, first.line))
 }
 
-/// Run the workspace half of D010 over every file's counter sites, then
-/// match the deferred `allow(D010)` comments against its findings (same
-/// line only); an allow that suppresses nothing becomes a D000. `full`
-/// marks a whole-workspace scan, the only mode where a registry row
-/// without an emit site is decidable.
-pub fn analyze(
-    sites: &[CounterSite],
-    readme: Option<&str>,
-    full: bool,
-    allows: &[DeferredAllow],
-) -> Vec<Finding> {
-    let mut findings = check_counter_keys(sites, readme, full);
-    let mut used = vec![false; allows.len()];
-    for f in &mut findings {
-        for (a, used) in allows.iter().zip(&mut used) {
-            if a.path == f.path && a.line == f.line {
-                *used = true;
-                f.allowed = Some(a.reason.clone());
-            }
-        }
-    }
-    for (a, used) in allows.iter().zip(used) {
-        if !used {
-            findings.push(Finding::new(
-                RuleId::D000,
-                &a.path,
-                a.line,
-                "stale `lint: allow(D010)` — it suppresses nothing on this line".to_owned(),
-            ));
-        }
-    }
-    findings
-}
-
-/// D010's cross-file checks: one owning crate per key, every key in
-/// README's counter-key registry, and (on full scans) no dead rows.
-fn check_counter_keys(sites: &[CounterSite], readme: Option<&str>, full: bool) -> Vec<Finding> {
+/// The workspace half of D010 over every file's counter sites: one
+/// owning crate per key, every key in README's counter-key registry, and
+/// no dead rows. `full` marks a whole-workspace scan, the only mode where
+/// a registry row without an emit site is decidable.
+pub fn analyze(sites: &[CounterSite], readme: Option<&str>, full: bool) -> Vec<Finding> {
     let mut by_key: BTreeMap<&str, Vec<&CounterSite>> = BTreeMap::new();
     for s in sites {
         by_key.entry(&s.key).or_default().push(s);
@@ -226,17 +194,16 @@ mod tests {
     use super::*;
     use crate::scan_file;
 
-    /// Scan files and run the workspace half, as `dles-lint` does.
+    /// Scan files and run the workspace half over their merged sites.
     fn analyze_src(files: &[(&str, &str)], readme: Option<&str>, full: bool) -> Vec<Finding> {
         let mut findings = Vec::new();
-        let (mut sites, mut allows) = (Vec::new(), Vec::new());
+        let mut sites = Vec::new();
         for (path, src) in files {
             let scan = scan_file(path, src);
             findings.extend(scan.findings);
             sites.extend(scan.counter_sites);
-            allows.extend(scan.deferred_allows);
         }
-        findings.extend(analyze(&sites, readme, full, &allows));
+        findings.extend(analyze(&sites, readme, full));
         findings
     }
 
@@ -327,31 +294,6 @@ mod tests {
                 .iter()
                 .any(|f| f.rule == RuleId::D010 && f.message.contains("2 crates (core, sim)")),
             "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn deferred_allows_match_on_the_same_line_and_go_stale() {
-        let readme = Some("# Counter-key registry\n| `frames` | ok |\n");
-        let (path, emit) = (
-            "crates/core/src/a.rs",
-            "fn e(c: &mut C) { c.incr(\"scratch\"); }",
-        );
-        let same_line = format!("{emit} // lint: allow(D010) — fixture key\n");
-        let allowed = analyze_src(&[(path, &same_line)], readme, false);
-        assert_eq!(allowed.len(), 1, "{allowed:?}");
-        assert_eq!(allowed[0].allowed.as_deref(), Some("fixture key"));
-
-        // The standalone line above the finding no longer counts.
-        let line_above = format!("// lint: allow(D010) — fixture key\n{emit}\n");
-        let above = analyze_src(&[(path, &line_above)], readme, false);
-        let rules: Vec<(RuleId, u32, bool)> = above
-            .iter()
-            .map(|f| (f.rule, f.line, f.is_violation()))
-            .collect();
-        assert_eq!(
-            rules,
-            vec![(RuleId::D010, 2, true), (RuleId::D000, 1, true)]
         );
     }
 

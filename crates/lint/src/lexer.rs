@@ -2,7 +2,8 @@
 //!
 //! The build environment is offline, so `dles-lint` cannot use `syn` or
 //! `proc-macro2`; instead this module tokenizes Rust source directly. It
-//! understands exactly as much of the language as the rules need:
+//! understands exactly as much of the language as the cross-checks need
+//! to tell code from strings and comments:
 //!
 //! * line comments (`//`, `///`, `//!`) and **nested** block comments;
 //! * string literals: plain (`"…"` with escapes), raw (`r"…"`,
@@ -11,8 +12,7 @@
 //! * raw identifiers (`r#match`);
 //! * identifiers, numbers, and single-character punctuation.
 //!
-//! Every token carries its 1-based source line so findings and
-//! `// lint: allow(…)` suppressions can be matched up by line.
+//! Every token carries its 1-based source line so a finding can name it.
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +57,8 @@ impl Token {
 
 /// Tokenize `src`. The lexer never fails: malformed input (e.g. an
 /// unterminated string) produces a best-effort token stream that simply
-/// ends at EOF, which is the right behavior for a linter that must not
-/// crash on the code it is criticizing.
+/// ends at EOF, which is the right behavior for a scanner that must not
+/// crash on the code it reads.
 pub fn lex(src: &str) -> Vec<Token> {
     Lexer::new(src).run()
 }
@@ -491,9 +491,9 @@ mod tests {
 
     #[test]
     fn line_comment_captures_text_and_stops_at_newline() {
-        let toks = lex("x // lint: allow(D003) — reason\ny");
+        let toks = lex("x // counters.incr(\"k\") — prose\ny");
         assert_eq!(toks[1].kind, TokenKind::LineComment);
-        assert!(toks[1].text.contains("lint: allow(D003)"));
+        assert!(toks[1].text.contains("counters.incr(\"k\") — prose"));
         assert_eq!(toks[2].text, "y");
         assert_eq!(toks[2].line, 2);
     }

@@ -1,65 +1,44 @@
 #![forbid(unsafe_code)]
-//! `dles-lint` — determinism & simulation-safety static analysis.
+//! `dles-lint` — the source scanner behind the workspace's two README
+//! cross-checks.
 //!
-//! The repro's headline guarantee is that a seeded run produces
-//! byte-identical traces, counters and reports for any `--threads` count.
-//! That guarantee is easy to break silently — a stray `Instant::now`, a
-//! `HashMap` iterated into a report, a `partial_cmp().unwrap()` on a NaN —
-//! so this crate checks the source mechanically instead of by convention.
-//! Rules are numbered D001–D011 (D009 is retired), plus D000 for
-//! allow-comment hygiene; `LINTS.md` at the workspace root documents each
-//! one. Every rule runs on one file at a time ([`rules`]). The only
-//! workspace step is D010's merge of every file's counter keys against
-//! README's registry ([`counters`]).
+//! The determinism rules themselves are Clippy configuration (`LINTS.md`
+//! at the workspace root). Two facts Clippy cannot see stay here, each
+//! run by a unit test next to the code it guards:
+//!
+//! * D006 — every `repro` CLI flag appears in README (the test in
+//!   `crates/bench/src/bin/repro.rs` calls [`scan_file`] and
+//!   [`crosscheck_docs`]);
+//! * D010 — every `CounterSet` key is a literal with one owning crate and
+//!   a row in README's counter-key registry, and every row still has an
+//!   emit site (the test in `crates/core/src/pipeline.rs` calls
+//!   [`check_workspace_counters`]).
 //!
 //! The scanner is a hand-rolled token-level lexer ([`lexer`]) because the
-//! build environment is offline (no `syn`); the rules ([`rules`]) operate
-//! on that token stream with string/comment/attribute awareness.
+//! build environment is offline (no `syn`); [`rules`] and [`counters`]
+//! walk its token stream, so comments, doc examples and strings never
+//! count as code.
 
 pub mod counters;
 pub mod lexer;
 pub mod rules;
-pub mod suffixes;
 
 pub use counters::CounterSite;
-pub use rules::{crosscheck_docs, scan_file, DeferredAllow, DocCandidate, Finding, RuleId};
+pub use rules::{crosscheck_docs, scan_file, DocCandidate, Finding, RuleId};
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// Subdirectories of the workspace root scanned by default.
-pub const DEFAULT_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
-
-/// The aggregated result of scanning a set of files.
-#[derive(Debug, Default)]
-pub struct ScanOutcome {
-    pub findings: Vec<Finding>,
-    pub files_scanned: usize,
-    pub cli_flags: Vec<DocCandidate>,
-    /// Every file's literal counter keys, merged by the D010 check.
-    pub counter_sites: Vec<CounterSite>,
-    /// `allow(D010)` directives, matched after the merge.
-    pub deferred_allows: Vec<DeferredAllow>,
-    /// Files that could not be read: drives the distinct exit code 2, so
-    /// CI can tell "the tree has violations" from "the scan was partial".
-    pub io_errors: usize,
-}
-
-impl ScanOutcome {
-    /// Findings not suppressed by an allow comment.
-    pub fn violations(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.is_violation())
-    }
-
-    pub fn violation_count(&self) -> usize {
-        self.violations().count()
-    }
-}
+/// Subdirectories of the workspace root scanned for counter sites.
+const DEFAULT_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
 
 /// Recursively collect `.rs` files under `dir`, sorted by path so the
-/// linter's own output is deterministic. Skips build output (`target`) and
-/// lint test corpora (`fixtures` directories hold intentionally bad code).
-pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// findings come out in a stable order. Skips build output (`target`),
+/// test corpora (`fixtures` directories hold intentionally bad code) and
+/// packages that are their own workspace root (the `e2e` benchmark), which
+/// are not part of the workspace Cargo and Clippy see.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
@@ -67,7 +46,9 @@ pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<(
     for path in entries {
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name == "target" || name == "fixtures" || name.starts_with('.') {
+            let own_workspace = fs::read_to_string(path.join("Cargo.toml"))
+                .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"));
+            if name == "target" || name == "fixtures" || name.starts_with('.') || own_workspace {
                 continue;
             }
             collect_rs_files(&path, out)?;
@@ -78,184 +59,41 @@ pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<(
     Ok(())
 }
 
-/// Scan `files` (absolute or root-relative paths), reporting findings with
-/// workspace-relative paths. Unreadable files are themselves findings —
-/// the linter must never silently skip part of the tree.
-pub fn scan_files(root: &Path, files: &[PathBuf]) -> ScanOutcome {
-    let mut outcome = ScanOutcome::default();
-    for file in files {
+/// Run D010 over the whole workspace at `root`: every file's counter
+/// sites (paths relative to `root`), merged and checked against
+/// `root/README.md`. The findings come back sorted; an unreadable file is
+/// an error, never a silently partial scan.
+pub fn check_workspace_counters(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut files = Vec::new();
+    for dir in DEFAULT_ROOTS {
+        collect_rs_files(&root.join(dir), &mut files)?;
+    }
+    let mut findings = Vec::new();
+    let mut sites = Vec::new();
+    for file in &files {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        match fs::read_to_string(file) {
-            Ok(src) => {
-                let scan = scan_file(&rel, &src);
-                outcome.findings.extend(scan.findings);
-                outcome.cli_flags.extend(scan.cli_flags);
-                outcome.counter_sites.extend(scan.counter_sites);
-                outcome.deferred_allows.extend(scan.deferred_allows);
-                outcome.files_scanned += 1;
-            }
-            Err(e) => {
-                outcome.io_errors += 1;
-                outcome.findings.push(Finding::new(
-                    RuleId::D000,
-                    &rel,
-                    0,
-                    format!("cannot read file: {e}"),
-                ));
-            }
-        }
+        let scan = scan_file(&rel, &fs::read_to_string(file)?);
+        findings.extend(scan.findings);
+        sites.extend(scan.counter_sites);
     }
-    outcome
-}
-
-/// Run the D006 documentation cross-check against `README.md` at the
-/// workspace root, appending any findings to `outcome`.
-pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
-    if outcome.cli_flags.is_empty() {
-        return;
-    }
-    let readme = root.join("README.md");
-    match fs::read_to_string(&readme) {
-        Ok(text) => {
-            let findings = crosscheck_docs("README.md", &text, &outcome.cli_flags);
-            outcome.findings.extend(findings);
-        }
-        Err(e) => outcome.findings.push(Finding::new(
-            RuleId::D006,
-            "README.md",
-            0,
-            format!("cannot read README.md for the flag cross-check: {e}"),
-        )),
-    }
-}
-
-/// Run the workspace half of D010: the merged counter keys against the
-/// counter-key registry in `README.md`, appending findings to `outcome`.
-/// `full` marks a whole-workspace scan, the only mode where "documented
-/// counter key has no emit site" is decidable.
-pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {
-    let readme = fs::read_to_string(root.join("README.md")).ok();
-    let findings = counters::analyze(
-        &outcome.counter_sites,
-        readme.as_deref(),
-        full,
-        &outcome.deferred_allows,
-    );
-    outcome.findings.extend(findings);
+    let readme = fs::read_to_string(root.join("README.md"))?;
+    findings.extend(counters::analyze(&sites, Some(&readme), true));
+    sort_findings(&mut findings);
+    Ok(findings)
 }
 
 /// Sort findings for stable output: by path, then line, then rule.
-pub fn sort_findings(findings: &mut [Finding]) {
+fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         a.path
             .cmp(&b.path)
             .then(a.line.cmp(&b.line))
-            .then(a.rule.cmp(&b.rule))
+            .then((a.rule as u8).cmp(&(b.rule as u8)))
     });
-}
-
-/// Human-readable report: one line per violation, plus a summary.
-pub fn render_human(outcome: &ScanOutcome) -> String {
-    let mut out = String::new();
-    for f in outcome.violations() {
-        out.push_str(&format!(
-            "{}:{}: {} {}\n",
-            f.path,
-            f.line,
-            f.rule.as_str(),
-            f.message
-        ));
-    }
-    let allowed = outcome.findings.len() - outcome.violation_count();
-    out.push_str(&format!(
-        "dles-lint: {} file(s) scanned, {} violation(s), {} allowed\n",
-        outcome.files_scanned,
-        outcome.violation_count(),
-        allowed
-    ));
-    out
-}
-
-/// JSON report (hand-rolled — the workspace is offline, no serde): every
-/// finding including allowed ones, plus the per-rule summary. Uploaded as
-/// a CI artifact.
-pub fn render_json(outcome: &ScanOutcome) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in outcome.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": {}, \"line\": {}, \"message\": {}, \
-             \"allowed\": {}}}{}\n",
-            f.rule.as_str(),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message),
-            match &f.allowed {
-                Some(reason) => json_str(reason),
-                None => "null".to_owned(),
-            },
-            if i + 1 < outcome.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"summary\": {\n");
-    out.push_str(&format!(
-        "    \"files_scanned\": {},\n    \"violations\": {},\n    \"allowed\": {},\n",
-        outcome.files_scanned,
-        outcome.violation_count(),
-        outcome.findings.len() - outcome.violation_count()
-    ));
-    // Every rule appears, including zero counts, so CI dashboards can
-    // diff runs without special-casing absent keys.
-    out.push_str("    \"by_rule\": {");
-    for (i, rule) in RuleId::ALL.into_iter().enumerate() {
-        let n = outcome.violations().filter(|f| f.rule == rule).count();
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {n}", rule.as_str()));
-    }
-    out.push_str("}\n  }\n}\n");
-    out
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Locate the workspace root: the nearest ancestor of `start` whose
-/// `Cargo.toml` declares `[workspace]`.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
 }
 
 #[cfg(test)]
@@ -263,52 +101,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn render_json_is_valid_shape() {
-        let mut outcome = ScanOutcome {
-            files_scanned: 2,
-            ..ScanOutcome::default()
-        };
-        outcome.findings.push(Finding::new(
-            RuleId::D003,
-            "crates/x/src/lib.rs",
-            7,
-            "hash-ordered container `HashMap`".to_owned(),
-        ));
-        outcome.findings.push(Finding {
-            allowed: Some("invariant".to_owned()),
-            ..Finding::new(
-                RuleId::D005,
-                "crates/core/src/pipeline.rs",
-                9,
-                "unwrap".to_owned(),
-            )
-        });
-        let json = render_json(&outcome);
-        assert!(json.contains("\"rule\": \"D003\""));
-        assert!(json.contains("\"allowed\": \"invariant\""));
-        assert!(json.contains("\"violations\": 1"));
-        // All rules are present, zero counts included.
-        assert!(json.contains("\"D003\": 1"));
-        assert!(json.contains("\"D001\": 0"));
-        assert!(json.contains("\"D008\": 0"));
-    }
-
-    #[test]
     fn sort_is_stable_by_path_line_rule() {
         let f = |rule, path: &str, line| Finding::new(rule, path, line, String::new());
         let mut v = vec![
-            f(RuleId::D005, "b.rs", 2),
-            f(RuleId::D001, "b.rs", 2),
-            f(RuleId::D003, "a.rs", 9),
+            f(RuleId::D010, "b.rs", 2),
+            f(RuleId::D006, "b.rs", 2),
+            f(RuleId::D010, "a.rs", 9),
         ];
         sort_findings(&mut v);
         assert_eq!(v[0].path, "a.rs");
-        assert_eq!(v[1].rule, RuleId::D001);
-        assert_eq!(v[2].rule, RuleId::D005);
+        assert_eq!(v[1].rule, RuleId::D006);
+        assert_eq!(v[2].rule, RuleId::D010);
     }
 }

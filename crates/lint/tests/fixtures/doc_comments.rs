@@ -1,27 +1,24 @@
 //! Lexer fixture: doc text must never produce findings. This inner doc
-//! mentions `HashMap`, `Instant::now()` and even `thread_rng()` — all as
+//! mentions `counters.incr(key)` and the `--undocumented` flag — all as
 //! prose — and the code fences below spell out full fake violations:
 //!
 //! ```ignore
-//! use std::collections::HashMap;
-//! let t = Instant::now();
-//! let mut rng = thread_rng();
-//! scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+//! counters.incr(non_literal_key);
+//! counters.incr("fixture_unregistered_key");
+//! match arg { "--undocumented" => {} _ => {} }
 //! ```
 
 /*!
-Block-style inner docs too: SystemTime, OsRng, HashSet — still prose.
+Block-style inner docs too: counters.incr(k), "--also-undocumented".
 */
 
 /// Outer docs with a fence:
 ///
 /// ```ignore
-/// let m: HashMap<String, u64> = HashMap::new();
 /// counters.incr(non_literal_key);
-/// let a = x.lock();
-/// let b = y.lock();
+/// counters.add("fixture_unregistered_key", 2);
 /// ```
 pub fn documented() -> u64 {
-    /* A plain block comment with Instant and HashMap inside. */
-    42 // trailing comment mentioning SystemTime::now()
+    /* A plain block comment: counters.incr(k); "--hidden" */
+    42 // trailing comment mentioning counters.incr("ghost") and "--ghost"
 }

@@ -6,7 +6,12 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet}; // lint: allow(D003) — tombstone set below is membership-only
+use std::collections::BinaryHeap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "tombstone set below is membership-only"
+)]
+use std::collections::HashSet;
 
 /// Opaque handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +56,11 @@ impl<E> Ord for HeapNode<E> {
 /// cancellation (lazy tombstoning).
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapNode<E>>,
-    cancelled: HashSet<EventId>, // lint: allow(D003) — contains/remove only; iteration order never observed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "contains/remove only; iteration order never observed"
+    )]
+    cancelled: HashSet<EventId>,
     next_seq: u64,
     live: usize,
 }
@@ -63,10 +72,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keeps O(1) cancellation on the hot path"
+    )]
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(), // lint: allow(D003) — keeps O(1) cancellation on the hot path
+            cancelled: HashSet::new(),
             next_seq: 0,
             live: 0,
         }

@@ -452,8 +452,8 @@ mod tests {
 
     #[test]
     fn dist_summary_tolerates_nan_values() {
-        // Pre-D004-audit an all-NaN batch panicked on inverted histogram
-        // bounds; now every field is a deterministic value.
+        // Before the sort moved to total_cmp an all-NaN batch panicked on
+        // inverted histogram bounds; now every field is a deterministic value.
         let s = DistSummary::from_values(&[f64::NAN, f64::NAN]);
         assert!(s.mean.is_nan());
         assert!(s.p50.is_finite());

@@ -9,8 +9,24 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// arithmetic operators treat it as a plain count. Subtraction saturates at
 /// zero rather than panicking so that defensive "time remaining" computations
 /// are safe.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SimTime(pub u64);
+
+// The bodies `derive(PartialOrd, Ord)` generate, written out because the
+// derived `PartialOrd` calls the banned `partial_cmp` (clippy.toml).
+impl Ord for SimTime {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SimTime {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl SimTime {
     /// Time zero — the start of every simulation.

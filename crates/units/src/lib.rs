@@ -30,8 +30,8 @@
 //!    sorting goes through [`Seconds::total_cmp`] etc., which is total.
 //! 2. **No conversion without a name.** Scale changes (`/ 3600.0`,
 //!    `/ 1000.0`) only happen inside `to_*` methods, never implicitly in
-//!    an operator, so the lint rules (D007/D008 in `LINTS.md`) can demand
-//!    a visible conversion call wherever scales meet.
+//!    an operator, so wherever scales meet the code names the
+//!    conversion and the types reject a missing one.
 //! 3. **Zero cost.** `#[repr(transparent)]`, `Copy`, `const fn`
 //!    constructors; the optimizer sees plain `f64`s.
 
@@ -46,9 +46,22 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 macro_rules! quantity {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
         #[repr(transparent)]
         pub struct $name(f64);
+
+        // The body `derive(PartialOrd)` generates, written out so the one
+        // sanctioned float `partial_cmp` carries its reason.
+        impl PartialOrd for $name {
+            #[inline]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "IEEE order for `<`/`>` on quantities; sorts use total_cmp"
+            )]
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                self.0.partial_cmp(&other.0)
+            }
+        }
 
         impl $name {
             pub const ZERO: Self = Self(0.0);
@@ -284,7 +297,7 @@ quantity!(
     /// capacity, in `[0, 1]`. Dimensionless, but typed: adaptive
     /// scheduling policies compare SoC estimates against thresholds, and
     /// a silent percent-vs-fraction slip would flip every rotation
-    /// decision (D007 recognizes the `_soc` suffix).
+    /// decision.
     StateOfCharge
 );
 

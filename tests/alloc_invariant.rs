@@ -27,7 +27,7 @@
 //!   PPP codec once per bit-error hit and allocates its frames, so that
 //!   cost is per injected fault, not per event;
 //! - `JsonlRecorder`, which builds one owned `TraceRecord` per record;
-//! - the static determinism rules of `dles-lint`, which this test does not
+//! - the determinism rules in `clippy.toml`, which this test does not
 //!   replace.
 //!
 //! This binary is the workspace's one exemption from
