@@ -355,15 +355,22 @@ mod tests {
 
     #[test]
     fn counter_table_renders_in_order() {
-        let mut cs = dles_sim::CounterSet::new();
-        cs.add("frames_emitted", 12);
-        cs.add("frames_completed", 11);
-        let text = render_counters("2C", &cs);
-        assert!(text.contains("Event counters (2C)"));
-        let emitted = text.find("frames_emitted").unwrap();
-        let completed = text.find("frames_completed").unwrap();
-        assert!(emitted < completed, "insertion order preserved:\n{text}");
-        assert!(text.contains("12") && text.contains("11"));
+        let mut engine = crate::pipeline::build_engine(Experiment::Exp2.config());
+        engine.run_until(SimTime::from_secs(12));
+        let cs = engine.world().counters();
+        let text = render_counters("2", cs);
+        assert!(text.contains("Event counters (2)"));
+        let rows: Vec<(&str, u64)> = text
+            .lines()
+            .skip(2)
+            .filter_map(|l| {
+                let (name, value) = l.trim().split_once(' ')?;
+                Some((name, value.trim().parse().ok()?))
+            })
+            .collect();
+        let expected: Vec<(&str, u64)> = cs.iter().collect();
+        assert!(expected.len() > 2, "{text}");
+        assert_eq!(rows, expected, "first-increment order preserved:\n{text}");
         assert!(render_counters("x", &dles_sim::CounterSet::new()).contains("no events"));
     }
 

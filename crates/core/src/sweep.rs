@@ -9,7 +9,7 @@
 //! byte-identical for any worker count.
 
 use crate::metrics::ExperimentResult;
-use crate::pipeline::{run_pipeline, PipelineConfig};
+use crate::pipeline::{run_pipeline, Counter, PipelineConfig};
 use crate::workload::SystemConfig;
 use dles_sim::par_map_slice;
 use dles_units::{Hertz, Hours};
@@ -189,7 +189,7 @@ pub fn policy_lifetime_sweep(threads: usize) -> Vec<PolicyRow> {
                 lifetime_h: Hours::new(h),
                 frames_completed: r.frames_completed,
                 deadline_misses: r.deadline_misses,
-                rotations: r.counters.get("rotations"),
+                rotations: r.counters.get(Counter::Rotations.key()),
                 delta_percent: if base_h > 0.0 {
                     100.0 * (h - base_h) / base_h
                 } else {

@@ -3,27 +3,6 @@
 
 use crate::time::SimTime;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
-
 /// A named family of monotonic counters, kept in first-increment order so
 /// reports render deterministically. Lookups are linear — the simulator
 /// maintains a few dozen counters at most, far below the point where a map
@@ -39,7 +18,7 @@ impl CounterSet {
     }
 
     /// Add `n` to the named counter, creating it at zero first if needed.
-    pub fn add(&mut self, name: &str, n: u64) {
+    fn add(&mut self, name: &str, n: u64) {
         if let Some((_, v)) = self.counters.iter_mut().find(|(k, _)| k == name) {
             *v += n;
         } else {
@@ -334,14 +313,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests the method itself, on keys of its own"
+    )]
     fn counter_set_preserves_insertion_order() {
         let mut cs = CounterSet::new();
         cs.incr("frames");
