@@ -230,9 +230,11 @@ struct OutstandingSend {
 /// emitted through [`PipelineWorld::count`], the one `CounterSet::incr`
 /// call that `clippy.toml` lets through. The enum is crate-private, so a
 /// variant nothing constructs fails the build as `dead_code`. A read
-/// outside tests constructs its variant too, which is why the Monte Carlo
-/// report reads its counters by key string; the one typed read is
-/// `sweep.rs`'s `Rotations`.
+/// outside tests constructs its variant too, which would hide a variant
+/// nothing emits, so typed reads are kept to the tallies a run reports:
+/// `FramesCompleted`, `DeadlineMisses` and `Rotations` here, which have no
+/// other store, and `Rotations` in `sweep.rs`. The Monte Carlo report
+/// reads its counters by key string.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Counter {
     /// Sensor frames injected into the pipeline.
@@ -324,10 +326,13 @@ pub struct PipelineWorld {
     share_of_node: Vec<Option<usize>>,
     links: LinkSchedule,
     rng: Option<SimRng>,
+    /// Planned transfers by id; a slot is reused once its `XferEnd` has
+    /// copied it out (its `XferStart`, pushed earlier and no later, has
+    /// popped by then), so the table holds only transfers in flight.
     transfers: Vec<Transfer>,
+    /// Ids of the free `transfers` slots.
+    free_transfers: Vec<usize>,
     next_frame: u64,
-    frames_completed: u64,
-    deadline_misses: u64,
     /// Rotation wave (§5.5): for each node, the share it held when the
     /// rotation triggered; at its next `ProcEnd` of that share it
     /// continues with the next share locally instead of sending.
@@ -367,12 +372,10 @@ pub struct PipelineWorld {
     policy_override: Vec<Option<DvsPolicy>>,
     /// Share-map epoch; bumped by migration.
     epoch: u64,
-    /// Count of migrations performed (recovery).
-    migrations: u64,
-    /// Count of rotations performed.
-    rotations: u64,
     /// End-to-end frame latency distribution (emission → delivery), s.
-    latency: dles_sim::Histogram,
+    /// Built at the first delivery: its 600 bins are most of a new
+    /// world's heap, and a run's set-up need not pay for them.
+    latency: Option<dles_sim::Histogram>,
     stopped_at: Option<SimTime>,
     /// Monotonic event counters, reported with the experiment result.
     counters: dles_sim::CounterSet,
@@ -414,9 +417,8 @@ impl PipelineWorld {
             links: LinkSchedule::new(n),
             rng,
             transfers: Vec::new(),
+            free_transfers: Vec::new(),
             next_frame: 0,
-            frames_completed: 0,
-            deadline_misses: 0,
             double_from_share: vec![None; n],
             wave_outstanding: 0,
             last_rotation_frame: 0,
@@ -431,9 +433,7 @@ impl PipelineWorld {
             faults,
             policy_override: vec![None; n],
             epoch: 0,
-            migrations: 0,
-            rotations: 0,
-            latency: dles_sim::Histogram::new(0.0, 60.0, 600),
+            latency: None,
             stopped_at: None,
             counters: dles_sim::CounterSet::new(),
             cfg,
@@ -644,8 +644,12 @@ impl PipelineWorld {
             TransferKind::Data => Counter::TransfersData,
             TransferKind::Ack => Counter::TransfersAck,
         });
-        let id = self.transfers.len();
-        self.transfers.push(t);
+        let id = self.free_transfers.pop().unwrap_or(self.transfers.len());
+        if id < self.transfers.len() {
+            self.transfers[id] = t;
+        } else {
+            self.transfers.push(t);
+        }
         ctx.schedule_at(start, Ev::XferStart(id));
         ctx.schedule_at(end, Ev::XferEnd(id));
     }
@@ -758,7 +762,6 @@ impl PipelineWorld {
         for (s, &node) in self.node_of_share.iter().enumerate() {
             self.share_of_node[node] = Some(s);
         }
-        self.rotations += 1;
         self.count(Counter::Rotations);
     }
 
@@ -857,7 +860,6 @@ impl PipelineWorld {
         }
         // In-flight data against the old share map is lost.
         self.epoch += 1;
-        self.migrations += 1;
         self.count(Counter::Migrations);
         if ctx.tracing() {
             ctx.emit(
@@ -901,23 +903,17 @@ impl PipelineWorld {
             label: self.cfg.label.clone(),
             n_nodes: self.nodes.len(),
             lifetime,
-            frames_completed: self.frames_completed,
-            deadline_misses: self.deadline_misses,
-            mean_frame_latency_s: dles_units::Seconds::new(self.latency.mean()),
-            p95_frame_latency_s: dles_units::Seconds::new(self.latency.quantile(0.95)),
+            frames_completed: self.counters.get(Counter::FramesCompleted.key()),
+            deadline_misses: self.counters.get(Counter::DeadlineMisses.key()),
+            mean_frame_latency_s: dles_units::Seconds::new(
+                self.latency.as_ref().map_or(0.0, |h| h.mean()),
+            ),
+            p95_frame_latency_s: dles_units::Seconds::new(
+                self.latency.as_ref().map_or(0.0, |h| h.quantile(0.95)),
+            ),
             nodes: self.nodes.iter().map(SimNode::outcome).collect(),
             counters: self.counters.clone(),
         }
-    }
-
-    /// Number of migrations performed (recovery experiments).
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Number of rotations performed.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
     }
 
     /// The monotonic event counters accumulated so far.
@@ -1001,7 +997,7 @@ impl PipelineWorld {
                     ctx.emit(
                         TraceEvent::Rotation {
                             frame,
-                            rotations: self.rotations,
+                            rotations: self.counters.get(Counter::Rotations.key()),
                         }
                         .record(ctx.now(), "pipeline"),
                     );
@@ -1066,6 +1062,7 @@ impl PipelineWorld {
 
     fn on_xfer_end(&mut self, ctx: &mut Ctx<Ev>, id: usize) {
         let t = self.transfers[id];
+        self.free_transfers.push(id);
         if ctx.tracing() {
             ctx.emit(Self::transaction_of(&t).trace_record(ctx.now(), "delivered", t.frame));
         }
@@ -1113,19 +1110,19 @@ impl PipelineWorld {
                     if self.cfg.recovery.is_some() {
                         remember(&mut self.recent_host_frames, t.frame);
                     }
-                    self.frames_completed += 1;
                     self.count(Counter::FramesCompleted);
                     let depth = self.depth_at_emission(t.frame);
                     let emitted =
                         SimTime::from_micros(t.frame * self.cfg.sys.frame_delay.as_micros());
                     let latency_s = (ctx.now() - emitted).as_secs_f64();
-                    self.latency.record(latency_s);
+                    self.latency
+                        .get_or_insert_with(|| dles_sim::Histogram::new(0.0, 60.0, 600))
+                        .record(latency_s);
                     let deadline = SimTime::from_micros(
                         (t.frame + depth) * self.cfg.sys.frame_delay.as_micros(),
                     ) + DEADLINE_TOLERANCE;
                     let missed = ctx.now() > deadline;
                     if missed {
-                        self.deadline_misses += 1;
                         self.count(Counter::DeadlineMisses);
                     }
                     if ctx.tracing() {
@@ -1310,7 +1307,6 @@ impl PipelineWorld {
         // One full local iteration finished (except the very first call,
         // which starts the loop at t = 0).
         if ctx.now() > SimTime::ZERO {
-            self.frames_completed += 1;
             self.count(Counter::FramesCompleted);
         }
         #[expect(
@@ -1801,8 +1797,6 @@ mod tests {
     #[test]
     fn counters_agree_with_result_metrics() {
         let r = run_pipeline(two_node_config("2"));
-        assert_eq!(r.counters.get("frames_completed"), r.frames_completed);
-        assert_eq!(r.counters.get("deadline_misses"), r.deadline_misses);
         assert_eq!(r.counters.get("node_deaths"), 1, "Node2 dies, run stops");
         // Every completed frame needed 3 data transfers (host→1→2→host).
         assert!(r.counters.get("transfers_data") >= 3 * r.frames_completed);
@@ -1872,7 +1866,7 @@ mod tests {
         engine.run_until(SimTime::from_secs(3));
         let w = engine.world();
         assert_eq!(
-            w.rotations(),
+            w.counters().get("rotations"),
             0,
             "a new wave must not launch over an unresolved one"
         );
@@ -1919,7 +1913,8 @@ mod tests {
             "duplicate frame completions under irregular rotation"
         );
         let w = engine.world();
-        assert!(w.rotations() > 5, "only {} rotations", w.rotations());
+        let rotations = w.counters().get("rotations");
+        assert!(rotations > 5, "only {rotations} rotations");
         assert_eq!(w.wave_outstanding, 0, "all waves must have resolved");
         // The schedule really is irregular: rotation frames are not a
         // single fixed stride apart.
@@ -1991,11 +1986,8 @@ mod tests {
         // new share and later (fixed-period) rotations still launch.
         engine.run_until(SimTime::from_secs(1200));
         let w = engine.world();
-        assert!(
-            w.rotations() >= 2,
-            "later rotations deadlocked: {}",
-            w.rotations()
-        );
+        let rotations = w.counters().get("rotations");
+        assert!(rotations >= 2, "later rotations deadlocked: {rotations}");
         assert!(
             w.counters().get("frames_completed") > 100,
             "pipeline stalled after the reconfig brownout"
@@ -2051,7 +2043,11 @@ mod tests {
         engine.schedule_at(SimTime::from_millis(1), Ev::AckTimeout { node: 1, seq: 0 });
         engine.run_until(SimTime::from_millis(2));
         let w = engine.world();
-        assert_eq!(w.migrations(), 1, "seq 0's dead target must migrate");
+        assert_eq!(
+            w.counters().get("migrations"),
+            1,
+            "seq 0's dead target must migrate"
+        );
         assert_eq!(w.share_of_node[2], None, "dead node's share absorbed");
     }
 
@@ -2079,7 +2075,11 @@ mod tests {
         engine.run_until(SimTime::from_millis(2));
         let w = engine.world();
         assert_eq!(w.counters().get("retransmissions"), 1);
-        assert_eq!(w.migrations(), 0, "live target must not trigger failover");
+        assert_eq!(
+            w.counters().get("migrations"),
+            0,
+            "live target must not trigger failover"
+        );
         assert_eq!(w.outstanding[0][0].retries, 1);
     }
 
@@ -2152,6 +2152,29 @@ mod tests {
             }
         }
         assert!(checked > 0, "no in-flight frame straddled the migration");
+    }
+
+    /// Each `XferEnd` frees its transfer's slot for the next plan, so over
+    /// a whole discharge the table holds only transfers in flight: 3 slots
+    /// for 144k transfers fault-free, 12 for 238k over the lossy link.
+    #[test]
+    fn transfer_table_stays_bounded_over_a_full_run() {
+        use crate::experiment::Experiment;
+        use crate::faults::FaultProfile;
+        let lossy = FaultPlan::new(FaultProfile::lossy_link(), 42);
+        for (faults, bound) in [(None, 4), (Some(lossy), 16)] {
+            let cfg = PipelineConfig {
+                faults,
+                ..Experiment::Exp2B.config()
+            };
+            let mut engine = build_engine(cfg);
+            engine.run_until(SimTime::MAX);
+            let w = engine.world();
+            let planned = w.counters().get("transfers_data") + w.counters().get("transfers_ack");
+            let slots = w.transfers.len();
+            assert!(planned > 100_000, "only {planned} transfers");
+            assert!(slots <= bound, "{slots} slots for {planned} transfers");
+        }
     }
 
     /// Two variants sharing a key would silently merge their counts.

@@ -167,21 +167,7 @@ impl<W: World> Engine<W> {
 
     /// Handle exactly one event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(entry) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(entry.time >= self.now, "event queue went backwards");
-        self.now = entry.time;
-        self.processed += 1;
-        let mut stop = false;
-        let mut ctx = Ctx {
-            now: self.now,
-            queue: &mut self.queue,
-            stop_requested: &mut stop,
-            recorder: &mut *self.recorder,
-        };
-        self.world.handle(&mut ctx, entry.event);
-        true
+        self.dispatch_next().is_some()
     }
 
     /// Run until the queue drains.
@@ -193,32 +179,35 @@ impl<W: World> Engine<W> {
     /// event would be strictly after `horizon` (the clock then rests at the
     /// last handled event; pending events stay queued).
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            let Some(next) = self.queue.peek_time() else {
-                return RunOutcome::QueueEmpty;
-            };
-            if next > horizon {
-                return RunOutcome::HorizonReached;
-            }
-            let Some(entry) = self.queue.pop() else {
-                // Unreachable — peek_time just saw an event — but a drained
-                // queue is exactly the QueueEmpty outcome, not a panic.
-                return RunOutcome::QueueEmpty;
-            };
-            self.now = entry.time;
-            self.processed += 1;
-            let mut stop = false;
-            let mut ctx = Ctx {
-                now: self.now,
-                queue: &mut self.queue,
-                stop_requested: &mut stop,
-                recorder: &mut *self.recorder,
-            };
-            self.world.handle(&mut ctx, entry.event);
-            if stop {
+        while self.queue.peek_time().is_some_and(|next| next <= horizon) {
+            if self.dispatch_next() == Some(true) {
                 return RunOutcome::Stopped;
             }
         }
+        if self.queue.is_empty() {
+            RunOutcome::QueueEmpty
+        } else {
+            RunOutcome::HorizonReached
+        }
+    }
+
+    /// Pop the next event, advance the clock to it and hand it to the
+    /// world. `None` if the queue was empty, else whether the handler
+    /// requested a stop.
+    fn dispatch_next(&mut self) -> Option<bool> {
+        let entry = self.queue.pop()?;
+        debug_assert!(entry.time >= self.now, "event queue went backwards");
+        self.now = entry.time;
+        self.processed += 1;
+        let mut stop = false;
+        let mut ctx = Ctx {
+            now: self.now,
+            queue: &mut self.queue,
+            stop_requested: &mut stop,
+            recorder: &mut *self.recorder,
+        };
+        self.world.handle(&mut ctx, entry.event);
+        Some(stop)
     }
 }
 

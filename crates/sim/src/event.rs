@@ -5,17 +5,15 @@
 //! makes the whole simulator deterministic.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-#[expect(
-    clippy::disallowed_types,
-    reason = "tombstone set below is membership-only"
-)]
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
-/// Opaque handle to a scheduled event, usable for cancellation.
+/// Opaque handle to a scheduled event, usable for cancellation. It is the
+/// event's key in the queue, so a cancel is one exact lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId {
+    time: SimTime,
+    seq: u64,
+}
 
 /// A scheduled occurrence: fire `event` at `time`.
 #[derive(Debug)]
@@ -25,44 +23,12 @@ pub struct EventEntry<E> {
     pub event: E,
 }
 
-/// Internal heap node. Reverse ordering turns `BinaryHeap` (a max-heap) into
-/// a min-heap on (time, seq).
-struct HeapNode<E> {
-    time: SimTime,
-    seq: u64,
-    id: EventId,
-    event: E,
-}
-
-impl<E> PartialEq for HeapNode<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapNode<E> {}
-impl<E> PartialOrd for HeapNode<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapNode<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smallest (time, seq) is the heap maximum.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Deterministic pending-event queue with O(log n) push/pop and O(1)
-/// cancellation (lazy tombstoning).
+/// Deterministic pending-event queue with O(log n) push, pop and cancel.
+/// It holds exactly the pending events: a popped or cancelled event leaves
+/// nothing behind.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapNode<E>>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "contains/remove only; iteration order never observed"
-    )]
-    cancelled: HashSet<EventId>,
+    pending: BTreeMap<(SimTime, u64), E>,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -72,26 +38,20 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keeps O(1) cancellation on the hot path"
-    )]
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            pending: BTreeMap::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.pending.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.pending.is_empty()
     }
 
     /// Schedule `event` at absolute time `time`; returns a cancellation
@@ -99,63 +59,29 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.heap.push(HeapNode {
-            time,
-            seq,
-            id,
-            event,
-        });
-        self.live += 1;
-        id
+        self.pending.insert((time, seq), event);
+        EventId { time, seq }
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (and is now guaranteed not to fire).
+    /// Cancel a previously scheduled event. Returns `true` if and only if
+    /// the event was still pending (and is now guaranteed not to fire).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // An id is pending iff it was issued, has not been popped, and has
-        // not already been cancelled. Popped ids are removed from `cancelled`
-        // lazily at pop time, so membership there means "cancelled, pending".
-        if id.0 >= self.next_seq || self.cancelled.contains(&id) {
-            return false;
-        }
-        // We cannot cheaply test "already popped"; track live ids instead by
-        // attempting insertion and letting pop() skip tombstones. To keep
-        // cancel() truthful we maintain the invariant that popped ids are
-        // never re-cancelled by callers (ids are unique and callers hold at
-        // most one handle). Defensively, inserting a popped id only wastes a
-        // set slot until drained.
-        self.cancelled.insert(id);
-        self.live = self.live.saturating_sub(1);
-        true
+        self.pending.remove(&(id.time, id.seq)).is_some()
     }
 
-    /// Time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_tombstones();
-        self.heap.peek().map(|n| n.time)
+    /// Time of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first_key_value().map(|(&(time, _), _)| time)
     }
 
-    /// Pop the next live event in deterministic order.
+    /// Pop the next pending event in deterministic order.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        self.skip_tombstones();
-        let node = self.heap.pop()?;
-        self.live = self.live.saturating_sub(1);
+        let ((time, seq), event) = self.pending.pop_first()?;
         Some(EventEntry {
-            time: node.time,
-            id: node.id,
-            event: node.event,
+            time,
+            id: EventId { time, seq },
+            event,
         })
-    }
-
-    fn skip_tombstones(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.id) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -204,7 +130,10 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
+        assert!(!q.cancel(EventId {
+            time: SimTime::ZERO,
+            seq: 42
+        }));
     }
 
     #[test]

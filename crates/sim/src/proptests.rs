@@ -4,47 +4,79 @@
 #![cfg(test)]
 
 use crate::engine::{Ctx, Engine, World};
-use crate::event::EventQueue;
+use crate::event::{EventId, EventQueue};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
-/// The queue pops every pushed (non-cancelled) event exactly once, in
-/// non-decreasing time order, with ties in insertion order.
+/// Differential test against a sorted-`Vec` oracle over random
+/// interleavings of push, pop and cancel. Pops come out in (time,
+/// insertion) order, each exactly once; `cancel` is `true` exactly when the
+/// event was pending, whether the id is pending, popped, already cancelled
+/// or was never issued; `len()` is the pending count after every operation.
 #[test]
 fn queue_pops_sorted_and_complete() {
-    let mut rng = SimRng::seed_from_u64(0xD1CE);
-    for round in 0..64 {
-        let n = rng.uniform_u64(1, 200) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.uniform_u64(0, 999_999)).collect();
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            ids.push((q.push(SimTime::from_micros(t), i), i));
-        }
-        let mut cancelled = Vec::new();
-        for (id, i) in &ids {
-            if rng.chance(0.3) {
-                assert!(q.cancel(*id), "round {round}");
-                cancelled.push(*i);
-            }
-        }
-        let mut popped = Vec::new();
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some(entry) = q.pop() {
-            if let Some((lt, li)) = last {
-                assert!(
-                    entry.time > lt || (entry.time == lt && entry.event > li),
-                    "round {round}: order violated"
-                );
-            }
-            last = Some((entry.time, entry.event));
-            popped.push(entry.event);
-        }
-        let mut expect: Vec<usize> = (0..n).filter(|i| !cancelled.contains(i)).collect();
-        expect.sort_unstable();
-        popped.sort_unstable();
-        assert_eq!(popped, expect, "round {round}");
+    #[derive(Clone, Copy, PartialEq)]
+    enum State {
+        Pending,
+        Popped,
+        Cancelled,
     }
+    let mut rng = SimRng::seed_from_u64(0xD1CE);
+    // An id from another queue, at a time the queue under test never uses.
+    let never_issued: EventId = EventQueue::new().push(SimTime::MAX, 0);
+    // Cancels seen per target: pending, popped, cancelled, never issued.
+    let mut cancels = [0u32; 4];
+    for round in 0..64 {
+        let mut q = EventQueue::new();
+        // Pending events as (time µs, insertion index), sorted.
+        let mut oracle: Vec<(u64, usize)> = Vec::new();
+        // Every id issued this round, its event's time and its state.
+        let mut issued: Vec<(EventId, u64, State)> = Vec::new();
+        for _ in 0..rng.uniform_u64(1, 400) {
+            let op = rng.uniform_u64(0, 99);
+            if op < 50 {
+                // Few distinct times, so ties are common.
+                let t = rng.uniform_u64(0, 99);
+                let i = issued.len();
+                issued.push((q.push(SimTime::from_micros(t), i), t, State::Pending));
+                let at = oracle.partition_point(|&e| e < (t, i));
+                oracle.insert(at, (t, i));
+            } else if op < 75 {
+                let got = q.pop().map(|e| (e.time.as_micros(), e.event));
+                let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                assert_eq!(got, want, "round {round}: pop");
+                if let Some((_, i)) = want {
+                    issued[i].2 = State::Popped;
+                }
+            } else {
+                let i = rng.uniform_u64(0, issued.len() as u64) as usize;
+                let (id, case, pending) = match issued.get(i) {
+                    Some(&(id, t, state)) => {
+                        let pending = state == State::Pending;
+                        if pending {
+                            oracle.retain(|&e| e != (t, i));
+                            issued[i].2 = State::Cancelled;
+                        }
+                        (id, state as usize, pending)
+                    }
+                    None => (never_issued, 3, false),
+                };
+                cancels[case] += 1;
+                assert_eq!(q.cancel(id), pending, "round {round}: case {case}");
+            }
+            assert_eq!(q.len(), oracle.len(), "round {round}: len");
+            assert_eq!(
+                q.peek_time().map(SimTime::as_micros),
+                oracle.first().map(|&(t, _)| t),
+                "round {round}: peek_time"
+            );
+        }
+        while let Some(e) = q.pop() {
+            assert_eq!((e.time.as_micros(), e.event), oracle.remove(0));
+        }
+        assert!(oracle.is_empty(), "round {round}: events lost");
+    }
+    assert!(cancels.iter().all(|&n| n > 0), "{cancels:?}");
 }
 
 /// SimTime arithmetic: conversions are monotone and sub saturates.
