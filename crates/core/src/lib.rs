@@ -13,11 +13,12 @@
 //!   (run-at-level and *DVS during I/O*, §5.2) plus the adaptive
 //!   battery-state-aware layer that observes per-node SoC estimates and
 //!   decides online when the §5.5 rotation wave launches;
-//! * [`node`] — the simulated Itsy node: CPU power state + battery +
-//!   monitor + assigned share;
+//! * [`node`] — the simulated Itsy node: CPU power state + battery, with
+//!   each power segment settled once into the battery, the mean-current
+//!   monitor and the per-mode energy split;
 //! * [`pipeline`] — the discrete-event model of the whole distributed
-//!   system: host, serial hub, N nodes, acknowledgments, failure
-//!   detection, node rotation;
+//!   system: host, serial hub, N nodes, the §5.4 acknowledgment and
+//!   timeout protocol, failure detection, node rotation;
 //! * [`faults`] — seeded fault injection: serial bit errors (through the
 //!   real PPP codec), drops, delays, transient brownouts, battery
 //!   variance;
@@ -59,6 +60,7 @@ pub mod rotation;
 pub mod scale;
 pub mod sweep;
 pub mod timeline;
+mod transaction;
 pub mod workload;
 
 pub use experiment::{policy_config, run_experiment, Experiment};

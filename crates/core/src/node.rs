@@ -9,13 +9,12 @@ use dles_battery::kibam::KibamParams;
 use dles_battery::rakhmatov::RvParams;
 use dles_battery::{Battery, IdealBattery, KibamBattery, PeukertBattery, RakhmatovBattery};
 use dles_power::{
-    CurrentModel, DvsTable, EnergyAccount, FreqLevel, LoadSegment, Mode, PowerMonitor, PowerState,
+    CurrentModel, EnergyAccount, FreqLevel, LoadSegment, Mode, PowerMonitor, PowerState,
 };
 use dles_sim::{NullRecorder, Recorder, SimTime};
 use dles_units::{MilliAmpHours, MilliAmps};
 
 use crate::metrics::NodeOutcome;
-use crate::policy::DvsPolicy;
 
 /// Trace-component tag for node index `node` (1-based, matching the
 /// paper's figures). Called only where a record is actually built.
@@ -123,18 +122,17 @@ impl SimNode {
         }
     }
 
-    /// Transition to `(mode, level)` at `now`. Settles the completed power
-    /// segment against the battery and instrumentation, then returns how
-    /// long the battery can sustain the *new* draw — the caller schedules
-    /// the node's death event accordingly. Must not be called on a dead
-    /// node.
-    pub fn transition(&mut self, now: SimTime, mode: Mode, level: FreqLevel) -> Option<SimTime> {
-        self.transition_recorded(now, mode, level, &mut NullRecorder, 0)
+    /// How long the battery can sustain the node's present draw; `None`
+    /// means indefinitely. The node's death event is armed this far ahead.
+    pub fn time_to_death(&self) -> Option<SimTime> {
+        self.battery.time_to_exhaustion(self.power.current_ma())
     }
 
-    /// [`SimNode::transition`] that additionally emits the settled power
-    /// segment (mode, DVS level, current, energy) as a `power_segment`
-    /// trace record of node index `node`.
+    /// Transition to `(mode, level)` at `now`. Settles the completed power
+    /// segment (emitted as a `power_segment` trace record of node index
+    /// `node`), then returns [`SimNode::time_to_death`] under the *new*
+    /// draw — the caller re-arms the node's death event accordingly. Must
+    /// not be called on a dead node.
     pub fn transition_recorded(
         &mut self,
         now: SimTime,
@@ -144,92 +142,15 @@ impl SimNode {
         node: usize,
     ) -> Option<SimTime> {
         assert!(self.alive, "transition on a dead node");
-        let prev_mode = self.power.mode();
-        let prev_level = self.power.level();
-        let (dur, current) = self.power.transition(now, mode, level);
-        if dur > SimTime::ZERO {
-            let outcome = self.battery.discharge(dur, current);
-            debug_assert!(
-                !outcome.is_exhausted(),
-                "battery died before its scheduled death event"
-            );
-            self.monitor.record(now, dur, current);
-            self.energy.add(prev_mode, dur, current);
-            self.emit_segment(
-                Self::settled_segment(now, dur, current),
-                prev_mode,
-                prev_level,
-                recorder,
-                node,
-            );
-        }
-        self.battery.time_to_exhaustion(self.power.current_ma())
+        self.settle(now, Some((mode, level)), recorder, node);
+        self.time_to_death()
     }
 
-    /// Names the node only when the recorder is on, so untraced runs
-    /// format nothing.
-    fn emit_segment(
-        &self,
-        seg: LoadSegment,
-        mode: Mode,
-        level: FreqLevel,
-        recorder: &mut dyn Recorder,
-        node: usize,
-    ) {
-        if recorder.enabled() {
-            recorder.record(seg.trace_record(component_of(node), mode.name(), level.freq_mhz));
-        }
-    }
-
-    /// The just-settled constant-draw interval ending at `end`.
-    fn settled_segment(end: SimTime, dur: SimTime, current: MilliAmps) -> LoadSegment {
-        LoadSegment {
-            start: end.saturating_sub(dur),
-            duration: dur,
-            current_ma: current,
-        }
-    }
-
-    /// Convenience: transition with the level chosen by `policy` for
-    /// `mode` given the node's current computation level `base`.
-    pub fn transition_policy(
-        &mut self,
-        now: SimTime,
-        mode: Mode,
-        base: FreqLevel,
-        policy: DvsPolicy,
-        table: &DvsTable,
-    ) -> Option<SimTime> {
-        let level = policy.level_for(mode, base, table);
-        self.transition(now, mode, level)
-    }
-
-    /// The battery is exhausted at exactly `now`: settle the final segment
-    /// and mark the node dead.
-    pub fn die(&mut self, now: SimTime) {
-        self.die_recorded(now, &mut NullRecorder, 0)
-    }
-
-    /// [`SimNode::die`] that also emits the final `power_segment` record.
+    /// The battery is exhausted at exactly `now`: settle the final segment,
+    /// emit its `power_segment` record and mark the node dead.
     pub fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
         assert!(self.alive, "node died twice");
-        let prev_mode = self.power.mode();
-        let prev_level = self.power.level();
-        let (dur, current) = self.power.finish(now);
-        if dur > SimTime::ZERO {
-            // The final partial segment; the battery reports exhaustion at
-            // (or extremely near) its end by construction.
-            let _ = self.battery.discharge(dur, current);
-            self.monitor.record(now, dur, current);
-            self.energy.add(prev_mode, dur, current);
-            self.emit_segment(
-                Self::settled_segment(now, dur, current),
-                prev_mode,
-                prev_level,
-                recorder,
-                node,
-            );
-        }
+        let current = self.settle(now, None, recorder, node);
         // `now` came from time_to_exhaustion rounded to the microsecond, so
         // the battery may sit a hair short of exhaustion; nudge it over.
         let mut guard = 0;
@@ -250,28 +171,53 @@ impl SimNode {
     /// Close instrumentation at the end of an experiment for a node that
     /// survived.
     pub fn finish(&mut self, now: SimTime) {
-        self.finish_recorded(now, &mut NullRecorder, 0)
+        if self.alive {
+            self.settle(now, None, &mut NullRecorder, 0);
+        }
     }
 
-    /// [`SimNode::finish`] that also emits the closing `power_segment`.
-    pub fn finish_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
-        if self.alive {
-            let prev_mode = self.power.mode();
-            let prev_level = self.power.level();
-            let (dur, current) = self.power.finish(now);
-            if dur > SimTime::ZERO {
-                let _ = self.battery.discharge(dur, current);
-                self.monitor.record(now, dur, current);
-                self.energy.add(prev_mode, dur, current);
-                self.emit_segment(
-                    Self::settled_segment(now, dur, current),
-                    prev_mode,
-                    prev_level,
-                    recorder,
-                    node,
-                );
+    /// Settle the power segment ending at `now` — moving to `next`, or
+    /// holding the present state when `None` — against the battery, the
+    /// monitor and the energy account, and trace it (naming the node only
+    /// when the recorder is on, so untraced runs format nothing). Returns
+    /// the settled segment's current.
+    fn settle(
+        &mut self,
+        now: SimTime,
+        next: Option<(Mode, FreqLevel)>,
+        recorder: &mut dyn Recorder,
+        node: usize,
+    ) -> MilliAmps {
+        let prev_mode = self.power.mode();
+        let prev_level = self.power.level();
+        let (dur, current) = match next {
+            Some((mode, level)) => self.power.transition(now, mode, level),
+            None => self.power.finish(now),
+        };
+        if dur > SimTime::ZERO {
+            // A final segment (death or end of run) may exhaust the battery
+            // at its end; a transition's may not.
+            let outcome = self.battery.discharge(dur, current);
+            debug_assert!(
+                next.is_none() || !outcome.is_exhausted(),
+                "battery died before its scheduled death event"
+            );
+            self.monitor.record(now, dur, current);
+            self.energy.add(prev_mode, dur, current);
+            if recorder.enabled() {
+                let seg = LoadSegment {
+                    start: now.saturating_sub(dur),
+                    duration: dur,
+                    current_ma: current,
+                };
+                recorder.record(seg.trace_record(
+                    component_of(node),
+                    prev_mode.name(),
+                    prev_level.freq_mhz,
+                ));
             }
         }
+        current
     }
 
     /// The node's estimated state of charge — what an adaptive scheduling
@@ -303,7 +249,9 @@ impl SimNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DvsPolicy;
     use dles_battery::packs::itsy_pack_b;
+    use dles_power::DvsTable;
 
     fn node() -> SimNode {
         let table = DvsTable::sa1100();
@@ -314,17 +262,22 @@ mod tests {
         )
     }
 
+    /// Untraced transition of `n` at `secs`.
+    fn enter(n: &mut SimNode, secs: u64, mode: Mode, level: FreqLevel) -> Option<SimTime> {
+        n.transition_recorded(SimTime::from_secs(secs), mode, level, &mut NullRecorder, 0)
+    }
+
     #[test]
     fn transitions_settle_battery_and_monitor() {
         let table = DvsTable::sa1100();
         let mut n = node();
         let full = n.battery.state_of_charge();
-        n.transition(SimTime::from_secs(10), Mode::Computation, table.highest());
+        enter(&mut n, 10, Mode::Computation, table.highest());
         assert!(
             n.battery.state_of_charge() < full,
             "idle draw must discharge"
         );
-        assert!(n.monitor.charge_mah().get() > 0.0);
+        assert!(n.monitor.mean_current_ma().get() > 0.0);
         assert!(n.energy.energy_j(Mode::Idle).get() > 0.0);
         assert_eq!(n.energy.energy_j(Mode::Computation).get(), 0.0);
     }
@@ -333,13 +286,9 @@ mod tests {
     fn ttd_shrinks_with_higher_draw() {
         let table = DvsTable::sa1100();
         let mut a = node();
-        let ttd_idle = a
-            .transition(SimTime::from_secs(1), Mode::Idle, table.lowest())
-            .unwrap();
+        let ttd_idle = enter(&mut a, 1, Mode::Idle, table.lowest()).unwrap();
         let mut b = node();
-        let ttd_compute = b
-            .transition(SimTime::from_secs(1), Mode::Computation, table.highest())
-            .unwrap();
+        let ttd_compute = enter(&mut b, 1, Mode::Computation, table.highest()).unwrap();
         assert!(ttd_compute < ttd_idle);
     }
 
@@ -347,10 +296,8 @@ mod tests {
     fn death_finalizes_state() {
         let table = DvsTable::sa1100();
         let mut n = node();
-        let ttd = n
-            .transition(SimTime::ZERO, Mode::Computation, table.highest())
-            .unwrap();
-        n.die(ttd);
+        let ttd = enter(&mut n, 0, Mode::Computation, table.highest()).unwrap();
+        n.die_recorded(ttd, &mut NullRecorder, 0);
         assert!(!n.alive);
         assert_eq!(n.death_time, Some(ttd));
         assert!(n.battery.is_exhausted());
@@ -364,13 +311,8 @@ mod tests {
     fn policy_transition_picks_comm_level() {
         let table = DvsTable::sa1100();
         let mut n = node();
-        n.transition_policy(
-            SimTime::from_secs(1),
-            Mode::Communication,
-            table.highest(),
-            DvsPolicy::DvsDuringIo,
-            &table,
-        );
+        let level = DvsPolicy::DvsDuringIo.level_for(Mode::Communication, table.highest(), &table);
+        enter(&mut n, 1, Mode::Communication, level);
         assert_eq!(n.power.level().freq_mhz.mhz(), 59.0);
         assert_eq!(n.power.mode(), Mode::Communication);
     }
@@ -388,7 +330,13 @@ mod tests {
             &mut rec,
             0,
         );
-        n.finish_recorded(SimTime::from_secs(3), &mut rec, 0);
+        n.transition_recorded(
+            SimTime::from_secs(3),
+            Mode::Idle,
+            table.lowest(),
+            &mut rec,
+            0,
+        );
         let records = rec.take_records();
         assert_eq!(records.len(), 2);
         // First segment: the 2 s of idle before the transition.
@@ -396,7 +344,7 @@ mod tests {
         assert_eq!(records[0].component, "node1");
         assert_eq!(records[0].str_field("mode"), Some("idle"));
         assert_eq!(records[0].u64_field("duration_us"), Some(2_000_000));
-        // Second: the 1 s of computation closed by finish.
+        // Second: the 1 s of computation closed by the next transition.
         assert_eq!(records[1].str_field("mode"), Some("computation"));
         assert_eq!(records[1].u64_field("duration_us"), Some(1_000_000));
     }

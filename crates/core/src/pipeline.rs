@@ -24,9 +24,9 @@ use crate::node::{component_of, BatterySpec, SimNode};
 use crate::policy::{DvsPolicy, SchedulingPolicy};
 use crate::recovery::RecoveryConfig;
 use crate::rotation::RotationConfig;
+use crate::transaction::{Transfer, TransferKind};
 use crate::workload::{NodeShare, SystemConfig};
-use dles_net::transaction::link_component;
-use dles_net::{Endpoint, LinkSchedule, Transaction, TransactionKind};
+use dles_net::{link_component, Endpoint, LinkSchedule};
 use dles_power::{CurrentModel, FreqLevel, Mode};
 use dles_sim::{
     Ctx, Engine, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime, TraceEvent,
@@ -120,20 +120,6 @@ impl PipelineConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransferKind {
-    Data,
-    Ack,
-}
-
-/// Trace label for either endpoint kind.
-fn endpoint_name(ep: Endpoint) -> String {
-    match ep {
-        Endpoint::Host => "host".to_string(),
-        Endpoint::Node(i) => component_of(i),
-    }
-}
-
 /// Whether an injected fault destroys the transfer's payload in flight.
 /// Delays only stretch the wire time; drops and corruptions (detected by
 /// the PPP FCS at the receiver) suppress delivery.
@@ -153,28 +139,6 @@ fn remember(window: &mut Vec<u64>, frame: u64) {
         window.remove(0);
     }
     window.push(frame);
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    from: Endpoint,
-    to: Endpoint,
-    bytes: u64,
-    kind: TransferKind,
-    frame: u64,
-    /// For data to a node: the share it should run on arrival.
-    next_share: Option<usize>,
-    /// Share-map epoch at planning time; stale transfers are dropped.
-    epoch: u64,
-    /// For acks: start this PROC on the acking node once the ack is out.
-    then_proc: Option<(usize, u64, usize)>,
-    /// For reliable data sends (recovery): the sender's outstanding-send
-    /// sequence number this transfer carries.
-    seq: Option<u64>,
-    /// For acks: the data sequence number being acknowledged.
-    ack_of: Option<u64>,
-    /// Injected link fault, decided at planning time from the fault plan.
-    fault: Option<LinkFault>,
 }
 
 /// Events of the pipeline world.
@@ -593,11 +557,7 @@ impl PipelineWorld {
             }
         }
         let start = self.links.earliest_start(&route, earliest);
-        let mut duration = self
-            .cfg
-            .sys
-            .serial
-            .transfer_time(t.bytes, self.rng.as_mut());
+        let mut duration = t.latency(&self.cfg.sys.serial, self.rng.as_mut());
         if let Some(fs) = self.faults.as_mut() {
             if fs.profile.has_link_faults() {
                 t.fault = fs.draw_transfer_fault(t.bytes, t.frame);
@@ -621,8 +581,8 @@ impl PipelineWorld {
                         };
                         ctx.emit(
                             TraceEvent::FaultInjected(InjectedFault::Link {
-                                from: endpoint_name(t.from),
-                                to: endpoint_name(t.to),
+                                from: t.from.to_string(),
+                                to: t.to.to_string(),
                                 frame: t.frame,
                                 bytes: t.bytes,
                                 fault,
@@ -652,15 +612,6 @@ impl PipelineWorld {
         }
         ctx.schedule_at(start, Ev::XferStart(id));
         ctx.schedule_at(end, Ev::XferEnd(id));
-    }
-
-    /// The dles-net transaction equivalent of a planned transfer (for
-    /// structured trace emission).
-    fn transaction_of(t: &Transfer) -> Transaction {
-        match t.kind {
-            TransferKind::Data => Transaction::payload(t.from, t.to, t.bytes),
-            TransferKind::Ack => Transaction::ack(t.from, t.to),
-        }
     }
 
     /// Begin PROC of `share` for `frame` on `node`.
@@ -712,19 +663,7 @@ impl PipelineWorld {
         };
         self.plan_transfer(
             ctx,
-            Transfer {
-                from: Endpoint::Node(node),
-                to,
-                bytes,
-                kind: TransferKind::Data,
-                frame,
-                next_share,
-                epoch: 0,
-                then_proc: None,
-                seq,
-                ack_of: None,
-                fault: None,
-            },
+            Transfer::data(Endpoint::Node(node), to, bytes, frame, next_share, seq),
         );
     }
 
@@ -738,19 +677,7 @@ impl PipelineWorld {
         }
         self.plan_transfer(
             ctx,
-            Transfer {
-                from: Endpoint::Host,
-                to: Endpoint::Node(sender),
-                bytes: 0,
-                kind: TransferKind::Ack,
-                frame,
-                next_share: None,
-                epoch: 0,
-                then_proc: None,
-                seq: None,
-                ack_of,
-                fault: None,
-            },
+            Transfer::ack(Endpoint::Host, Endpoint::Node(sender), frame, ack_of, None),
         );
     }
 
@@ -1008,21 +935,17 @@ impl PipelineWorld {
         if !self.nodes[head].alive {
             return; // frame lost; recovery timeouts handle failover
         }
+        let bytes = self.cfg.shares[0].recv_bytes;
         self.plan_transfer(
             ctx,
-            Transfer {
-                from: Endpoint::Host,
-                to: Endpoint::Node(head),
-                bytes: self.cfg.shares[0].recv_bytes,
-                kind: TransferKind::Data,
+            Transfer::data(
+                Endpoint::Host,
+                Endpoint::Node(head),
+                bytes,
                 frame,
-                next_share: Some(0),
-                epoch: 0,
-                then_proc: None,
-                seq: None,
-                ack_of: None,
-                fault: None,
-            },
+                Some(0),
+                None,
+            ),
         );
     }
 
@@ -1032,25 +955,17 @@ impl PipelineWorld {
             (t.from, t.to, t.frame)
         };
         if ctx.tracing() {
-            ctx.emit(Self::transaction_of(&self.transfers[id]).trace_record(
-                ctx.now(),
-                "start",
-                frame,
-            ));
+            ctx.emit(self.transfers[id].trace_record(ctx.now(), "start"));
         }
         for ep in [from, to] {
             if let Endpoint::Node(i) = ep {
                 self.set_node_state(ctx, i, Mode::Communication);
                 // Direction marker for the Fig. 2/3/9 timeline renderer.
                 if ctx.tracing() {
-                    let kind = self.transfers[id].kind;
                     ctx.emit(
                         TraceEvent::Io {
                             dir: if ep == from { "send" } else { "recv" },
-                            payload: match kind {
-                                TransferKind::Data => "data",
-                                TransferKind::Ack => "ack",
-                            },
+                            payload: self.transfers[id].kind.name(),
                             frame,
                         }
                         .record(ctx.now(), component_of(i)),
@@ -1064,7 +979,7 @@ impl PipelineWorld {
         let t = self.transfers[id];
         self.free_transfers.push(id);
         if ctx.tracing() {
-            ctx.emit(Self::transaction_of(&t).trace_record(ctx.now(), "delivered", t.frame));
+            ctx.emit(t.trace_record(ctx.now(), "delivered"));
         }
         // Sender side returns to idle (or awaits its ack).
         if let Endpoint::Node(s) = t.from {
@@ -1182,19 +1097,7 @@ impl PipelineWorld {
                             self.count(Counter::DuplicateFramesDropped);
                             self.plan_transfer(
                                 ctx,
-                                Transfer {
-                                    from: Endpoint::Node(r),
-                                    to: t.from,
-                                    bytes: 0,
-                                    kind: TransferKind::Ack,
-                                    frame: t.frame,
-                                    next_share: None,
-                                    epoch: 0,
-                                    then_proc: None,
-                                    seq: None,
-                                    ack_of: t.seq,
-                                    fault: None,
-                                },
+                                Transfer::ack(Endpoint::Node(r), t.from, t.frame, t.seq, None),
                             );
                             return;
                         }
@@ -1205,21 +1108,10 @@ impl PipelineWorld {
                             let seq = self.recv_seq[r];
                             ctx.schedule_in(rec.recv_timeout, Ev::RecvTimeout { node: r, seq });
                             // Acknowledge, then process.
+                            let then_proc = Some((r, t.frame, share));
                             self.plan_transfer(
                                 ctx,
-                                Transfer {
-                                    from: Endpoint::Node(r),
-                                    to: t.from,
-                                    bytes: 0,
-                                    kind: TransferKind::Ack,
-                                    frame: t.frame,
-                                    next_share: None,
-                                    epoch: 0,
-                                    then_proc: Some((r, t.frame, share)),
-                                    seq: None,
-                                    ack_of: t.seq,
-                                    fault: None,
-                                },
+                                Transfer::ack(Endpoint::Node(r), t.from, t.frame, t.seq, then_proc),
                             );
                         } else {
                             self.start_proc(ctx, r, t.frame, share);
@@ -1374,7 +1266,7 @@ impl PipelineWorld {
             ctx.emit(
                 TraceEvent::Transaction {
                     event: "timeout",
-                    payload: TransactionKind::Ack.name(),
+                    payload: TransferKind::Ack.name(),
                     bytes: 0,
                     frame: entry.frame,
                     waiter: Some(component_of(node)),
@@ -1403,19 +1295,14 @@ impl PipelineWorld {
                     self.count(Counter::Retransmissions);
                     self.plan_transfer(
                         ctx,
-                        Transfer {
-                            from: Endpoint::Node(node),
-                            to: entry.to,
-                            bytes: entry.bytes,
-                            kind: TransferKind::Data,
-                            frame: entry.frame,
-                            next_share: entry.next_share,
-                            epoch: 0,
-                            then_proc: None,
-                            seq: Some(entry.seq),
-                            ack_of: None,
-                            fault: None,
-                        },
+                        Transfer::data(
+                            Endpoint::Node(node),
+                            entry.to,
+                            entry.bytes,
+                            entry.frame,
+                            entry.next_share,
+                            Some(entry.seq),
+                        ),
                     );
                 } else {
                     self.outstanding[node].remove(pos);
@@ -1472,7 +1359,7 @@ impl PipelineWorld {
             ctx.emit(
                 TraceEvent::Transaction {
                     event: "timeout",
-                    payload: TransactionKind::Payload.name(),
+                    payload: TransferKind::Data.name(),
                     bytes: 0,
                     frame: 0,
                     waiter: None,
@@ -1512,13 +1399,7 @@ pub fn build_engine_with(
     let mut engine = Engine::with_recorder(world, recorder);
     // Arm initial death events for the idle draw.
     for i in 0..n {
-        let ttd = {
-            let w = engine.world();
-            w.nodes[i]
-                .battery
-                .time_to_exhaustion(w.nodes[i].power.current_ma())
-        };
-        if let Some(ttd) = ttd {
+        if let Some(ttd) = engine.world().nodes[i].time_to_death() {
             let id = engine.schedule_at(ttd, Ev::NodeDeath(i));
             engine.world_mut().death_events[i] = Some(id);
         }

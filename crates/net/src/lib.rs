@@ -9,19 +9,22 @@
 //!
 //! * [`serial`] — UART timing: 115.2 kbps line rate, ~80 kbps measured
 //!   effective throughput, and the 50–100 ms per-transaction startup cost
-//!   the paper repeatedly charges (§4.3);
+//!   the paper repeatedly charges (§4.3), for data and acknowledgment
+//!   transfers alike;
 //! * [`ppp`] — an HDLC/PPP-style framing codec (flag bytes, byte stuffing,
 //!   FCS-16) actually implemented and property-tested, with overhead
 //!   accounting;
-//! * [`topology`] — endpoints (host / node *i*) and the links a transfer
-//!   occupies under host-side IP forwarding;
+//! * [`topology`] — endpoints (host / node *i*), the links a transfer
+//!   occupies under host-side IP forwarding, and the `a->b` link names of
+//!   trace records;
 //! * [`hub`] — link occupancy bookkeeping: reserving the serial lines a
 //!   transfer needs, with cut-through forwarding across the hub;
-//! * [`transaction`] — the reliable-transaction layer of §5.4: payload
-//!   transfers and the separate acknowledgment transactions whose startup
-//!   cost makes power-failure recovery expensive;
 //! * [`fault`] — link-fault hooks: bit errors realized by flipping wire
 //!   bits and pushing the result through the real PPP codec.
+//!
+//! The reliable-transaction protocol of §5.4 (acknowledgments, ack and
+//! receive timeouts, retransmission) lives in `dles-core::pipeline`, which
+//! plans its data and ack transfers over these layers.
 //!
 //! ```
 //! use dles_net::serial::SerialConfig;
@@ -38,10 +41,8 @@ pub mod hub;
 pub mod ppp;
 pub mod serial;
 pub mod topology;
-pub mod transaction;
 
 pub use hub::LinkSchedule;
 pub use ppp::{decode_frames, encode_frame, FrameDecoder};
 pub use serial::SerialConfig;
-pub use topology::{Endpoint, Route};
-pub use transaction::{Transaction, TransactionKind};
+pub use topology::{link_component, Endpoint, Route};

@@ -28,6 +28,13 @@ impl fmt::Display for Endpoint {
     }
 }
 
+/// Build an `a->b` link component name from a directed endpoint pair —
+/// the single place the convention is spelled, so every emitter agrees
+/// on it.
+pub fn link_component(from: Endpoint, to: Endpoint) -> String {
+    format!("{from}->{to}")
+}
+
 /// The serial lines a transfer occupies: link `i` is node `i`'s line to
 /// the host. At most two, so a route is stored inline and planning a
 /// transfer never allocates.
@@ -101,5 +108,9 @@ mod tests {
     fn endpoint_display_is_one_based() {
         assert_eq!(format!("{}", Endpoint::Node(0)), "node1");
         assert_eq!(format!("{}", Endpoint::Host), "host");
+        assert_eq!(
+            link_component(Endpoint::Host, Endpoint::Node(1)),
+            "host->node2"
+        );
     }
 }

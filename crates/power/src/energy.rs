@@ -11,13 +11,11 @@ use crate::sa1100::BATTERY_VOLTS;
 use dles_sim::SimTime;
 use dles_units::{Joules, MilliAmps, Seconds};
 
-/// Energy (and time) attributed to each of the three modes.
+/// Energy attributed to each of the three modes.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyAccount {
     /// Energy per mode, indexed [idle, communication, computation].
     energy_j: [Joules; 3],
-    /// Time per mode.
-    time_s: [Seconds; 3],
 }
 
 impl EnergyAccount {
@@ -38,40 +36,11 @@ impl EnergyAccount {
         let secs = Seconds::new(duration.as_secs_f64());
         let watts = current_ma.to_amps() * BATTERY_VOLTS;
         self.energy_j[Self::idx(mode)] += watts * secs;
-        self.time_s[Self::idx(mode)] += secs;
     }
 
     /// Energy consumed in `mode`.
     pub fn energy_j(&self, mode: Mode) -> Joules {
         self.energy_j[Self::idx(mode)]
-    }
-
-    /// Time spent in `mode`.
-    pub fn time_s(&self, mode: Mode) -> Seconds {
-        self.time_s[Self::idx(mode)]
-    }
-
-    /// Total energy across all modes.
-    pub fn total_j(&self) -> Joules {
-        self.energy_j.iter().copied().sum()
-    }
-
-    /// Fraction of total energy spent in `mode` (0 if nothing recorded).
-    pub fn fraction(&self, mode: Mode) -> f64 {
-        let total = self.total_j();
-        if total > Joules::ZERO {
-            self.energy_j(mode) / total
-        } else {
-            0.0
-        }
-    }
-
-    /// Merge another account into this one (for fleet-level totals).
-    pub fn merge(&mut self, other: &EnergyAccount) {
-        for i in 0..3 {
-            self.energy_j[i] += other.energy_j[i];
-            self.time_s[i] += other.time_s[i];
-        }
     }
 }
 
@@ -92,36 +61,15 @@ mod tests {
             SimTime::from_secs_f64(1.2),
             MilliAmps::new(110.0),
         );
+        a.add(
+            Mode::Communication,
+            SimTime::from_secs_f64(0.5),
+            MilliAmps::new(110.0),
+        );
         let e_comp = 0.130 * 4.0 * 1.1;
-        let e_comm = 0.110 * 4.0 * 1.2;
+        let e_comm = 0.110 * 4.0 * 1.7;
         assert!((a.energy_j(Mode::Computation).get() - e_comp).abs() < 1e-12);
         assert!((a.energy_j(Mode::Communication).get() - e_comm).abs() < 1e-12);
-        assert!((a.total_j().get() - (e_comp + e_comm)).abs() < 1e-12);
-        assert!((a.fraction(Mode::Computation) - e_comp / (e_comp + e_comm)).abs() < 1e-12);
         assert_eq!(a.energy_j(Mode::Idle), Joules::ZERO);
-        assert!((a.time_s(Mode::Communication).get() - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_account_fractions_are_zero() {
-        let a = EnergyAccount::new();
-        assert_eq!(a.fraction(Mode::Idle), 0.0);
-        assert_eq!(a.total_j(), Joules::ZERO);
-    }
-
-    #[test]
-    fn merge_sums_componentwise() {
-        let mut a = EnergyAccount::new();
-        a.add(Mode::Idle, SimTime::from_secs(10), MilliAmps::new(30.0));
-        let mut b = EnergyAccount::new();
-        b.add(Mode::Idle, SimTime::from_secs(5), MilliAmps::new(30.0));
-        b.add(
-            Mode::Computation,
-            SimTime::from_secs(1),
-            MilliAmps::new(130.0),
-        );
-        a.merge(&b);
-        assert!((a.time_s(Mode::Idle).get() - 15.0).abs() < 1e-12);
-        assert!(a.energy_j(Mode::Computation) > Joules::ZERO);
     }
 }

@@ -8,9 +8,10 @@
 //!   Fig. 7, via an analytic `I = I_base + k · f · V²` model fitted to every
 //!   current value the paper states ([`current`]);
 //! * linear performance scaling with clock frequency (§4.3);
-//! * a power-state machine + monitor that integrates the piecewise-constant
-//!   current waveform a node draws, exactly like Itsy's built-in power
-//!   monitor ([`state`], [`monitor`]).
+//! * a power-state machine whose piecewise-constant current waveform a
+//!   monitor reduces to the node's mean current, the one figure of Itsy's
+//!   built-in power monitor a run reports ([`state`], [`monitor`]), plus
+//!   the per-mode energy split ([`energy`]).
 //!
 //! ```
 //! use dles_power::{DvsTable, Mode, CurrentModel};

@@ -3,13 +3,12 @@
 //! §1: "We also use Itsy's on-board power instrumentation features to
 //! collect data for the power characteristics." The monitor consumes the
 //! piecewise-constant current segments emitted by
-//! [`PowerState`](crate::state::PowerState) and maintains the charge
-//! integral, time-weighted mean current, and (optionally) the full waveform
-//! for trace-style figures.
+//! [`PowerState`](crate::state::PowerState) and keeps their time-weighted
+//! mean current.
 
 use crate::sa1100::BATTERY_VOLTS;
-use dles_sim::{SimTime, TimeWeighted, TraceEvent, TraceRecord};
-use dles_units::{Hertz, MilliAmpHours, MilliAmps, MilliJoules, Seconds};
+use dles_sim::{SimTime, TraceEvent, TraceRecord};
+use dles_units::{Hertz, MilliAmps, MilliJoules, Seconds};
 
 /// One piecewise-constant piece of a current waveform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,82 +47,38 @@ impl LoadSegment {
     }
 }
 
-/// Accumulates a node's discharge waveform.
-#[derive(Debug, Clone)]
+/// Integrates a node's discharge waveform into its time-weighted mean
+/// current, the one figure of Itsy's instrumentation a run reports.
+#[derive(Debug, Clone, Default)]
 pub struct PowerMonitor {
-    tw: TimeWeighted,
-    charge_mah: MilliAmpHours,
-    clock: SimTime,
-    waveform: Option<Vec<LoadSegment>>,
+    /// ∫ I dt over every recorded segment, in mA·s.
+    charge_ma_s: f64,
+    /// Seconds recorded.
+    recorded_s: f64,
 }
 
 impl PowerMonitor {
-    /// A monitor that keeps aggregates only (suitable for multi-hour runs).
     pub fn new() -> Self {
-        PowerMonitor {
-            tw: TimeWeighted::new(),
-            charge_mah: MilliAmpHours::ZERO,
-            clock: SimTime::ZERO,
-            waveform: None,
-        }
+        Self::default()
     }
 
-    /// A monitor that additionally records every segment (for figures).
-    pub fn with_waveform() -> Self {
-        PowerMonitor {
-            waveform: Some(Vec::new()),
-            ..Self::new()
-        }
+    /// Record a completed segment of `duration` at `current_ma`, ending at
+    /// `_end`. A node's segments are contiguous, so the mean depends on the
+    /// durations alone.
+    pub fn record(&mut self, _end: SimTime, duration: SimTime, current_ma: MilliAmps) {
+        let dt = duration.as_secs_f64();
+        self.charge_ma_s += current_ma.get() * dt;
+        self.recorded_s += dt;
     }
 
-    /// Record a completed segment ending at `end`.
-    pub fn record(&mut self, end: SimTime, duration: SimTime, current_ma: MilliAmps) {
-        if duration == SimTime::ZERO {
-            return;
-        }
-        let start = end.saturating_sub(duration);
-        self.tw.set(start, current_ma.get());
-        self.tw.finish(end);
-        self.charge_mah += (current_ma * Seconds::new(duration.as_secs_f64())).to_milli_amp_hours();
-        self.clock = end;
-        if let Some(w) = &mut self.waveform {
-            w.push(LoadSegment {
-                start,
-                duration,
-                current_ma,
-            });
-        }
-    }
-
-    /// Total charge drawn so far.
-    pub fn charge_mah(&self) -> MilliAmpHours {
-        self.charge_mah
-    }
-
-    /// Time-weighted mean current over everything recorded.
+    /// Time-weighted mean current over everything recorded (0 if nothing
+    /// was).
     pub fn mean_current_ma(&self) -> MilliAmps {
-        MilliAmps::new(self.tw.mean())
-    }
-
-    /// Peak current seen.
-    pub fn peak_current_ma(&self) -> MilliAmps {
-        MilliAmps::new(self.tw.max())
-    }
-
-    /// Last time a segment ended.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// The recorded waveform, if waveform capture was enabled.
-    pub fn waveform(&self) -> Option<&[LoadSegment]> {
-        self.waveform.as_deref()
-    }
-}
-
-impl Default for PowerMonitor {
-    fn default() -> Self {
-        Self::new()
+        if self.recorded_s > 0.0 {
+            MilliAmps::new(self.charge_ma_s / self.recorded_s)
+        } else {
+            MilliAmps::ZERO
+        }
     }
 }
 
@@ -145,11 +100,8 @@ mod tests {
             SimTime::from_secs_f64(1.2),
             MilliAmps::new(40.0),
         );
-        let expect = (130.0 * 1.1 + 40.0 * 1.2) / 3600.0;
-        assert!((m.charge_mah().get() - expect).abs() < 1e-12);
         let mean = (130.0 * 1.1 + 40.0 * 1.2) / 2.3;
         assert!((m.mean_current_ma().get() - mean).abs() < 1e-9);
-        assert_eq!(m.peak_current_ma(), MilliAmps::new(130.0));
     }
 
     #[test]
@@ -172,38 +124,13 @@ mod tests {
     fn zero_duration_segments_ignored() {
         let mut m = PowerMonitor::new();
         m.record(SimTime::from_secs(1), SimTime::ZERO, MilliAmps::new(500.0));
-        assert_eq!(m.charge_mah(), MilliAmpHours::ZERO);
-        assert_eq!(m.peak_current_ma(), MilliAmps::ZERO);
-    }
-
-    #[test]
-    fn waveform_capture() {
-        let mut m = PowerMonitor::with_waveform();
-        m.record(
-            SimTime::from_secs(1),
-            SimTime::from_secs(1),
-            MilliAmps::new(100.0),
-        );
+        assert_eq!(m.mean_current_ma(), MilliAmps::ZERO);
         m.record(
             SimTime::from_secs(2),
             SimTime::from_secs(1),
-            MilliAmps::new(50.0),
-        );
-        let w = m.waveform().unwrap();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].start, SimTime::ZERO);
-        assert_eq!(w[1].start, SimTime::from_secs(1));
-        assert_eq!(w[1].current_ma, MilliAmps::new(50.0));
-    }
-
-    #[test]
-    fn aggregate_only_monitor_stores_no_waveform() {
-        let mut m = PowerMonitor::new();
-        m.record(
-            SimTime::from_secs(1),
-            SimTime::from_secs(1),
             MilliAmps::new(100.0),
         );
-        assert!(m.waveform().is_none());
+        m.record(SimTime::from_secs(2), SimTime::ZERO, MilliAmps::new(500.0));
+        assert_eq!(m.mean_current_ma(), MilliAmps::new(100.0));
     }
 }

@@ -40,11 +40,6 @@ impl PowerState {
         self.level
     }
 
-    /// Time the current state was entered.
-    pub fn since(&self) -> SimTime {
-        self.since
-    }
-
     /// Number of state transitions so far (a DVS-switching-overhead proxy).
     pub fn transitions(&self) -> u64 {
         self.transitions

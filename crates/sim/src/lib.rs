@@ -54,7 +54,7 @@ pub use engine::{Ctx, Engine, RunOutcome, World};
 pub use event::{EventEntry, EventId, EventQueue};
 pub use par::{par_map, par_map_slice, resolve_workers};
 pub use rng::SimRng;
-pub use stats::{CounterSet, DistSummary, Histogram, TimeWeighted};
+pub use stats::{CounterSet, DistSummary, Histogram};
 pub use time::SimTime;
 pub use trace::{
     FieldValue, InjectedFault, JsonlRecorder, LinkFaultKind, MemoryRecorder, NullRecorder,

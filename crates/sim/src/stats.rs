@@ -1,7 +1,5 @@
-//! Online statistics for simulation outputs: counters, time-weighted means
-//! (for currents/power levels), and fixed-bin histograms (for latencies).
-
-use crate::time::SimTime;
+//! Online statistics for simulation outputs: counters and fixed-bin
+//! histograms (for latencies).
 
 /// A named family of monotonic counters, kept in first-increment order so
 /// reports render deterministically. Lookups are linear — the simulator
@@ -57,101 +55,6 @@ impl CounterSet {
     pub fn merge(&mut self, other: &CounterSet) {
         for (name, v) in other.iter() {
             self.add(name, v);
-        }
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. the current
-/// drawn by a node: each value holds from the time it was set until the next
-/// `set`. This is exactly how Itsy's on-board power monitor integrates.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64, // ∫ value dt, in value·seconds
-    total_time: f64,   // seconds of observation
-    min: f64,
-    max: f64,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            total_time: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            started: false,
-        }
-    }
-
-    /// Record that the signal takes `value` from time `now` onward.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        if self.started {
-            self.accumulate_until(now);
-        }
-        self.started = true;
-        self.last_time = now;
-        self.last_value = value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Close the observation window at `now` without changing the value.
-    pub fn finish(&mut self, now: SimTime) {
-        if self.started {
-            self.accumulate_until(now);
-            self.last_time = now;
-        }
-    }
-
-    fn accumulate_until(&mut self, now: SimTime) {
-        let dt = now.saturating_sub(self.last_time).as_secs_f64();
-        self.weighted_sum += self.last_value * dt;
-        self.total_time += dt;
-    }
-
-    /// Time-weighted mean over the observed window (0 if nothing observed).
-    pub fn mean(&self) -> f64 {
-        if self.total_time > 0.0 {
-            self.weighted_sum / self.total_time
-        } else {
-            0.0
-        }
-    }
-
-    /// ∫ value dt in value·seconds (e.g. mA·s if values are mA).
-    pub fn integral(&self) -> f64 {
-        self.weighted_sum
-    }
-
-    /// Total observed span in seconds.
-    pub fn observed_secs(&self) -> f64 {
-        self.total_time
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.min.is_finite() {
-            self.min
-        } else {
-            0.0
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.max.is_finite() {
-            self.max
-        } else {
-            0.0
         }
     }
 }
@@ -342,35 +245,6 @@ mod tests {
         assert_eq!(a.get("y"), 4);
         assert_eq!(a.get("z"), 5);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_square_wave() {
-        let mut tw = TimeWeighted::new();
-        // 1s at 100, then 1s at 0 → mean 50.
-        tw.set(SimTime::ZERO, 100.0);
-        tw.set(SimTime::from_secs(1), 0.0);
-        tw.finish(SimTime::from_secs(2));
-        assert!((tw.mean() - 50.0).abs() < 1e-9);
-        assert!((tw.integral() - 100.0).abs() < 1e-9);
-        assert_eq!(tw.min(), 0.0);
-        assert_eq!(tw.max(), 100.0);
-        assert!((tw.observed_secs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean(), 0.0);
-        assert_eq!(tw.min(), 0.0);
-        assert_eq!(tw.max(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_ignores_prestart_finish() {
-        let mut tw = TimeWeighted::new();
-        tw.finish(SimTime::from_secs(5));
-        assert_eq!(tw.observed_secs(), 0.0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use dles_core::node::BatterySpec;
 use dles_core::pipeline::run_pipeline;
 use dles_core::policy::DvsPolicy;
 use dles_core::rotation::RotationConfig;
+use dles_power::sa1100::BATTERY_VOLTS;
 use dles_power::{CurrentModel, DvsTable, Mode};
 use dles_sim::SimTime;
 use dles_tests::assert_close_percent;
@@ -65,6 +66,40 @@ fn des_mean_current_matches_profile_arithmetic() {
         1.0,
         "baseline mean current",
     );
+}
+
+/// Every settle exit (transition, death, end of run) charges a segment to
+/// the battery, the power monitor and the energy account alike, so at run
+/// end the three charge totals agree: the battery's delivered charge, the
+/// per-mode energies at the pack voltage, and the mean current over the
+/// run. 600 s is short enough that no node dies; 1e-9 relative leaves
+/// ample room for accumulated float error.
+#[test]
+fn run_end_charge_agrees_across_integrators() {
+    for exp in Experiment::ALL {
+        let mut cfg = exp.config();
+        cfg.horizon = SimTime::from_secs(600);
+        let r = run_pipeline(cfg);
+        let hours = r.lifetime.as_hours_f64();
+        for (i, n) in r.nodes.iter().enumerate() {
+            assert_eq!(n.death_time, None, "{} node {i} died", r.label);
+            let delivered = n.delivered_mah.get();
+            let energy_j: f64 = [Mode::Idle, Mode::Communication, Mode::Computation]
+                .iter()
+                .map(|&m| n.energy.energy_j(m).get())
+                .sum();
+            let from_energy = energy_j / BATTERY_VOLTS.get() / 3.6;
+            let from_mean = n.mean_current_ma.get() * hours;
+            for (what, mah) in [("energy", from_energy), ("mean current", from_mean)] {
+                let rel = (mah - delivered).abs() / delivered;
+                assert!(
+                    rel < 1e-9,
+                    "{} node {i}: {what} gives {mah} mAh, battery delivered {delivered} mAh",
+                    r.label
+                );
+            }
+        }
+    }
 }
 
 /// Scheme-1 steady state: both nodes meet D with the Fig. 8 levels, and
