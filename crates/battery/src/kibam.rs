@@ -361,7 +361,26 @@ impl Battery for KibamBattery {
             .and_then(|root| self.guarded_exhaustion(current_ma, t_upper, root));
         Some(newton.unwrap_or_else(bisected))
     }
+
+    /// [`Battery::time_to_exhaustion`] at `i_max`, less a 1 ms margin.
+    ///
+    /// The model is linear in the load, and the closed form of
+    /// `wells_after` gives the available charge's response to current
+    /// held over a span `τ` as `∂q1/∂I = −∫₀^τ (c + (1 − c)e^{−ks}) ds < 0`:
+    /// a positive kernel. By superposition, any load at or below `i_max`
+    /// leaves `q1` at or above its path under a constant `i_max` at every
+    /// instant, so it cannot empty first. The margin absorbs the answer's
+    /// microsecond rounding and the float error of stepping the same path
+    /// segment by segment.
+    fn death_lower_bound(&self, i_max: MilliAmps) -> Option<SimTime> {
+        self.time_to_exhaustion(i_max)
+            .map(|t| t.saturating_sub(BOUND_MARGIN))
+    }
 }
+
+/// Slack [`KibamBattery`]'s [`Battery::death_lower_bound`] leaves below
+/// the constant-`i_max` death.
+const BOUND_MARGIN: SimTime = SimTime::from_millis(1);
 
 #[cfg(test)]
 mod tests {
@@ -841,6 +860,74 @@ mod proptests {
             "{} of {} states fell back to bisection",
             tally.fallbacks,
             tally.states
+        );
+    }
+
+    /// Step `b` through random segments of random loads drawn by `load`
+    /// until it dies, returning its death time, or `None` once `limit`
+    /// has passed alive.
+    fn steps_to_death(
+        rng: &mut SimRng,
+        b: &mut KibamBattery,
+        limit: SimTime,
+        mut load: impl FnMut(&mut SimRng) -> MilliAmps,
+    ) -> Option<SimTime> {
+        let mut elapsed = SimTime::ZERO;
+        while elapsed <= limit {
+            // Some segments far shorter than the bound, some a sizeable
+            // share of it, as a node's power states are.
+            let longest = if rng.chance(0.5) {
+                1_000_000
+            } else {
+                (limit.as_micros() / 4).max(1)
+            };
+            let seg = SimTime::from_micros(rng.uniform_u64(1, longest));
+            match b.discharge(seg, load(rng)) {
+                DischargeOutcome::Survived => elapsed += seg,
+                DischargeOutcome::Exhausted { after } => return Some(elapsed + after),
+            }
+        }
+        None
+    }
+
+    /// The proof obligation of [`Battery::death_lower_bound`]: from a
+    /// random state, no piecewise-constant load in `[0, I_max]` kills the
+    /// battery before the bound, and a constant `I_max` kills it within
+    /// the margin after it.
+    #[test]
+    fn death_lower_bound_holds_under_any_bounded_load() {
+        let mut rng = SimRng::seed_from_u64(0xB0DE);
+        let mut varied_deaths = 0u32;
+        for _ in 0..2_000 {
+            let start = random_state(&mut rng);
+            let q0 = start.stranded_mah().get();
+            let i_max = ma(q0 / log_uniform(&mut rng, 0.1, 1000.0));
+            let bound = start.death_lower_bound(i_max).expect("finite");
+
+            let mut b = start.clone();
+            let varied = steps_to_death(&mut rng, &mut b, bound * 2, |rng| {
+                if rng.chance(0.5) {
+                    i_max
+                } else {
+                    ma(rng.uniform_f64(0.0, i_max.get()))
+                }
+            });
+            if let Some(death) = varied {
+                assert!(death >= bound, "died at {death:?}, bound {bound:?}");
+                varied_deaths += 1;
+            }
+
+            let mut b = start.clone();
+            let limit = bound + BOUND_MARGIN + SimTime::from_secs(1);
+            let death = steps_to_death(&mut rng, &mut b, limit, |_| i_max).expect("dies");
+            assert!(
+                death >= bound && death <= bound + BOUND_MARGIN + SimTime::from_micros(2),
+                "constant I_max died at {death:?}, bound {bound:?}"
+            );
+        }
+        assert!(
+            varied_deaths > 200,
+            "only {varied_deaths} varied loads died by twice the bound"
         );
     }
 

@@ -68,8 +68,19 @@ pub trait Battery {
     /// microsecond before or after it.
     ///
     /// The simulator uses this to schedule a node's death *proactively*,
-    /// so exhaustion never has to be discovered retroactively.
+    /// so exhaustion never has to be discovered retroactively: near death
+    /// it re-arms the death event with this on every change of draw, and
+    /// further out it waits on [`Battery::death_lower_bound`].
     fn time_to_exhaustion(&self, current_ma: MilliAmps) -> Option<SimTime>;
+
+    /// A span from the present state that the battery outlives under
+    /// *any* load of at most `i_max`, however it varies. `None`, the
+    /// default, means the model proves no such bound, so the simulator
+    /// re-arms the exact [`Battery::time_to_exhaustion`] on every change
+    /// of draw.
+    fn death_lower_bound(&self, _i_max: MilliAmps) -> Option<SimTime> {
+        None
+    }
 }
 
 #[cfg(test)]

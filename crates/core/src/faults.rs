@@ -124,16 +124,6 @@ impl FaultProfile {
     pub fn has_brownouts(&self) -> bool {
         self.brownout_mean_interval > SimTime::ZERO && self.brownout_duration > SimTime::ZERO
     }
-
-    /// Whether per-node battery variance is enabled.
-    pub fn has_battery_variance(&self) -> bool {
-        self.capacity_std_frac > 0.0 || self.charge_spread_frac > 0.0
-    }
-
-    /// Whether this profile injects anything at all.
-    pub fn is_active(&self) -> bool {
-        self.has_link_faults() || self.has_brownouts() || self.has_battery_variance()
-    }
 }
 
 /// A fault environment bound to a seed: the complete description of one
@@ -271,8 +261,6 @@ mod tests {
         }
         assert!(FaultProfile::by_name("LOSSY").is_some(), "case-insensitive");
         assert!(FaultProfile::by_name("bogus").is_none());
-        assert!(!FaultProfile::none().is_active());
-        assert!(FaultProfile::lossy_link().is_active());
         assert!(FaultProfile::harsh().has_brownouts());
     }
 

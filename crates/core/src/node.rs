@@ -11,7 +11,7 @@ use dles_battery::{Battery, IdealBattery, KibamBattery, PeukertBattery, Rakhmato
 use dles_power::{
     CurrentModel, EnergyAccount, FreqLevel, LoadSegment, Mode, PowerMonitor, PowerState,
 };
-use dles_sim::{NullRecorder, Recorder, SimTime};
+use dles_sim::{EventId, NullRecorder, Recorder, SimTime};
 use dles_units::{MilliAmpHours, MilliAmps};
 
 use crate::metrics::NodeOutcome;
@@ -90,6 +90,19 @@ impl BatterySpec {
     }
 }
 
+/// How a node's pending death event is armed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DeathArm {
+    /// Far from death: a sentinel at `at`, which the battery outlives
+    /// under any draw the node can make ([`Battery::death_lower_bound`]).
+    /// Transitions leave it alone until they come near it.
+    Bound { at: SimTime, id: EventId },
+    /// Near death, or for a battery with no bound: the death under the
+    /// present draw, re-armed on every transition; `None` while the draw
+    /// never exhausts the battery, or once the node is dead.
+    Exact(Option<EventId>),
+}
+
 /// One simulated node.
 pub struct SimNode {
     /// The node's battery (dies with it).
@@ -106,6 +119,8 @@ pub struct SimNode {
     pub busy_until: SimTime,
     /// Time of battery exhaustion, once dead.
     pub death_time: Option<SimTime>,
+    /// The node's pending death event.
+    pub(crate) death: DeathArm,
 }
 
 impl SimNode {
@@ -119,20 +134,22 @@ impl SimNode {
             alive: true,
             busy_until: SimTime::ZERO,
             death_time: None,
+            death: DeathArm::Exact(None),
         }
     }
 
-    /// How long the battery can sustain the node's present draw; `None`
-    /// means indefinitely. The node's death event is armed this far ahead.
+    /// How long the battery, as settled at the node's last transition, can
+    /// sustain the present draw; `None` means indefinitely. An exactly
+    /// armed death event fires this far after that transition.
     pub fn time_to_death(&self) -> Option<SimTime> {
         self.battery.time_to_exhaustion(self.power.current_ma())
     }
 
     /// Transition to `(mode, level)` at `now`. Settles the completed power
     /// segment (emitted as a `power_segment` trace record of node index
-    /// `node`), then returns [`SimNode::time_to_death`] under the *new*
-    /// draw — the caller re-arms the node's death event accordingly. Must
-    /// not be called on a dead node.
+    /// `node`). It computes no time to death: the caller re-arms the
+    /// node's death event only when it is near. Must not be called on a
+    /// dead node.
     pub fn transition_recorded(
         &mut self,
         now: SimTime,
@@ -140,10 +157,9 @@ impl SimNode {
         level: FreqLevel,
         recorder: &mut dyn Recorder,
         node: usize,
-    ) -> Option<SimTime> {
+    ) {
         assert!(self.alive, "transition on a dead node");
         self.settle(now, Some((mode, level)), recorder, node);
-        self.time_to_death()
     }
 
     /// The battery is exhausted at exactly `now`: settle the final segment,
@@ -262,9 +278,11 @@ mod tests {
         )
     }
 
-    /// Untraced transition of `n` at `secs`.
+    /// Untraced transition of `n` at `secs`; returns the time to death
+    /// under the new draw.
     fn enter(n: &mut SimNode, secs: u64, mode: Mode, level: FreqLevel) -> Option<SimTime> {
-        n.transition_recorded(SimTime::from_secs(secs), mode, level, &mut NullRecorder, 0)
+        n.transition_recorded(SimTime::from_secs(secs), mode, level, &mut NullRecorder, 0);
+        n.time_to_death()
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! power state; serial lines are reserved through the hub's
 //! [`LinkSchedule`]; node deaths are scheduled *proactively* from the
 //! battery's time-to-exhaustion under the present draw, so exhaustion is
-//! located exactly.
+//! located exactly. Far from death a node waits on a sentinel at a lower
+//! bound of its death instead, so its transitions query the battery only
+//! once they come near it.
 //!
 //! The same world implements all four techniques: DVS during I/O is a
 //! [`DvsPolicy`]; partitioning is the share/level assignment; power-failure
@@ -20,7 +22,7 @@
 
 use crate::faults::{FaultPlan, FaultState, LinkFault};
 use crate::metrics::ExperimentResult;
-use crate::node::{component_of, BatterySpec, SimNode};
+use crate::node::{component_of, BatterySpec, DeathArm, SimNode};
 use crate::policy::{DvsPolicy, SchedulingPolicy};
 use crate::recovery::RecoveryConfig;
 use crate::rotation::RotationConfig;
@@ -29,13 +31,18 @@ use crate::workload::{NodeShare, SystemConfig};
 use dles_net::{link_component, Endpoint, LinkSchedule};
 use dles_power::{CurrentModel, FreqLevel, Mode};
 use dles_sim::{
-    Ctx, Engine, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime, TraceEvent,
-    World,
+    Ctx, Engine, EventId, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime,
+    TraceEvent, World,
 };
+use dles_units::MilliAmps;
 
 /// Tolerance added to the per-frame deadline before counting a miss
 /// (absorbs sub-millisecond rounding in transfer times).
 const DEADLINE_TOLERANCE: SimTime = SimTime(50_000); // 50 ms
+
+/// How near its death sentinel a node must come before the sentinel is
+/// recomputed, and how near its bound before it re-arms exactly.
+const DEATH_WINDOW: SimTime = SimTime::from_secs(60);
 
 /// Complete configuration of one pipeline experiment.
 #[derive(Debug, Clone)]
@@ -163,6 +170,11 @@ pub enum Ev {
         node: usize,
     },
     NodeDeath(usize),
+    /// A node's death sentinel: its battery outlives this instant under
+    /// any draw, so the handler only re-arms the node's death from the
+    /// state settled at its last transition. It settles nothing, traces
+    /// nothing and counts nothing.
+    DeathBound(usize),
     AckTimeout {
         node: usize,
         seq: u64,
@@ -312,8 +324,12 @@ pub struct PipelineWorld {
     /// Current period of [`SchedulingPolicy::AdaptivePeriod`], adapted at
     /// each wave from the observed SoC skew.
     adaptive_period: u64,
-    /// Per-node pending-death event, rescheduled on every transition.
-    death_events: Vec<Option<dles_sim::EventId>>,
+    /// The highest current any node can draw, over every mode and DVS
+    /// level: the load under which a battery's death lower bound holds.
+    i_max: MilliAmps,
+    /// Time of the last event other than a death sentinel; a run cut by
+    /// its horizon closes here.
+    last_event: SimTime,
     /// Monotone counters invalidating stale recv timeouts.
     recv_seq: Vec<u64>,
     /// Per-node monotone sequence for reliable data sends.
@@ -372,6 +388,11 @@ impl PipelineWorld {
                 SimNode::new(&spec, cfg.current_model.clone(), idle_level)
             })
             .collect();
+        let i_max = Mode::ALL
+            .iter()
+            .flat_map(|&mode| cfg.sys.dvs.iter().map(move |level| (mode, level)))
+            .map(|(mode, level)| cfg.current_model.current_ma(mode, level))
+            .fold(MilliAmps::ZERO, MilliAmps::max);
         let rng = cfg.jitter_seed.map(SimRng::seed_from_u64);
         let faults = cfg.faults.as_ref().map(|plan| FaultState::new(plan, n));
         PipelineWorld {
@@ -387,7 +408,8 @@ impl PipelineWorld {
             wave_outstanding: 0,
             last_rotation_frame: 0,
             adaptive_period: cfg.rotation.map(|r| r.period_frames).unwrap_or(0),
-            death_events: vec![None; n],
+            i_max,
+            last_event: SimTime::ZERO,
             recv_seq: vec![0; n],
             send_seq: vec![0; n],
             outstanding: vec![Vec::new(); n],
@@ -514,7 +536,7 @@ impl PipelineWorld {
     }
 
     /// Move a live node into `mode` at `level`: count and trace the
-    /// transition, then re-arm the node's death event for the new load.
+    /// transition, then re-arm the node's death event if it is near.
     fn enter(
         &mut self,
         ctx: &mut Ctx<Ev>,
@@ -536,14 +558,48 @@ impl PipelineWorld {
                 .record(ctx.now(), component_of(node)),
             );
         }
-        let ttd =
-            self.nodes[node].transition_recorded(ctx.now(), mode, level, ctx.recorder(), node);
-        if let Some(ev) = self.death_events[node].take() {
-            ctx.cancel(ev);
+        self.nodes[node].transition_recorded(ctx.now(), mode, level, ctx.recorder(), node);
+        // Exact mode follows the new draw. Bound mode leaves a sentinel
+        // beyond the window alone: no draw can bring the death before it.
+        let next = match self.nodes[node].death {
+            DeathArm::Bound { at, .. } if ctx.now() + DEATH_WINDOW < at => return,
+            DeathArm::Bound { id, .. } => {
+                ctx.cancel(id);
+                self.death_event(node, ctx.now())
+            }
+            DeathArm::Exact(pending) => {
+                if let Some(id) = pending {
+                    ctx.cancel(id);
+                }
+                self.exact_death_event(node)
+            }
+        };
+        self.nodes[node].death = push_death(next, |at, ev| ctx.schedule_at(at, ev));
+    }
+
+    /// The event that arms `node`'s death at `now`, from its battery as
+    /// settled at its last transition: a sentinel at the battery's death
+    /// lower bound while that lies beyond [`DEATH_WINDOW`], else the exact
+    /// death.
+    fn death_event(&self, node: usize, now: SimTime) -> Option<(SimTime, Ev)> {
+        #[cfg(test)]
+        if tests::exact_only() {
+            return self.exact_death_event(node);
         }
-        if let Some(ttd) = ttd {
-            self.death_events[node] = Some(ctx.schedule_in(ttd, Ev::NodeDeath(node)));
+        let n = &self.nodes[node];
+        let bound = n.battery.death_lower_bound(self.i_max);
+        match bound.map(|b| n.power.since() + b) {
+            Some(at) if at > now + DEATH_WINDOW => Some((at, Ev::DeathBound(node))),
+            _ => self.exact_death_event(node),
         }
+    }
+
+    /// `node`'s death under its present draw, from its battery as settled
+    /// at its last transition; `None` if that draw never exhausts it.
+    fn exact_death_event(&self, node: usize) -> Option<(SimTime, Ev)> {
+        let n = &self.nodes[node];
+        n.time_to_death()
+            .map(|ttd| (n.power.since() + ttd, Ev::NodeDeath(node)))
     }
 
     /// Plan a transfer: find the earliest slot where its serial lines and
@@ -853,6 +909,9 @@ impl World for PipelineWorld {
     type Event = Ev;
 
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
+        if !matches!(ev, Ev::DeathBound(_)) {
+            self.last_event = ctx.now();
+        }
         match ev {
             Ev::HostEmit => self.on_host_emit(ctx),
             Ev::XferStart(id) => self.on_xfer_start(ctx, id),
@@ -877,6 +936,7 @@ impl World for PipelineWorld {
             }
             Ev::LocalLoop { node } => self.on_local_loop(ctx, node),
             Ev::NodeDeath(node) => self.on_node_death(ctx, node),
+            Ev::DeathBound(node) => self.on_death_bound(ctx, node),
             Ev::AckTimeout { node, seq } => self.on_ack_timeout(ctx, node, seq),
             Ev::RecvTimeout { node, seq } => self.on_recv_timeout(ctx, node, seq),
             Ev::BrownoutStart(node) => self.on_brownout_start(ctx, node),
@@ -1212,6 +1272,14 @@ impl PipelineWorld {
         ctx.schedule_in(dur, Ev::LocalLoop { node });
     }
 
+    /// No transition of `node` came near its sentinel. Its battery has not
+    /// changed since its last transition, so re-arming from that state
+    /// gives the death time a transition there would have armed.
+    fn on_death_bound(&mut self, ctx: &mut Ctx<Ev>, node: usize) {
+        let next = self.death_event(node, ctx.now());
+        self.nodes[node].death = push_death(next, |at, ev| ctx.schedule_at(at, ev));
+    }
+
     fn on_node_death(&mut self, ctx: &mut Ctx<Ev>, node: usize) {
         if !self.nodes[node].alive {
             return;
@@ -1227,7 +1295,7 @@ impl PipelineWorld {
                 .record(ctx.now(), component_of(node)),
             );
         }
-        self.death_events[node] = None;
+        self.nodes[node].death = DeathArm::Exact(None);
         // A dead node can never run its pending doubling.
         if self.double_from_share[node].take().is_some() {
             self.wave_resolve_one();
@@ -1399,10 +1467,9 @@ pub fn build_engine_with(
     let mut engine = Engine::with_recorder(world, recorder);
     // Arm initial death events for the idle draw.
     for i in 0..n {
-        if let Some(ttd) = engine.world().nodes[i].time_to_death() {
-            let id = engine.schedule_at(ttd, Ev::NodeDeath(i));
-            engine.world_mut().death_events[i] = Some(id);
-        }
+        let next = engine.world().death_event(i, SimTime::ZERO);
+        let death = push_death(next, |at, ev| engine.schedule_at(at, ev));
+        engine.world_mut().nodes[i].death = death;
     }
     // Arm the first brownout per node when the fault plan injects them.
     let brownouts = engine
@@ -1451,8 +1518,21 @@ pub fn run_pipeline_with(cfg: PipelineConfig, recorder: Box<dyn Recorder>) -> Ex
         RunOutcome::QueueEmpty,
         "pipeline drained unexpectedly"
     );
-    let now = engine.now();
+    // A death sentinel is no event of the run: close at the last other.
+    let now = engine.world().last_event;
     engine.world_mut().result(now)
+}
+
+/// Push a node's next death event, if any, and say how it is armed.
+fn push_death(next: Option<(SimTime, Ev)>, push: impl FnOnce(SimTime, Ev) -> EventId) -> DeathArm {
+    match next {
+        Some((at, ev @ Ev::DeathBound(_))) => DeathArm::Bound {
+            at,
+            id: push(at, ev),
+        },
+        Some((at, ev)) => DeathArm::Exact(Some(push(at, ev))),
+        None => DeathArm::Exact(None),
+    }
 }
 
 #[cfg(test)]
@@ -1461,6 +1541,18 @@ mod tests {
     use crate::workload::NodeShare;
     use dles_atr::BlockRange;
     use dles_battery::packs::itsy_pack_b;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    thread_local! {
+        /// Arm every death exactly, as if no battery had a lower bound.
+        static EXACT_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether this test thread forces the exact death path.
+    pub(super) fn exact_only() -> bool {
+        EXACT_ONLY.with(Cell::get)
+    }
 
     fn base_config(label: &str) -> PipelineConfig {
         let sys = SystemConfig::paper();
@@ -2095,5 +2187,123 @@ mod tests {
         for c in all {
             assert!(seen.insert(c.key()), "{c:?} reuses the key {:?}", c.key());
         }
+    }
+
+    /// A trace sink that keeps only an FNV-1a hash and a byte count of
+    /// what it is written, so two full traces compare without a buffer.
+    #[derive(Clone)]
+    struct TraceHash(Rc<Cell<(u64, u64)>>);
+
+    impl TraceHash {
+        fn new() -> Self {
+            TraceHash(Rc::new(Cell::new((0xcbf2_9ce4_8422_2325, 0))))
+        }
+    }
+
+    impl std::io::Write for TraceHash {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let (mut hash, len) = self.0.get();
+            for &b in buf {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            self.0.set((hash, len + buf.len() as u64));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `cfg`'s full result, and its JSONL trace's hash and length when
+    /// `traced`, with deaths armed through the bound or, if `exact`,
+    /// exactly on every transition.
+    fn run_mode(cfg: &PipelineConfig, traced: bool, exact: bool) -> (String, Option<(u64, u64)>) {
+        EXACT_ONLY.with(|e| e.set(exact));
+        let sink = TraceHash::new();
+        let recorder: Box<dyn Recorder> = if traced {
+            Box::new(dles_sim::JsonlRecorder::to_writer(Box::new(sink.clone())))
+        } else {
+            Box::new(dles_sim::NullRecorder)
+        };
+        let result = run_pipeline_with(cfg.clone(), recorder);
+        EXACT_ONLY.with(|e| e.set(false));
+        (format!("{result:?}"), traced.then(|| sink.0.get()))
+    }
+
+    /// Bounded and exact arming must give the same run to the bit.
+    fn assert_modes_agree(cfg: &PipelineConfig, traced: bool) {
+        let bounded = run_mode(cfg, traced, false);
+        let exact = run_mode(cfg, traced, true);
+        assert!(
+            bounded == exact,
+            "{}: bounded and exact arming differ",
+            cfg.label
+        );
+    }
+
+    /// Bounded and exact arming give the same result on each of the
+    /// paper's experiments, run to battery death.
+    #[test]
+    fn bounded_death_arming_matches_exact_on_experiments_0a_to_2a() {
+        use crate::experiment::Experiment;
+        for e in &Experiment::ALL[..6] {
+            assert_modes_agree(&e.config(), false);
+        }
+    }
+
+    #[test]
+    fn bounded_death_arming_matches_exact_on_experiments_2b_2c() {
+        use crate::experiment::Experiment;
+        for e in &Experiment::ALL[6..] {
+            assert_modes_agree(&e.config(), false);
+        }
+    }
+
+    /// `cfg` on a tenth of its pack: the same schedule to an earlier
+    /// death, so a dev-profile test can afford its full JSONL trace.
+    fn small_pack(mut cfg: PipelineConfig) -> PipelineConfig {
+        cfg.battery = cfg.battery.scaled(0.1);
+        cfg
+    }
+
+    /// Bounded and exact arming give byte-identical traces.
+    #[test]
+    fn bounded_death_arming_matches_exact_traces() {
+        use crate::experiment::{policy_config, Experiment};
+        use crate::faults::FaultProfile;
+        for name in ["static", "soc-skew", "adaptive"] {
+            let policy = SchedulingPolicy::by_name(name).unwrap();
+            assert_modes_agree(&small_pack(policy_config(policy)), true);
+        }
+        let base = small_pack(Experiment::Exp2B.config());
+        let trial = crate::montecarlo::trial_config(&base, FaultProfile::lossy_link(), 42, 0);
+        assert_modes_agree(&trial, true);
+    }
+
+    #[test]
+    fn horizon_just_after_a_death_sentinel_closes_at_the_last_event() {
+        // Frames 200 s apart leave nodes idle for longer than the death
+        // window, so their sentinels fire between transitions.
+        let mut cfg = base_config("sparse");
+        cfg.sys.frame_delay = SimTime::from_secs(200);
+        let mut engine = build_engine(cfg.clone());
+        let fired = loop {
+            let before = engine.world().nodes[0].death;
+            assert!(engine.step(), "queue drained before any sentinel fired");
+            if let DeathArm::Bound { at, .. } = before {
+                if engine.now() == at {
+                    break at;
+                }
+            }
+        };
+        cfg.horizon = fired;
+        assert_modes_agree(&cfg, true);
+        let r = run_pipeline(cfg);
+        assert!(
+            r.lifetime < fired,
+            "closed at the sentinel, {:?}",
+            r.lifetime
+        );
     }
 }

@@ -40,6 +40,11 @@ impl PowerState {
         self.level
     }
 
+    /// When the present segment began: the last transition or finish.
+    pub fn since(&self) -> SimTime {
+        self.since
+    }
+
     /// Number of state transitions so far (a DVS-switching-overhead proxy).
     pub fn transitions(&self) -> u64 {
         self.transitions

@@ -117,12 +117,6 @@ impl<W: World> Engine<W> {
         }
     }
 
-    /// Swap the recorder (e.g. to start tracing mid-run), returning the
-    /// previous one.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) -> Box<dyn Recorder> {
-        std::mem::replace(&mut self.recorder, recorder)
-    }
-
     /// Access the recorder, e.g. to drain a memory recorder's records.
     pub fn recorder_mut(&mut self) -> &mut dyn Recorder {
         &mut *self.recorder
@@ -146,11 +140,6 @@ impl<W: World> Engine<W> {
     /// Mutable access to the model (for setup and inspection between runs).
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// Consume the engine, returning the model.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Schedule an event from outside a handler (setup phase).
