@@ -77,46 +77,21 @@ impl BlockRange {
         }
     }
 
-    pub fn start(&self) -> usize {
+    pub(crate) fn start(&self) -> usize {
         self.start
     }
 
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // ranges are non-empty by construction
-    }
-
     /// `true` if this range starts the chain (receives raw frames).
-    pub fn is_first(&self) -> bool {
+    pub(crate) fn is_first(&self) -> bool {
         self.start == 0
     }
 
-    /// `true` if this range ends the chain (sends final results).
-    pub fn is_last(&self) -> bool {
-        self.end == Block::COUNT
-    }
-
-    pub fn contains(&self, b: Block) -> bool {
-        (self.start..self.end).contains(&b.index())
-    }
-
     /// The blocks in this range, in dataflow order.
-    pub fn blocks(&self) -> impl Iterator<Item = Block> + '_ {
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Block> + '_ {
         Block::ALL[self.start..self.end].iter().copied()
     }
 
-    pub fn first_block(&self) -> Block {
-        Block::ALL[self.start]
-    }
-
-    pub fn last_block(&self) -> Block {
+    pub(crate) fn last_block(&self) -> Block {
         Block::ALL[self.end - 1]
     }
 
@@ -199,9 +174,9 @@ mod tests {
     #[test]
     fn full_range_covers_everything() {
         let r = BlockRange::full();
-        assert!(r.is_first() && r.is_last());
+        assert!(r.is_first() && r.end == Block::COUNT);
         assert_eq!(r.blocks().count(), 4);
-        assert_eq!(r.first_block(), Block::TargetDetection);
+        assert_eq!(r.blocks().next(), Some(Block::TargetDetection));
         assert_eq!(r.last_block(), Block::ComputeDistance);
     }
 
@@ -234,11 +209,11 @@ mod tests {
             for p in partitions(n) {
                 assert_eq!(p.len(), n);
                 assert!(p[0].is_first());
-                assert!(p[n - 1].is_last());
+                assert_eq!(p[n - 1].end, Block::COUNT);
                 for w in p.windows(2) {
-                    assert_eq!(w[0].end(), w[1].start(), "gap in partition");
+                    assert_eq!(w[0].end, w[1].start, "gap in partition");
                 }
-                let total: usize = p.iter().map(|r| r.len()).sum();
+                let total: usize = p.iter().map(|r| r.blocks().count()).sum();
                 assert_eq!(total, Block::COUNT);
             }
         }

@@ -13,9 +13,9 @@ pub struct Complex {
 }
 
 impl Complex {
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    #[cfg(test)]
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
     #[inline]
     pub const fn new(re: f64, im: f64) -> Self {
@@ -30,7 +30,7 @@ impl Complex {
 
     /// `r · e^{iθ}`.
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
         Complex {
             re: r * theta.cos(),
             im: r * theta.sin(),
@@ -39,12 +39,12 @@ impl Complex {
 
     /// The unit phasor `e^{iθ}` — FFT twiddle factors.
     #[inline]
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Self::from_polar(1.0, theta)
     }
 
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex {
             re: self.re,
             im: -self.im,
@@ -53,19 +53,19 @@ impl Complex {
 
     /// Squared magnitude `|z|²` (avoids the square root).
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude `|z|`.
-    #[inline]
-    pub fn abs(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 
     /// Scale by a real factor.
     #[inline]
-    pub fn scale(self, s: f64) -> Self {
+    pub(crate) fn scale(self, s: f64) -> Self {
         Complex {
             re: self.re * s,
             im: self.im * s,
@@ -165,7 +165,8 @@ mod tests {
 
     #[test]
     fn i_squared_is_minus_one() {
-        assert!(close(Complex::I * Complex::I, -Complex::ONE));
+        let i = Complex::new(0.0, 1.0);
+        assert!(close(i * i, -Complex::ONE));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::image::Image;
 /// Edge length of the square region of interest handed to the FFT block.
 /// Power of two (the FFT requirement) and large enough to contain the
 /// biggest rendition the scene generator paints (24 px) plus margin.
-pub const ROI_SIZE: usize = 32;
+pub(crate) const ROI_SIZE: usize = 32;
 
 /// A detected candidate region, centred on `(cx, cy)` in frame coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]

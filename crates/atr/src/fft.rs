@@ -98,7 +98,7 @@ pub fn fft2d_in_place(data: &mut [Complex], width: usize, height: usize, inverse
 
 /// Forward 2-D FFT of a real-valued image patch (convenience wrapper):
 /// embeds the reals into ℂ and transforms. Returns `(spectrum, flops)`.
-pub fn fft2d_real(pixels: &[f64], width: usize, height: usize) -> (Vec<Complex>, u64) {
+pub(crate) fn fft2d_real(pixels: &[f64], width: usize, height: usize) -> (Vec<Complex>, u64) {
     assert_eq!(pixels.len(), width * height);
     let mut buf: Vec<Complex> = pixels.iter().map(|&p| Complex::real(p)).collect();
     let flops = fft2d_in_place(&mut buf, width, height, false);

@@ -42,16 +42,8 @@ impl TemplateSpectra {
         TemplateSpectra { entries }
     }
 
-    pub fn classes(&self) -> impl Iterator<Item = TargetClass> + '_ {
-        self.entries.iter().map(|(c, _)| *c)
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -59,15 +51,6 @@ impl TemplateSpectra {
 #[derive(Debug, Clone)]
 pub struct FilteredSpectra {
     products: Vec<(TargetClass, Vec<Complex>)>,
-}
-
-impl FilteredSpectra {
-    /// Serialized size of the intermediate result on the wire, bytes
-    /// (half-spectrum at 16-bit fixed point — Hermitian symmetry halves a
-    /// real-input spectrum).
-    pub fn wire_bytes(&self) -> usize {
-        self.products.len() * (ROI_SIZE * (ROI_SIZE / 2 + 1)) * 4
-    }
 }
 
 /// The FFT block: transform a (normalized) ROI patch and apply each
@@ -245,16 +228,5 @@ mod tests {
             ifft_flops > fft_flops,
             "ifft {ifft_flops} <= fft {fft_flops}"
         );
-    }
-
-    #[test]
-    fn wire_bytes_are_plausible_intermediate_payload() {
-        let s = spectra();
-        let patch = patch_with(TargetClass::Tank);
-        let (filtered, _) = fft_block(&patch, &s);
-        // Half-spectra at 16-bit: in the ballpark of the paper's 7.5 KB
-        // intermediate payloads (same order of magnitude).
-        let kb = filtered.wire_bytes() as f64 / 1024.0;
-        assert!((2.0..16.0).contains(&kb), "wire size {kb} KB");
     }
 }

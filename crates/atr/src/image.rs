@@ -14,7 +14,7 @@ pub struct Image {
 
 impl Image {
     /// An all-zero image.
-    pub fn zeros(width: usize, height: usize) -> Self {
+    pub(crate) fn zeros(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "degenerate image dimensions");
         Image {
             width,
@@ -24,7 +24,8 @@ impl Image {
     }
 
     /// Wrap an existing pixel buffer (row-major, `width × height`).
-    pub fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Self {
         assert_eq!(pixels.len(), width * height, "pixel buffer size mismatch");
         Image {
             width,
@@ -41,14 +42,8 @@ impl Image {
         self.height
     }
 
-    pub fn pixels(&self) -> &[f64] {
+    pub(crate) fn pixels(&self) -> &[f64] {
         &self.pixels
-    }
-
-    /// Size of the image serialized at 8 bits/pixel, in bytes — the unit
-    /// the paper's payload figures use.
-    pub fn byte_size(&self) -> usize {
-        self.width * self.height
     }
 
     #[inline]
@@ -58,14 +53,14 @@ impl Image {
     }
 
     #[inline]
-    pub fn set(&mut self, x: usize, y: usize, v: f64) {
+    pub(crate) fn set(&mut self, x: usize, y: usize, v: f64) {
         debug_assert!(x < self.width && y < self.height);
         self.pixels[y * self.width + x] = v;
     }
 
     /// Add `v` to the pixel, ignoring out-of-bounds coordinates (used when
     /// painting targets that overlap the frame edge).
-    pub fn add_clipped(&mut self, x: isize, y: isize, v: f64) {
+    pub(crate) fn add_clipped(&mut self, x: isize, y: isize, v: f64) {
         if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
             self.pixels[y as usize * self.width + x as usize] += v;
         }
@@ -73,7 +68,7 @@ impl Image {
 
     /// Extract a `w × h` patch with its top-left corner at `(x0, y0)`,
     /// zero-padding where the patch exceeds the frame.
-    pub fn patch(&self, x0: isize, y0: isize, w: usize, h: usize) -> Image {
+    pub(crate) fn patch(&self, x0: isize, y0: isize, w: usize, h: usize) -> Image {
         let mut out = Image::zeros(w, h);
         for dy in 0..h {
             let sy = y0 + dy as isize;
@@ -92,19 +87,19 @@ impl Image {
     }
 
     /// Mean pixel value.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.pixels.iter().sum::<f64>() / self.pixels.len() as f64
     }
 
     /// Population variance of the pixel values.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         let m = self.mean();
         self.pixels.iter().map(|p| (p - m) * (p - m)).sum::<f64>() / self.pixels.len() as f64
     }
 
     /// Subtract the mean and scale to unit energy (zero image stays zero).
     /// Standard preprocessing before matched filtering.
-    pub fn normalized(&self) -> Image {
+    pub(crate) fn normalized(&self) -> Image {
         let m = self.mean();
         let energy: f64 = self.pixels.iter().map(|p| (p - m) * (p - m)).sum();
         let scale = if energy > 0.0 {
@@ -121,7 +116,7 @@ impl Image {
 
     /// Downsample by integer factor `f` (box filter) — the cheap first pass
     /// of the target-detection block.
-    pub fn downsample(&self, f: usize) -> Image {
+    pub(crate) fn downsample(&self, f: usize) -> Image {
         assert!(f > 0, "downsample factor must be positive");
         let w = (self.width / f).max(1);
         let h = (self.height / f).max(1);
@@ -153,14 +148,6 @@ mod tests {
         img.set(2, 1, 7.0);
         assert_eq!(img.get(2, 1), 7.0);
         assert_eq!(img.get(0, 0), 0.0);
-        assert_eq!(img.byte_size(), 12);
-    }
-
-    #[test]
-    fn default_frame_matches_paper_payload() {
-        // 128 × 80 @ 8bpp = 10 240 B ≈ the paper's 10.1 KB input frame.
-        let img = Image::zeros(128, 80);
-        assert_eq!(img.byte_size(), 10_240);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    ([`distance`]), composed in [`pipeline`]. Every block counts its
 //!    arithmetic work, so the relative block costs can be checked against
 //!    the paper's measurements deterministically.
-//! 2. The *measured profile* of Fig. 6 ([`profile`]): per-block latency at
+//! 2. The *measured profile* of Fig. 6 ([`AtrProfile`]): per-block latency at
 //!    206.4 MHz and communication payload bytes, which is what the
 //!    battery-lifetime simulator consumes.
 //!
@@ -42,14 +42,12 @@ pub mod detect;
 pub mod distance;
 pub mod fft;
 pub mod filter;
-pub mod image;
+pub(crate) mod image;
 pub mod pipeline;
-pub mod profile;
+pub(crate) mod profile;
 pub mod scene;
 pub mod template;
 
 pub use blocks::{Block, BlockRange};
-pub use complexnum::Complex;
-pub use image::Image;
-pub use pipeline::{AtrPipeline, AtrReport};
-pub use profile::{AtrProfile, BlockProfile};
+pub use pipeline::AtrPipeline;
+pub use profile::AtrProfile;

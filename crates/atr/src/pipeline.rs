@@ -33,10 +33,6 @@ impl AtrReport {
     pub fn flops(&self, block: Block) -> u64 {
         self.block_flops[block.index()]
     }
-
-    pub fn total_flops(&self) -> u64 {
-        self.block_flops.iter().sum()
-    }
 }
 
 /// The configured pipeline: template bank, spectra, scale ladder.
@@ -56,19 +52,6 @@ impl AtrPipeline {
             spectra: TemplateSpectra::build(&Template::bank()),
             scales: DEFAULT_SCALES.to_vec(),
         }
-    }
-
-    /// Override the detector configuration.
-    pub fn with_detect_config(mut self, cfg: DetectConfig) -> Self {
-        self.detect = cfg;
-        self
-    }
-
-    /// Override the distance scale ladder.
-    pub fn with_scales(mut self, scales: Vec<usize>) -> Self {
-        assert!(!scales.is_empty(), "empty scale ladder");
-        self.scales = scales;
-        self
     }
 
     /// Process one frame end to end.

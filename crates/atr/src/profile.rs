@@ -63,7 +63,7 @@ impl AtrProfile {
 
     /// Fig. 6 profile with the raw published per-block latencies
     /// (summing to 1.22 s).
-    pub fn paper_unscaled() -> Self {
+    pub(crate) fn paper_unscaled() -> Self {
         AtrProfile {
             blocks: [
                 BlockProfile {
@@ -120,12 +120,6 @@ impl AtrProfile {
     pub fn send_bytes(&self, range: BlockRange) -> u64 {
         self.block(range.last_block()).output_bytes
     }
-
-    /// Total communication payload of a node running `range`, bytes —
-    /// the "comm. payload" columns of Fig. 8.
-    pub fn comm_payload_bytes(&self, range: BlockRange) -> u64 {
-        self.recv_bytes(range) + self.send_bytes(range)
-    }
 }
 
 #[cfg(test)]
@@ -161,21 +155,23 @@ mod tests {
     #[test]
     fn payloads_reproduce_fig8_columns() {
         let p = AtrProfile::paper();
+        // A node's "comm. payload" column is what it receives plus what it sends.
+        let payload_kb = |r| (p.recv_bytes(r) + p.send_bytes(r)) as f64 / 1024.0;
         // Scheme 1: Node1 = (TD): 10.1 + 0.6 = 10.7 KB; Node2: 0.6 + 0.1 = 0.7 KB.
         let s1n1 = BlockRange::new(0, 1);
         let s1n2 = BlockRange::new(1, 4);
-        assert!((p.comm_payload_bytes(s1n1) as f64 / 1024.0 - 10.7).abs() < 0.05);
-        assert!((p.comm_payload_bytes(s1n2) as f64 / 1024.0 - 0.7).abs() < 0.05);
+        assert!((payload_kb(s1n1) - 10.7).abs() < 0.05);
+        assert!((payload_kb(s1n2) - 0.7).abs() < 0.05);
         // Scheme 2: Node1 = (TD+FFT): 10.1 + 7.5 = 17.6; Node2: 7.5 + 0.1 = 7.6.
         let s2n1 = BlockRange::new(0, 2);
         let s2n2 = BlockRange::new(2, 4);
-        assert!((p.comm_payload_bytes(s2n1) as f64 / 1024.0 - 17.6).abs() < 0.05);
-        assert!((p.comm_payload_bytes(s2n2) as f64 / 1024.0 - 7.6).abs() < 0.05);
+        assert!((payload_kb(s2n1) - 17.6).abs() < 0.05);
+        assert!((payload_kb(s2n2) - 7.6).abs() < 0.05);
         // Scheme 3 repeats the 17.6 / 7.6 split (Fig. 8, third row).
         let s3n1 = BlockRange::new(0, 3);
         let s3n2 = BlockRange::new(3, 4);
-        assert!((p.comm_payload_bytes(s3n1) as f64 / 1024.0 - 17.6).abs() < 0.05);
-        assert!((p.comm_payload_bytes(s3n2) as f64 / 1024.0 - 7.6).abs() < 0.05);
+        assert!((payload_kb(s3n1) - 17.6).abs() < 0.05);
+        assert!((payload_kb(s3n2) - 7.6).abs() < 0.05);
     }
 
     #[test]

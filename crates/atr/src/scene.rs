@@ -77,13 +77,15 @@ impl SceneBuilder {
         self
     }
 
-    pub fn clutter_blobs(mut self, n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn clutter_blobs(mut self, n: usize) -> Self {
         self.clutter_blobs = n;
         self
     }
 
     /// Allowed rendition sizes (min, max) in pixels.
-    pub fn size_range(mut self, min: usize, max: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn size_range(mut self, min: usize, max: usize) -> Self {
         assert!(min > 0 && min <= max, "invalid size range");
         self.size_range = (min, max);
         self

@@ -19,7 +19,8 @@ pub enum TargetClass {
 }
 
 impl TargetClass {
-    pub const ALL: [TargetClass; 3] = [TargetClass::Tank, TargetClass::Truck, TargetClass::Bunker];
+    pub(crate) const ALL: [TargetClass; 3] =
+        [TargetClass::Tank, TargetClass::Truck, TargetClass::Bunker];
 
     pub fn name(self) -> &'static str {
         match self {
@@ -43,11 +44,11 @@ pub struct Template {
 }
 
 /// Reference template edge length in pixels (square renditions).
-pub const TEMPLATE_SIZE: usize = 16;
+pub(crate) const TEMPLATE_SIZE: usize = 16;
 
 impl Template {
     /// Render the reference template for `class`.
-    pub fn render(class: TargetClass) -> Template {
+    pub(crate) fn render(class: TargetClass) -> Template {
         let s = TEMPLATE_SIZE;
         let mut img = Image::zeros(s, s);
         match class {
@@ -92,7 +93,7 @@ impl Template {
     /// Nearest-neighbour resampling of the reference rendition to
     /// `size × size` pixels — the appearance of this target at distance
     /// `reference_distance_m · TEMPLATE_SIZE / size`.
-    pub fn scaled(&self, size: usize) -> Image {
+    pub(crate) fn scaled(&self, size: usize) -> Image {
         assert!(size > 0, "template scale must be positive");
         let src = &self.image;
         let mut out = Image::zeros(size, size);
@@ -107,7 +108,7 @@ impl Template {
     }
 
     /// Distance (metres) implied by an apparent rendition of `size` pixels.
-    pub fn distance_for_size(&self, size: usize) -> f64 {
+    pub(crate) fn distance_for_size(&self, size: usize) -> f64 {
         assert!(size > 0);
         self.reference_distance_m * TEMPLATE_SIZE as f64 / size as f64
     }

@@ -56,7 +56,7 @@ pub struct CalibrationResult {
 }
 
 /// Predicted lifetime (hours) of a KiBaM battery under a profile.
-pub fn predict_hours(params: KibamParams, profile: &LoadProfile) -> f64 {
+pub(crate) fn predict_hours(params: KibamParams, profile: &LoadProfile) -> f64 {
     let mut b = KibamBattery::from_params(params);
     simulate_lifetime(&mut b, profile).lifetime.as_hours_f64()
 }
@@ -145,7 +145,7 @@ impl NelderMead {
         }
     }
 
-    pub fn best_point(&self) -> [f64; 3] {
+    pub(crate) fn best_point(&self) -> [f64; 3] {
         self.simplex[0].0
     }
 

@@ -25,11 +25,6 @@ impl IdealBattery {
             remaining_mah: MilliAmpHours::new(capacity_mah),
         }
     }
-
-    /// Remaining charge.
-    pub fn remaining_mah(&self) -> MilliAmpHours {
-        self.remaining_mah
-    }
 }
 
 impl Battery for IdealBattery {

@@ -99,23 +99,9 @@ impl KibamBattery {
         }
     }
 
-    pub fn params(&self) -> KibamParams {
-        self.params
-    }
-
-    /// Charge in the available well.
-    pub fn available_mah(&self) -> MilliAmpHours {
-        MilliAmpHours::new(self.q1)
-    }
-
-    /// Charge in the bound well.
-    pub fn bound_mah(&self) -> MilliAmpHours {
-        MilliAmpHours::new(self.q2)
-    }
-
     /// Charge stranded in the battery (both wells) right now — at death
     /// this is the paper's "loss of battery capacities".
-    pub fn stranded_mah(&self) -> MilliAmpHours {
+    pub(crate) fn stranded_mah(&self) -> MilliAmpHours {
         MilliAmpHours::new(self.q1 + self.q2)
     }
 
@@ -418,13 +404,10 @@ mod tests {
         let mut b = test_battery();
         b.discharge(SimTime::from_secs(3600), ma(300.0));
         let total = b.stranded_mah().get();
-        let q1_before = b.available_mah().get();
+        let q1_before = b.q1;
         b.discharge(SimTime::from_secs(3600), ma(0.0));
         assert!((b.stranded_mah().get() - total).abs() < 1e-9);
-        assert!(
-            b.available_mah().get() > q1_before,
-            "rest must refill the available well"
-        );
+        assert!(b.q1 > q1_before, "rest must refill the available well");
     }
 
     #[test]
@@ -434,7 +417,7 @@ mod tests {
         let total = b.stranded_mah().get();
         // Rest for a very long time: q1 → c·total.
         b.discharge(SimTime::from_secs(200 * 3600), ma(0.0));
-        assert!((b.available_mah().get() - 0.5 * total).abs() < 1e-6);
+        assert!((b.q1 - 0.5 * total).abs() < 1e-6);
     }
 
     #[test]
@@ -491,11 +474,11 @@ mod tests {
         let mut b = test_battery();
         run_to_death(&mut b, 800.0, 10);
         assert!(b.is_exhausted());
-        assert!(b.available_mah().get() < 1e-6);
+        assert!(b.q1 < 1e-6);
         assert!(
-            b.bound_mah().get() > 10.0,
+            b.q2 > 10.0,
             "high-rate death must strand bound charge, got {}",
-            b.bound_mah().get()
+            b.q2
         );
         assert!(b.delivered_mah().get() + b.stranded_mah().get() < 1000.0 + 1e-6);
     }
@@ -507,7 +490,7 @@ mod tests {
         match b.discharge(SimTime::from_secs(1_000_000), ma(200.0)) {
             DischargeOutcome::Exhausted { after } => {
                 // At the reported instant the available well is empty.
-                assert!(b.available_mah().get().abs() < 1e-6);
+                assert!(b.q1.abs() < 1e-6);
                 assert!(after > SimTime::ZERO);
             }
             DischargeOutcome::Survived => panic!("battery should have died"),
@@ -554,8 +537,8 @@ mod tests {
         run_to_death(&mut b, 500.0, 60);
         b.reset();
         assert!(!b.is_exhausted());
-        assert_eq!(b.available_mah().get(), 500.0);
-        assert_eq!(b.bound_mah().get(), 500.0);
+        assert_eq!(b.q1, 500.0);
+        assert_eq!(b.q2, 500.0);
     }
 
     #[test]
@@ -619,7 +602,7 @@ mod tests {
             DischargeOutcome::Exhausted { after } => {
                 assert!(after <= ttd);
                 assert!(ttd.as_hours_f64() - after.as_hours_f64() < 1e-6);
-                assert!(b.available_mah().get().abs() < 1e-6);
+                assert!(b.q1.abs() < 1e-6);
             }
             DischargeOutcome::Survived => {
                 // Bisection rounding may land death one microsecond past the
@@ -737,8 +720,8 @@ mod proptests {
                 let secs = rng.uniform_u64(1, 7199);
                 let i = rng.uniform_f64(0.0, 1000.0);
                 b.discharge(SimTime::from_secs(secs), ma(i));
-                assert!(b.available_mah().get() >= -1e-9);
-                assert!(b.bound_mah().get() >= -1e-9);
+                assert!(b.q1 >= -1e-9);
+                assert!(b.q2 >= -1e-9);
                 assert!(b.delivered_mah().get() <= 500.0 + 1e-6);
                 if b.is_exhausted() {
                     break;
@@ -768,7 +751,7 @@ mod proptests {
                 b.time_to_exhaustion(i),
                 expected,
                 "{what}: {:?} at {i:?}",
-                b.params()
+                b.params
             );
             self.states += 1;
             if let Some(t_upper) = b.exhaustion_bound(i) {

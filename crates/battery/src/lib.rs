@@ -23,8 +23,8 @@
 //!   (truncated modal form), for cross-model validation of the
 //!   conclusions.
 //!
-//! [`calibrate`] fits model parameters to measured lifetime anchors with
-//! Nelder–Mead, and [`packs`] holds the calibrated parameter sets for the
+//! [`calibrate_kibam`] fits model parameters to measured lifetime anchors
+//! with Nelder–Mead, and [`packs`] holds the calibrated parameter sets for the
 //! Itsy's 4 V lithium-ion pack.
 //!
 //! ```
@@ -42,20 +42,19 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
-pub mod ideal;
+pub(crate) mod calibrate;
+pub(crate) mod ideal;
 pub mod kibam;
-pub mod model;
+pub(crate) mod model;
 pub mod packs;
-pub mod peukert;
-pub mod profile;
+pub(crate) mod peukert;
+pub(crate) mod profile;
 pub mod rakhmatov;
 
-pub use calibrate::{calibrate_kibam, Anchor, CalibrationResult, NelderMead};
+pub use calibrate::{calibrate_kibam, Anchor, NelderMead};
 pub use ideal::IdealBattery;
 pub use kibam::KibamBattery;
-pub use model::{Battery, DischargeOutcome};
-pub use packs::{itsy_pack_a, itsy_pack_b, PackParams};
+pub use model::Battery;
 pub use peukert::PeukertBattery;
-pub use profile::{simulate_lifetime, Lifetime, LoadProfile, LoadStep};
+pub use profile::{simulate_lifetime, LoadProfile, LoadStep};
 pub use rakhmatov::{RakhmatovBattery, RvParams};

@@ -18,13 +18,6 @@ pub struct LoadStep {
 }
 
 impl LoadStep {
-    pub fn new(duration: SimTime, current_ma: f64) -> Self {
-        LoadStep {
-            duration,
-            current_ma: MilliAmps::new(current_ma),
-        }
-    }
-
     pub fn from_secs(secs: f64, current_ma: f64) -> Self {
         LoadStep {
             duration: SimTime::from_secs_f64(secs),
@@ -33,23 +26,13 @@ impl LoadStep {
     }
 }
 
-/// A load profile: a step sequence, run once or repeated until exhaustion.
+/// A load profile: a step sequence repeated until exhaustion.
 #[derive(Debug, Clone)]
 pub struct LoadProfile {
     steps: Vec<LoadStep>,
-    repeating: bool,
 }
 
 impl LoadProfile {
-    /// Run the steps once, then stop.
-    pub fn once(steps: Vec<LoadStep>) -> Self {
-        assert!(!steps.is_empty(), "empty load profile");
-        LoadProfile {
-            steps,
-            repeating: false,
-        }
-    }
-
     /// Cycle the steps until the battery dies.
     pub fn repeating(steps: Vec<LoadStep>) -> Self {
         assert!(!steps.is_empty(), "empty load profile");
@@ -57,10 +40,7 @@ impl LoadProfile {
             steps.iter().any(|s| s.duration > SimTime::ZERO),
             "repeating profile must have positive total duration"
         );
-        LoadProfile {
-            steps,
-            repeating: true,
-        }
+        LoadProfile { steps }
     }
 
     /// A single constant-current profile repeated forever.
@@ -68,16 +48,12 @@ impl LoadProfile {
         Self::repeating(vec![LoadStep::from_secs(60.0, current_ma)])
     }
 
-    pub fn steps(&self) -> &[LoadStep] {
+    pub(crate) fn steps(&self) -> &[LoadStep] {
         &self.steps
     }
 
-    pub fn is_repeating(&self) -> bool {
-        self.repeating
-    }
-
     /// Duration of one pass through the steps.
-    pub fn period(&self) -> SimTime {
+    pub(crate) fn period(&self) -> SimTime {
         self.steps
             .iter()
             .fold(SimTime::ZERO, |acc, s| acc + s.duration)
@@ -102,22 +78,21 @@ impl LoadProfile {
 /// Result of discharging a battery through a profile.
 #[derive(Debug, Clone, Copy)]
 pub struct Lifetime {
-    /// Time until exhaustion (or end of a non-repeating profile).
+    /// Time until exhaustion (or the 10-year cut-off).
     pub lifetime: SimTime,
     /// Whole profile periods completed before death.
     pub full_periods: u64,
     /// Charge delivered.
     pub delivered_mah: MilliAmpHours,
-    /// Whether the battery actually died (always true for repeating
-    /// profiles, which run to exhaustion).
+    /// Whether the battery actually died (false only at the cut-off).
     pub exhausted: bool,
 }
 
 /// Discharge `battery` through `profile` and report the lifetime.
 ///
-/// For a repeating profile this runs until the battery is exhausted; a
-/// pathological profile that never exhausts the battery (e.g. all-zero
-/// current) is cut off at 10 years of simulated time.
+/// This runs until the battery is exhausted; a pathological profile that
+/// never exhausts the battery (e.g. all-zero current) is cut off at 10
+/// years of simulated time.
 pub fn simulate_lifetime(battery: &mut dyn Battery, profile: &LoadProfile) -> Lifetime {
     const HORIZON: SimTime = SimTime(10 * 365 * 24 * SimTime::MICROS_PER_HOUR);
     let mut elapsed = SimTime::ZERO;
@@ -131,9 +106,6 @@ pub fn simulate_lifetime(battery: &mut dyn Battery, profile: &LoadProfile) -> Li
                     break 'outer;
                 }
             }
-        }
-        if !profile.is_repeating() {
-            break;
         }
         full_periods += 1;
         if elapsed >= HORIZON {
@@ -191,15 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn non_repeating_profile_can_survive() {
-        let mut b = IdealBattery::new(1000.0);
-        let p = LoadProfile::once(vec![LoadStep::from_secs(3600.0, 100.0)]);
-        let life = simulate_lifetime(&mut b, &p);
-        assert!(!life.exhausted);
-        assert!((life.delivered_mah.get() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn kibam_pulsed_profile_outlives_constant_mean() {
         // Recovery effect at the profile level: the pulsed 1A-style frame
         // must outlive a constant load at the same *on* current's average.
@@ -226,7 +189,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty load profile")]
     fn empty_profile_rejected() {
-        let _ = LoadProfile::once(vec![]);
+        let _ = LoadProfile::repeating(vec![]);
     }
 
     #[test]

@@ -64,21 +64,6 @@ pub struct RakhmatovBattery {
 }
 
 impl RakhmatovBattery {
-    pub fn new(alpha_mah: f64, beta_sq: f64) -> Self {
-        Self::from_params(RvParams {
-            alpha_mah: MilliAmpHours::new(alpha_mah),
-            beta_sq,
-            modes: 10,
-        })
-    }
-
-    /// A pack roughly comparable to the calibrated Itsy pack B: same
-    /// apparent capacity, diffusion rate chosen so the unavailable charge
-    /// at the ATR workload's currents is a moderate capacity fraction.
-    pub fn itsy_like() -> Self {
-        Self::new(963.2, 2.0)
-    }
-
     pub fn from_params(params: RvParams) -> Self {
         assert!(params.alpha_mah.get() > 0.0, "alpha must be positive");
         assert!(params.beta_sq > 0.0, "beta^2 must be positive");
@@ -95,14 +80,10 @@ impl RakhmatovBattery {
         }
     }
 
-    pub fn params(&self) -> RvParams {
-        self.params
-    }
-
     /// Charge currently *unavailable* due to diffusion gradients
     /// (resolved modes only; the tail is attributed at the instantaneous
     /// current inside `sigma_at`).
-    pub fn unavailable_mah(&self) -> MilliAmpHours {
+    pub(crate) fn unavailable_mah(&self) -> MilliAmpHours {
         MilliAmpHours::new(2.0 * self.y.iter().sum::<f64>())
     }
 
@@ -227,8 +208,16 @@ mod tests {
         MilliAmps::new(v)
     }
 
+    fn battery(alpha_mah: f64, beta_sq: f64) -> RakhmatovBattery {
+        RakhmatovBattery::from_params(RvParams {
+            alpha_mah: MilliAmpHours::new(alpha_mah),
+            beta_sq,
+            modes: 10,
+        })
+    }
+
     fn test_battery() -> RakhmatovBattery {
-        RakhmatovBattery::new(1000.0, 2.0)
+        battery(1000.0, 2.0)
     }
 
     fn run_to_death(b: &mut RakhmatovBattery, current: f64, step_s: u64) -> f64 {
@@ -382,6 +371,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha must be positive")]
     fn invalid_alpha_rejected() {
-        let _ = RakhmatovBattery::new(0.0, 0.3);
+        let _ = battery(0.0, 0.3);
     }
 }

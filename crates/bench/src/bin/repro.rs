@@ -57,6 +57,7 @@ use dles_core::timeline::{capture_timeline, render_timeline};
 use dles_core::workload::SystemConfig;
 use dles_power::CurrentModel;
 use dles_sim::{JsonlRecorder, SimTime};
+use std::num::NonZeroUsize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,7 +99,9 @@ fn main() {
             }
             "--trials" => {
                 i += 1;
-                trials = parse_num(args.get(i), "--trials");
+                let n: NonZeroUsize =
+                    parse_num(args.get(i), "--trials needs a number of at least 1");
+                trials = n.get();
             }
             "--faults" => {
                 i += 1;
@@ -112,15 +115,15 @@ fn main() {
             }
             "--seed" => {
                 i += 1;
-                master_seed = parse_num(args.get(i), "--seed");
+                master_seed = parse_num(args.get(i), "--seed needs a number");
             }
             "--threads" => {
                 i += 1;
-                threads = parse_num(args.get(i), "--threads");
+                threads = parse_num(args.get(i), "--threads needs a number");
             }
             "--horizon-s" => {
                 i += 1;
-                horizon_s = Some(parse_num(args.get(i), "--horizon-s"));
+                horizon_s = Some(parse_num(args.get(i), "--horizon-s needs a number"));
             }
             "--no-recovery" => no_recovery = true,
             "--policy" => {
@@ -267,10 +270,11 @@ fn run_sweep_study(name: &str, sys: &SystemConfig, threads: usize) {
     }
 }
 
-/// Parse a numeric flag argument or exit with a usage error.
-fn parse_num<T: std::str::FromStr>(arg: Option<&String>, flag: &str) -> T {
+/// Parse a numeric flag argument, or print `need` and exit 2 (a usage
+/// error).
+fn parse_num<T: std::str::FromStr>(arg: Option<&String>, need: &str) -> T {
     arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs a number");
+        eprintln!("{need}");
         std::process::exit(2);
     })
 }

@@ -1,0 +1,16 @@
+//! The `repro` binary rejects bad flag values with one line on stderr and
+//! exit code 2, never with a panic.
+
+use std::process::Command;
+
+#[test]
+fn zero_monte_carlo_trials_exit_2_without_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--montecarlo", "--trials", "0"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("at least 1"), "stderr: {stderr}");
+}

@@ -119,7 +119,7 @@ impl Experiment {
 
     /// The paper's normalized battery-life ratio, percent (Fig. 10);
     /// `None` for the non-comparable no-I/O runs.
-    pub fn paper_rnorm_percent(self) -> Option<f64> {
+    pub(crate) fn paper_rnorm_percent(self) -> Option<f64> {
         match self {
             Experiment::Exp0A | Experiment::Exp0B => None,
             Experiment::Exp1 => Some(100.0),

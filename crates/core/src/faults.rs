@@ -71,7 +71,7 @@ impl FaultProfile {
     }
 
     /// Healthy links, flaky power: periodic transient brownouts.
-    pub fn brownout() -> Self {
+    pub(crate) fn brownout() -> Self {
         FaultProfile {
             brownout_mean_interval: SimTime::from_secs(600),
             brownout_duration: SimTime::from_secs(5),
@@ -80,7 +80,7 @@ impl FaultProfile {
     }
 
     /// Per-node battery variance only (manufacturing + state-of-charge).
-    pub fn battery_variance() -> Self {
+    pub(crate) fn battery_variance() -> Self {
         FaultProfile {
             capacity_std_frac: 0.05,
             charge_spread_frac: 0.05,
@@ -89,7 +89,7 @@ impl FaultProfile {
     }
 
     /// Everything at once.
-    pub fn harsh() -> Self {
+    pub(crate) fn harsh() -> Self {
         FaultProfile {
             brownout_mean_interval: SimTime::from_secs(900),
             brownout_duration: SimTime::from_secs(5),
@@ -121,7 +121,7 @@ impl FaultProfile {
     }
 
     /// Whether brownouts are enabled.
-    pub fn has_brownouts(&self) -> bool {
+    pub(crate) fn has_brownouts(&self) -> bool {
         self.brownout_mean_interval > SimTime::ZERO && self.brownout_duration > SimTime::ZERO
     }
 }
@@ -239,13 +239,13 @@ impl FaultState {
     }
 
     /// The next brownout arrival interval: uniform in `[0.5, 1.5] × mean`.
-    pub fn next_brownout_interval(&mut self) -> SimTime {
+    pub(crate) fn next_brownout_interval(&mut self) -> SimTime {
         let mean = self.profile.brownout_mean_interval.as_micros();
         SimTime::from_micros(self.brownout_rng.uniform_u64(mean / 2, mean + mean / 2))
     }
 
     /// Whether `node` is browned out at `now`.
-    pub fn is_offline(&self, node: usize, now: SimTime) -> bool {
+    pub(crate) fn is_offline(&self, node: usize, now: SimTime) -> bool {
         self.offline_until[node] > now
     }
 }

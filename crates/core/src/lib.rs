@@ -25,7 +25,7 @@
 //! * [`montecarlo`] — the Monte Carlo robustness harness: N seeded trials
 //!   under a fault profile, sharded across threads, reproducibly
 //!   aggregated;
-//! * [`recovery`] — power-failure recovery configuration (§5.4);
+//! * `recovery` — power-failure recovery configuration (§5.4);
 //! * [`rotation`] — node-rotation configuration (§5.5);
 //! * [`metrics`] — the paper's metrics `T(N)`, `F(N)`, `T_norm`, `R_norm`
 //!   (§4.5);
@@ -54,7 +54,7 @@ pub mod node;
 pub mod partition;
 pub mod pipeline;
 pub mod policy;
-pub mod recovery;
+pub(crate) mod recovery;
 pub mod report;
 pub mod rotation;
 pub mod scale;
@@ -63,19 +63,11 @@ pub mod timeline;
 mod transaction;
 pub mod workload;
 
-pub use experiment::{policy_config, run_experiment, Experiment};
-pub use faults::{FaultPlan, FaultProfile, LinkFault};
+pub use experiment::policy_config;
+pub use faults::FaultProfile;
 pub use metrics::ExperimentResult;
-pub use montecarlo::{
-    render_montecarlo, run_monte_carlo, MonteCarloConfig, MonteCarloReport, TrialOutcome,
-};
-pub use partition::{analyze_partition, best_partition, fig8_schemes, PartitionAnalysis};
+pub use montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig, MonteCarloReport};
 pub use pipeline::{
     build_engine, build_engine_with, run_pipeline, run_pipeline_with, PipelineConfig, PipelineWorld,
 };
-pub use policy::{DvsPolicy, SchedulingPolicy};
-pub use sweep::{
-    fig8_lifetime_sweep, policy_lifetime_sweep, render_fig8_sweep, render_policy_sweep, Fig8Row,
-    PolicyRow,
-};
-pub use workload::{NodeShare, SystemConfig};
+pub use workload::SystemConfig;

@@ -5,7 +5,7 @@
 //! aggregates the lifetime / frames / deadline-miss distributions.
 //!
 //! Determinism contract: each trial's seeds are a pure function of
-//! `(master_seed, trial index)` — [`trial_seeds`] forks the master stream
+//! `(master_seed, trial index)` — `trial_seeds` forks the master stream
 //! per trial — and the trials run through [`dles_sim::par_map`]
 //! (index-ordered result slots), so the aggregated report is
 //! **byte-identical regardless of the worker count**.
@@ -32,7 +32,7 @@ pub struct MonteCarloConfig {
 
 /// The `(jitter_seed, fault_seed)` pair of one trial: a pure function of
 /// the master seed and the trial index.
-pub fn trial_seeds(master_seed: u64, trial: usize) -> (u64, u64) {
+pub(crate) fn trial_seeds(master_seed: u64, trial: usize) -> (u64, u64) {
     let mut stream = SimRng::seed_from_u64(master_seed).fork(trial as u64);
     (stream.next_u64(), stream.next_u64())
 }

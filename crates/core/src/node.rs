@@ -56,16 +56,6 @@ impl BatterySpec {
         }
     }
 
-    /// Nominal capacity of the pack this spec describes.
-    pub fn capacity_mah(&self) -> MilliAmpHours {
-        match *self {
-            BatterySpec::Kibam(p) => p.capacity_mah,
-            BatterySpec::Rakhmatov(p) => p.alpha_mah,
-            BatterySpec::Ideal { capacity_mah } => capacity_mah,
-            BatterySpec::Peukert { capacity_mah, .. } => capacity_mah,
-        }
-    }
-
     /// The same chemistry with its capacity scaled by `factor` — per-node
     /// manufacturing variance or a reduced initial state of charge (the
     /// fault-injection layer models both as a smaller pack).
@@ -104,7 +94,7 @@ pub(crate) enum DeathArm {
 }
 
 /// One simulated node.
-pub struct SimNode {
+pub(crate) struct SimNode {
     /// The node's battery (dies with it).
     pub battery: Box<dyn Battery>,
     /// CPU power state machine.
@@ -125,7 +115,7 @@ pub struct SimNode {
 
 impl SimNode {
     /// A fresh node idling at `idle_level`.
-    pub fn new(spec: &BatterySpec, model: CurrentModel, idle_level: FreqLevel) -> Self {
+    pub(crate) fn new(spec: &BatterySpec, model: CurrentModel, idle_level: FreqLevel) -> Self {
         SimNode {
             battery: spec.build(),
             power: PowerState::new(model, Mode::Idle, idle_level),
@@ -141,7 +131,7 @@ impl SimNode {
     /// How long the battery, as settled at the node's last transition, can
     /// sustain the present draw; `None` means indefinitely. An exactly
     /// armed death event fires this far after that transition.
-    pub fn time_to_death(&self) -> Option<SimTime> {
+    pub(crate) fn time_to_death(&self) -> Option<SimTime> {
         self.battery.time_to_exhaustion(self.power.current_ma())
     }
 
@@ -150,7 +140,7 @@ impl SimNode {
     /// `node`). It computes no time to death: the caller re-arms the
     /// node's death event only when it is near. Must not be called on a
     /// dead node.
-    pub fn transition_recorded(
+    pub(crate) fn transition_recorded(
         &mut self,
         now: SimTime,
         mode: Mode,
@@ -164,7 +154,7 @@ impl SimNode {
 
     /// The battery is exhausted at exactly `now`: settle the final segment,
     /// emit its `power_segment` record and mark the node dead.
-    pub fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
+    pub(crate) fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
         assert!(self.alive, "node died twice");
         let current = self.settle(now, None, recorder, node);
         // `now` came from time_to_exhaustion rounded to the microsecond, so
@@ -186,7 +176,7 @@ impl SimNode {
 
     /// Close instrumentation at the end of an experiment for a node that
     /// survived.
-    pub fn finish(&mut self, now: SimTime) {
+    pub(crate) fn finish(&mut self, now: SimTime) {
         if self.alive {
             self.settle(now, None, &mut NullRecorder, 0);
         }
@@ -240,17 +230,17 @@ impl SimNode {
     /// policy observes. Settled as of the node's last power transition
     /// (the estimator is deterministic, not clairvoyant: mid-segment draw
     /// has not been integrated yet).
-    pub fn soc_estimate(&self) -> dles_units::StateOfCharge {
+    pub(crate) fn soc_estimate(&self) -> dles_units::StateOfCharge {
         self.battery.soc_estimate()
     }
 
     /// Charge remaining in the battery (both wells / equivalent).
-    pub fn stranded_mah(&self) -> MilliAmpHours {
+    pub(crate) fn stranded_mah(&self) -> MilliAmpHours {
         self.battery.state_of_charge() * self.battery.nominal_capacity_mah()
     }
 
     /// Snapshot the node's outcome for reporting.
-    pub fn outcome(&self) -> NodeOutcome {
+    pub(crate) fn outcome(&self) -> NodeOutcome {
         NodeOutcome {
             death_time: self.death_time,
             delivered_mah: self.battery.delivered_mah(),
@@ -382,7 +372,7 @@ mod tests {
             reference_ma: MilliAmps::new(5.0),
             exponent: 1.2,
         };
-        assert_eq!(p.capacity_mah(), MilliAmpHours::new(10.0));
+        assert_eq!(p.build().nominal_capacity_mah(), MilliAmpHours::new(10.0));
         assert!(p.build().time_to_exhaustion(MilliAmps::new(5.0)).is_some());
     }
 
@@ -391,7 +381,7 @@ mod tests {
         let spec = BatterySpec::Kibam(itsy_pack_b().kibam);
         let half = spec.scaled(0.5);
         assert!(
-            (half.capacity_mah() - spec.capacity_mah() * 0.5)
+            (half.build().nominal_capacity_mah() - spec.build().nominal_capacity_mah() * 0.5)
                 .abs()
                 .get()
                 < 1e-9
@@ -404,6 +394,9 @@ mod tests {
             capacity_mah: MilliAmpHours::new(8.0),
         }
         .scaled(0.25);
-        assert_eq!(ideal.capacity_mah(), MilliAmpHours::new(2.0));
+        assert_eq!(
+            ideal.build().nominal_capacity_mah(),
+            MilliAmpHours::new(2.0)
+        );
     }
 }

@@ -44,42 +44,8 @@ impl PartitionAnalysis {
     }
 
     /// Total cross-link payload per frame, bytes (internal + external).
-    pub fn total_comm_payload(&self) -> u64 {
+    pub(crate) fn total_comm_payload(&self) -> u64 {
         self.shares.iter().map(|s| s.comm_payload_bytes()).sum()
-    }
-
-    pub fn n_nodes(&self) -> usize {
-        self.shares.len()
-    }
-
-    /// Per-serial-line utilization over one frame period: the fraction of
-    /// `D` each node's line to the host is busy. Node *i*'s line carries
-    /// its own RECV and SEND, and — because node-to-node traffic is
-    /// IP-forwarded through the host (Fig. 5) — also the neighbouring
-    /// transfer on the other side of each internal hop. Utilization ≥ 1
-    /// means the schedule cannot fit: the saturation §5.3 warns about
-    /// ("additional communication can potentially saturate the network").
-    pub fn link_utilization(&self, sys: &SystemConfig) -> Vec<f64> {
-        let d = sys.frame_delay.as_secs_f64();
-        let n = self.shares.len();
-        (0..n)
-            .map(|i| {
-                let mut busy = self.shares[i].recv_time(&sys.serial).as_secs_f64()
-                    + self.shares[i].send_time(&sys.serial).as_secs_f64();
-                // Internal hops occupy both endpoints' lines: the transfer
-                // into node i also busies node i-1's line (already counted
-                // there as its send); nothing extra to add — but transfers
-                // *between other nodes* never touch line i, so the per-line
-                // sum above is complete.
-                busy /= d;
-                busy
-            })
-            .collect()
-    }
-
-    /// `true` when every line's utilization is strictly below 1.
-    pub fn network_feasible(&self, sys: &SystemConfig) -> bool {
-        self.link_utilization(sys).iter().all(|&u| u < 1.0)
     }
 }
 
@@ -111,7 +77,7 @@ pub fn analyze_partition(
 }
 
 /// The three 2-node schemes of Fig. 8, analyzed, in the figure's order.
-pub fn fig8_schemes(sys: &SystemConfig) -> Vec<PartitionAnalysis> {
+pub(crate) fn fig8_schemes(sys: &SystemConfig) -> Vec<PartitionAnalysis> {
     partitions(2)
         .iter()
         .map(|ranges| analyze_partition(sys, ranges, SimTime::ZERO))
@@ -200,7 +166,7 @@ mod tests {
     fn single_node_partition_is_the_baseline() {
         let s = sys();
         let best = best_partition(&s, 1).expect("baseline feasible");
-        assert_eq!(best.n_nodes(), 1);
+        assert_eq!(best.shares.len(), 1);
         assert_eq!(
             best.levels[0].unwrap().freq_mhz.mhz(),
             206.4,
@@ -261,7 +227,7 @@ mod tests {
         let best = best_partition(&s, 4);
         assert!(best.is_some());
         let best = best.unwrap();
-        assert_eq!(best.n_nodes(), 4);
+        assert_eq!(best.shares.len(), 4);
         // Every node at or below the scheme-1 Node2 level's successor —
         // distributed DVS opportunity widens with more nodes.
         for l in &best.levels {
@@ -273,29 +239,5 @@ mod tests {
     #[should_panic(expected = "empty partition")]
     fn empty_partition_rejected() {
         let _ = analyze_partition(&sys(), &[], SimTime::ZERO);
-    }
-
-    #[test]
-    fn scheme1_link_utilization_is_asymmetric_and_feasible() {
-        let s = sys();
-        let schemes = fig8_schemes(&s);
-        let util = schemes[0].link_utilization(&s);
-        // Node1's line carries the 10.1 KB frames (~54% of D); Node2's
-        // line only the small internal + result payloads (~10%).
-        assert!((util[0] - 0.54).abs() < 0.05, "line1 {util:?}");
-        assert!(util[1] < 0.15, "line2 {util:?}");
-        assert!(schemes[0].network_feasible(&s));
-    }
-
-    #[test]
-    fn slow_link_saturates_the_network() {
-        let mut s = sys();
-        s.serial = s.serial.with_effective_bps(30_000.0);
-        let schemes = fig8_schemes(&s);
-        assert!(
-            !schemes[0].network_feasible(&s),
-            "30 kbps cannot carry the frame traffic within D: {:?}",
-            schemes[0].link_utilization(&s)
-        );
     }
 }

@@ -10,7 +10,7 @@
 //! The paper's rotation (§5.5/§6.7) uses a *fixed* period of 100 frames.
 //! [`SchedulingPolicy`] generalizes that: adaptive variants observe the
 //! per-node state-of-charge estimates
-//! ([`crate::node::SimNode::soc_estimate`]) and decide online when the
+//! (`SimNode::soc_estimate`) and decide online when the
 //! next rotation wave should launch. The `Static` variant defers entirely
 //! to the configured [`DvsPolicy`] and
 //! [`crate::rotation::RotationConfig`], reproducing the paper's behaviour

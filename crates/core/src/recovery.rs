@@ -38,7 +38,7 @@ pub struct RecoveryConfig {
 impl RecoveryConfig {
     /// Defaults scaled to the paper's timing: ack wait of 2× the
     /// worst-case ack, receive timeout of two frame delays.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         RecoveryConfig {
             ack_wait: SimTime::from_millis(200),
             recv_timeout: SimTime::from_secs_f64(2.0 * 2.3),

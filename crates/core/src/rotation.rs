@@ -46,7 +46,7 @@ impl RotationConfig {
 
     /// Is `frame` a rotation frame? Frame 0 never rotates (nothing to
     /// balance yet).
-    pub fn triggers_on(&self, frame: u64) -> bool {
+    pub(crate) fn triggers_on(&self, frame: u64) -> bool {
         frame > 0 && frame % self.period_frames == 0
     }
 }

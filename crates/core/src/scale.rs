@@ -6,22 +6,13 @@
 //! I/O, optional rotation — and runs them to battery exhaustion as one
 //! [`crate::sweep`] fan-out: in parallel across configurations, with
 //! byte-identical output for any worker count.
-//!
-//! It also provides *lifetime-based* partition selection
-//! ([`best_partition_by_lifetime`]): instead of ranking schemes by the
-//! CMOS power proxy `Σ f·V²` (which optimizes global energy, exactly the
-//! trap §6.4 documents), rank them by the simulated lifetime of their
-//! first-failing battery.
 
 use crate::experiment::Experiment;
-use crate::partition::{analyze_partition, PartitionAnalysis};
 use crate::pipeline::PipelineConfig;
 use crate::policy::DvsPolicy;
 use crate::rotation::RotationConfig;
 use crate::sweep::run_jobs;
 use crate::workload::SystemConfig;
-use dles_atr::blocks::partitions;
-use dles_sim::SimTime;
 use dles_units::Hours;
 
 /// One row of the N-node scaling study. Node counts with no feasible
@@ -124,63 +115,6 @@ pub fn scaling_study(sys: &SystemConfig, max_nodes: usize, threads: usize) -> Ve
     rows
 }
 
-/// Rank every feasible N-node partition by *simulated system lifetime*
-/// (time to first battery failure) instead of the power proxy, and return
-/// the winner with its lifetime in hours. Candidates are simulated
-/// concurrently, one worker per core.
-///
-/// This is the fix for the paper's §6.4 observation: "Minimizing global
-/// energy does not guarantee to extend the lifetime for all batteries."
-pub fn best_partition_by_lifetime(
-    sys: &SystemConfig,
-    n: usize,
-    policy: DvsPolicy,
-) -> Option<(PartitionAnalysis, f64)> {
-    let candidates: Vec<PartitionAnalysis> = partitions(n)
-        .iter()
-        .map(|ranges| analyze_partition(sys, ranges, SimTime::ZERO))
-        .filter(PartitionAnalysis::is_feasible)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let jobs: Vec<PipelineConfig> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, cand)| {
-            let mut cfg = Experiment::Exp2.config();
-            cfg.label = format!("{n}-node candidate {i}");
-            cfg.sys = sys.clone();
-            cfg.shares = cand.shares.clone();
-            cfg.levels = cand.levels.iter().map(|l| l.expect("feasible")).collect();
-            cfg.policy = policy;
-            cfg
-        })
-        .collect();
-    let lifetimes: Vec<f64> = run_jobs(&jobs, 0).iter().map(|r| r.life_hours()).collect();
-    // Single ranking path: every lifetime comparison in this module goes
-    // through `best_lifetime_index`, so candidate selection and any
-    // caller-side re-ranking of the same vector cannot disagree.
-    let best_idx = best_lifetime_index(&lifetimes)?;
-    Some((candidates[best_idx].clone(), lifetimes[best_idx]))
-}
-
-/// THE lifetime-ranking helper: index of the longest lifetime, NaN-safe
-/// and deterministic. NaN entries (a candidate whose simulation produced
-/// no defined lifetime) are ignored rather than panicking or outranking
-/// `+inf`, and ties resolve to the lowest index so the ranking is stable
-/// regardless of how the candidate list is walked. Both
-/// [`best_partition_by_lifetime`] and every report-side re-ranking must
-/// go through this function — the property test below pins the agreement.
-pub fn best_lifetime_index(lifetimes: &[f64]) -> Option<usize> {
-    lifetimes
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_nan())
-        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i)
-}
-
 /// Render the scaling study as a text table.
 pub fn render_scaling(rows: &[ScaleRow]) -> String {
     use std::fmt::Write as _;
@@ -224,7 +158,6 @@ pub fn render_scaling(rows: &[ScaleRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dles_sim::SimRng;
 
     #[test]
     fn n_node_configs_build_for_all_supported_sizes() {
@@ -233,85 +166,6 @@ mod tests {
             let cfg = n_node_config(&sys, n, DvsPolicy::DvsDuringIo, None)
                 .unwrap_or_else(|| panic!("{n}-node partition should be feasible"));
             assert_eq!(cfg.n_nodes(), n);
-        }
-    }
-
-    #[test]
-    fn lifetime_ranking_returns_a_feasible_scheme() {
-        let sys = SystemConfig::paper();
-        let (best, hours) =
-            best_partition_by_lifetime(&sys, 2, DvsPolicy::FixedLevel).expect("feasible");
-        assert!(best.is_feasible());
-        assert!(hours > 10.0, "2-node lifetime {hours} h");
-        // For the paper's workload the proxy-best and lifetime-best
-        // coincide (scheme 1 wins on both counts) — the interesting
-        // divergence cases are exercised in the ablation bench with
-        // modified link speeds.
-        let proxy_best = crate::partition::best_partition(&sys, 2).unwrap();
-        assert_eq!(best.shares[0].range, proxy_best.shares[0].range);
-    }
-
-    #[test]
-    fn lifetime_ranking_ties_break_to_the_lowest_index() {
-        // Pre-fix, `max_by` kept the *last* maximum, so the winner
-        // depended on candidate enumeration order.
-        assert_eq!(best_lifetime_index(&[1.0, 5.0, 5.0]), Some(1));
-        assert_eq!(best_lifetime_index(&[7.0, 7.0, 7.0]), Some(0));
-    }
-
-    #[test]
-    fn lifetime_ranking_survives_nan() {
-        // Pre-fix, any NaN lifetime panicked ("NaN lifetime"); with
-        // `total_cmp` alone NaN would outrank +inf. Both are wrong:
-        // NaN candidates are simply not eligible.
-        assert_eq!(best_lifetime_index(&[2.0, f64::NAN, 3.0]), Some(2));
-        assert_eq!(best_lifetime_index(&[f64::NAN, f64::NAN]), None);
-        assert_eq!(best_lifetime_index(&[]), None);
-    }
-
-    /// Transparent reference ranking: walk the vector once, keep the first
-    /// strictly-greatest non-NaN entry. `+inf` is an eligible lifetime.
-    fn reference_best_index(lifetimes: &[f64]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, &v) in lifetimes.iter().enumerate() {
-            if v.is_nan() {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if v > lifetimes[b] {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    #[test]
-    fn lifetime_ranking_property_agrees_with_reference() {
-        // Seeded-loop property test: on random vectors salted with NaN
-        // and ±inf, the shared helper and the transparent reference pick
-        // the same winner — so any two call sites ranking the same
-        // lifetime vector (candidate selection, report re-ranking) agree.
-        let mut rng = SimRng::seed_from_u64(0xD1E5_CA1E);
-        for trial in 0..500 {
-            let len = rng.uniform_u64(0, 12) as usize;
-            let lifetimes: Vec<f64> = (0..len)
-                .map(|_| match rng.uniform_u64(0, 10) {
-                    0 => f64::NAN,
-                    1 => f64::INFINITY,
-                    2 => f64::NEG_INFINITY,
-                    3 => rng.uniform_f64(0.0, 30.0), // force tie-prone dups
-                    _ => (rng.uniform_u64(0, 5) as f64) * 3.5,
-                })
-                .collect();
-            assert_eq!(
-                best_lifetime_index(&lifetimes),
-                reference_best_index(&lifetimes),
-                "trial {trial}: rankings disagree on {lifetimes:?}"
-            );
         }
     }
 

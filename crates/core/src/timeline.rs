@@ -27,8 +27,6 @@ pub struct Span {
     pub end: SimTime,
     /// Activity code: 'R', 'S', 'a', 'P' or '.'.
     pub code: char,
-    /// Human-readable description of the event that opened the span.
-    pub label: String,
 }
 
 /// A captured multi-node activity timeline.
@@ -56,43 +54,41 @@ pub fn capture_timeline(mut cfg: PipelineConfig, frames: u64) -> Timeline {
         // Records in time order; at the same instant the more specific
         // event wins (the `io` direction markers follow the generic
         // `state_transition` to communication mode).
-        let mut current: Option<(SimTime, char, String)> = None;
+        let mut current: Option<(SimTime, char)> = None;
         for rec in records.iter().filter(|r| r.component == component) {
-            let Some((code, label)) = classify(rec) else {
+            let Some(code) = classify(rec) else {
                 continue;
             };
             match current.take() {
-                Some((start, prev_code, prev_label)) => {
+                Some((start, prev_code)) => {
                     if rec.time > start {
                         spans.push(Span {
                             node,
                             start,
                             end: rec.time,
                             code: prev_code,
-                            label: prev_label,
                         });
-                        current = Some((rec.time, code, label));
+                        current = Some((rec.time, code));
                     } else {
                         // Same instant: the more specific event wins.
-                        let (c, l) = if specificity(code) >= specificity(prev_code) {
-                            (code, label)
+                        let c = if specificity(code) >= specificity(prev_code) {
+                            code
                         } else {
-                            (prev_code, prev_label)
+                            prev_code
                         };
-                        current = Some((start, c, l));
+                        current = Some((start, c));
                     }
                 }
-                None => current = Some((rec.time, code, label)),
+                None => current = Some((rec.time, code)),
             }
         }
-        if let Some((start, code, label)) = current {
+        if let Some((start, code)) = current {
             if horizon > start {
                 spans.push(Span {
                     node,
                     start,
                     end: horizon,
                     code,
-                    label,
                 });
             }
         }
@@ -105,33 +101,24 @@ pub fn capture_timeline(mut cfg: PipelineConfig, frames: u64) -> Timeline {
     }
 }
 
-/// Map a structured record to an activity code and label; records that do
-/// not open an activity span (power segments, deaths, …) return `None`.
-fn classify(rec: &TraceRecord) -> Option<(char, String)> {
+/// Map a structured record to an activity code; records that do not open
+/// an activity span (power segments, deaths, …) return `None`.
+fn classify(rec: &TraceRecord) -> Option<char> {
     match rec.kind {
-        "state_transition" => {
-            let mode = rec.str_field("mode").unwrap_or("");
-            let freq = rec
-                .field("freq_mhz")
-                .map(|v| format!(" @{v} MHz"))
-                .unwrap_or_default();
-            let code = match mode {
-                "computation" => 'P',
-                // Refined by a following `io` marker at the same instant.
-                "communication" => 'c',
-                _ => '.',
-            };
-            Some((code, format!("{mode}{freq}")))
-        }
+        "state_transition" => Some(match rec.str_field("mode").unwrap_or("") {
+            "computation" => 'P',
+            // Refined by a following `io` marker at the same instant.
+            "communication" => 'c',
+            _ => '.',
+        }),
         "io" => {
             let dir = rec.str_field("dir").unwrap_or("");
             let payload = rec.str_field("payload").unwrap_or("");
-            let code = match (dir, payload) {
+            Some(match (dir, payload) {
                 (_, "ack") => 'a',
                 ("send", _) => 'S',
                 _ => 'R',
-            };
-            Some((code, format!("{dir} {payload}")))
+            })
         }
         _ => None,
     }
@@ -179,28 +166,28 @@ pub fn render_timeline(timeline: &Timeline, quantum: SimTime) -> String {
     out
 }
 
-/// Fraction of the horizon each node spent in each activity, for tests
-/// and reports: returns per-node `(recv, send, proc, ack, idle)` seconds.
-pub fn activity_breakdown(timeline: &Timeline) -> Vec<[f64; 5]> {
-    let mut out = vec![[0.0; 5]; timeline.n_nodes];
-    for span in &timeline.spans {
-        let secs = (span.end - span.start).as_secs_f64();
-        let slot = match span.code {
-            'R' => 0,
-            'S' | 'c' => 1,
-            'P' => 2,
-            'a' => 3,
-            _ => 4,
-        };
-        out[span.node][slot] += secs;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::Experiment;
+
+    /// Seconds each node spent in each activity: per-node
+    /// `(recv, send, proc, ack, idle)`.
+    fn activity_breakdown(timeline: &Timeline) -> Vec<[f64; 5]> {
+        let mut out = vec![[0.0; 5]; timeline.n_nodes];
+        for span in &timeline.spans {
+            let secs = (span.end - span.start).as_secs_f64();
+            let slot = match span.code {
+                'R' => 0,
+                'S' | 'c' => 1,
+                'P' => 2,
+                'a' => 3,
+                _ => 4,
+            };
+            out[span.node][slot] += secs;
+        }
+        out
+    }
 
     #[test]
     fn baseline_timeline_matches_fig2_shape() {

@@ -52,7 +52,7 @@ pub struct NodeShare {
 
 impl NodeShare {
     /// Derive a share from the profile.
-    pub fn from_profile(profile: &AtrProfile, range: BlockRange) -> Self {
+    pub(crate) fn from_profile(profile: &AtrProfile, range: BlockRange) -> Self {
         NodeShare {
             range,
             recv_bytes: profile.recv_bytes(range),
@@ -62,23 +62,23 @@ impl NodeShare {
     }
 
     /// Deterministic RECV latency under `serial`.
-    pub fn recv_time(&self, serial: &SerialConfig) -> SimTime {
+    pub(crate) fn recv_time(&self, serial: &SerialConfig) -> SimTime {
         serial.transfer_time(self.recv_bytes, None)
     }
 
     /// Deterministic SEND latency under `serial`.
-    pub fn send_time(&self, serial: &SerialConfig) -> SimTime {
+    pub(crate) fn send_time(&self, serial: &SerialConfig) -> SimTime {
         serial.transfer_time(self.send_bytes, None)
     }
 
     /// PROC latency at DVS level `at` (linear scaling, §4.3).
-    pub fn proc_time(&self, dvs: &DvsTable, at: FreqLevel) -> SimTime {
+    pub(crate) fn proc_time(&self, dvs: &DvsTable, at: FreqLevel) -> SimTime {
         dvs.scale_from_peak(SimTime::from_secs_f64(self.proc_peak_secs.get()), at)
     }
 
     /// Slack available for computation within the deadline, after I/O and
     /// `ack_overhead` (extra control transactions per frame) are paid.
-    pub fn proc_slack(&self, sys: &SystemConfig, ack_overhead: SimTime) -> SimTime {
+    pub(crate) fn proc_slack(&self, sys: &SystemConfig, ack_overhead: SimTime) -> SimTime {
         sys.frame_delay
             .saturating_sub(self.recv_time(&sys.serial))
             .saturating_sub(self.send_time(&sys.serial))
@@ -87,7 +87,7 @@ impl NodeShare {
 
     /// The minimum clock frequency that fits PROC into the slack;
     /// infinite when there is no slack at all.
-    pub fn required_mhz(&self, sys: &SystemConfig, ack_overhead: SimTime) -> Hertz {
+    pub(crate) fn required_mhz(&self, sys: &SystemConfig, ack_overhead: SimTime) -> Hertz {
         let slack = self.proc_slack(sys, ack_overhead).as_secs_f64();
         if slack <= 0.0 {
             return Hertz::from_mhz(f64::INFINITY);
@@ -96,7 +96,7 @@ impl NodeShare {
     }
 
     /// The slowest DVS level that meets the deadline, if any.
-    pub fn min_feasible_level(
+    pub(crate) fn min_feasible_level(
         &self,
         sys: &SystemConfig,
         ack_overhead: SimTime,
@@ -109,7 +109,7 @@ impl NodeShare {
     }
 
     /// Total communication payload per frame, bytes (Fig. 8 column).
-    pub fn comm_payload_bytes(&self) -> u64 {
+    pub(crate) fn comm_payload_bytes(&self) -> u64 {
         self.recv_bytes + self.send_bytes
     }
 }

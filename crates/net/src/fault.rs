@@ -15,7 +15,7 @@ use dles_sim::SimRng;
 /// Deterministic stand-in payload for a transfer of `len` bytes: the frame
 /// number seeds a byte pattern so different frames exercise different
 /// escape densities (0x7D/0x7E bytes included).
-pub fn synthetic_payload(len: u64, frame: u64) -> Vec<u8> {
+pub(crate) fn synthetic_payload(len: u64, frame: u64) -> Vec<u8> {
     let len = len as usize;
     let mut out = Vec::with_capacity(len);
     let mut x = frame
@@ -31,7 +31,7 @@ pub fn synthetic_payload(len: u64, frame: u64) -> Vec<u8> {
 }
 
 /// Encode `bytes` worth of payload for `frame`, flip `flips` random wire
-/// bits, and decode with the streaming [`crate::ppp::FrameDecoder`].
+/// bits, and decode with the streaming `FrameDecoder`.
 /// Returns `true` when the payload does *not* survive intact — i.e. the
 /// receiver either sees a framing/FCS error or garbage, so the transfer
 /// must be treated as corrupted.

@@ -25,10 +25,6 @@ impl LinkSchedule {
         }
     }
 
-    pub fn n_links(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Earliest time at or after `earliest` when every line on `route` is
     /// free.
     pub fn earliest_start(&self, route: &Route, earliest: SimTime) -> SimTime {
@@ -56,20 +52,6 @@ impl LinkSchedule {
         }
         end
     }
-
-    /// When line `link` becomes free.
-    pub fn free_at(&self, link: usize) -> SimTime {
-        self.free_at[link]
-    }
-
-    /// Utilization helper: total busy time assuming reservations began at
-    /// time zero (used by saturation diagnostics in reports).
-    pub fn horizon(&self) -> SimTime {
-        self.free_at
-            .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max)
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +68,8 @@ mod tests {
         // Line 1 is still free at t=0.
         assert_eq!(s.earliest_start(&r1, SimTime::ZERO), SimTime::ZERO);
         s.reserve(&r1, SimTime::ZERO, SimTime::from_secs(2));
-        assert_eq!(s.free_at(0), SimTime::from_secs(1));
-        assert_eq!(s.free_at(1), SimTime::from_secs(2));
+        assert_eq!(s.free_at[0], SimTime::from_secs(1));
+        assert_eq!(s.free_at[1], SimTime::from_secs(2));
     }
 
     #[test]

@@ -7,17 +7,16 @@
 //!
 //! Layers, bottom-up:
 //!
-//! * [`serial`] — UART timing: 115.2 kbps line rate, ~80 kbps measured
+//! * [`SerialConfig`] — UART timing: 115.2 kbps line rate, ~80 kbps measured
 //!   effective throughput, and the 50–100 ms per-transaction startup cost
 //!   the paper repeatedly charges (§4.3), for data and acknowledgment
 //!   transfers alike;
 //! * [`ppp`] — an HDLC/PPP-style framing codec (flag bytes, byte stuffing,
-//!   FCS-16) actually implemented and property-tested, with overhead
-//!   accounting;
-//! * [`topology`] — endpoints (host / node *i*), the links a transfer
+//!   FCS-16) actually implemented and property-tested;
+//! * [`Endpoint`] and [`Route`] — endpoints (host / node *i*), the links a transfer
 //!   occupies under host-side IP forwarding, and the `a->b` link names of
 //!   trace records;
-//! * [`hub`] — link occupancy bookkeeping: reserving the serial lines a
+//! * [`LinkSchedule`] — link occupancy bookkeeping: reserving the serial lines a
 //!   transfer needs, with cut-through forwarding across the hub;
 //! * [`fault`] — link-fault hooks: bit errors realized by flipping wire
 //!   bits and pushing the result through the real PPP codec.
@@ -27,7 +26,7 @@
 //! plans its data and ack transfers over these layers.
 //!
 //! ```
-//! use dles_net::serial::SerialConfig;
+//! use dles_net::SerialConfig;
 //!
 //! let cfg = SerialConfig::paper();
 //! // The paper's Fig. 6: a 10.1 KB frame takes ~1.1 s to transfer.
@@ -37,12 +36,11 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
-pub mod hub;
+pub(crate) mod hub;
 pub mod ppp;
-pub mod serial;
-pub mod topology;
+pub(crate) mod serial;
+pub(crate) mod topology;
 
 pub use hub::LinkSchedule;
-pub use ppp::{decode_frames, encode_frame, FrameDecoder};
 pub use serial::SerialConfig;
 pub use topology::{link_component, Endpoint, Route};

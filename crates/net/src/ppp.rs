@@ -12,15 +12,15 @@
 //! §4.3.
 
 /// Frame delimiter.
-pub const FLAG: u8 = 0x7E;
+pub(crate) const FLAG: u8 = 0x7E;
 /// Escape byte.
-pub const ESCAPE: u8 = 0x7D;
+pub(crate) const ESCAPE: u8 = 0x7D;
 /// XOR applied to escaped bytes.
 const ESCAPE_XOR: u8 = 0x20;
 
 /// CRC-16/X.25 (the PPP FCS): reflected polynomial 0x8408, init 0xFFFF,
 /// final XOR 0xFFFF.
-pub fn fcs16(data: &[u8]) -> u16 {
+pub(crate) fn fcs16(data: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
     for &b in data {
         crc ^= b as u16;
@@ -77,14 +77,14 @@ pub enum FrameError {
 /// Incremental frame decoder: feed wire bytes in arbitrary chunks, collect
 /// completed frames.
 #[derive(Debug, Default)]
-pub struct FrameDecoder {
+pub(crate) struct FrameDecoder {
     buf: Vec<u8>,
     in_frame: bool,
     escaping: bool,
 }
 
 impl FrameDecoder {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -94,7 +94,7 @@ impl FrameDecoder {
     /// Malformed escape sequences abort the current frame cleanly: the
     /// decoder reports the error, discards buffered bytes, and resyncs at
     /// the next flag.
-    pub fn feed(&mut self, wire: &[u8]) -> Vec<Result<Vec<u8>, FrameError>> {
+    pub(crate) fn feed(&mut self, wire: &[u8]) -> Vec<Result<Vec<u8>, FrameError>> {
         let mut out = Vec::new();
         for &b in wire {
             if b == FLAG {
@@ -153,14 +153,6 @@ impl FrameDecoder {
 /// Decode a complete wire buffer into frames (convenience wrapper).
 pub fn decode_frames(wire: &[u8]) -> Vec<Result<Vec<u8>, FrameError>> {
     FrameDecoder::new().feed(wire)
-}
-
-/// Framing overhead ratio for a payload: encoded size / payload size.
-pub fn overhead_ratio(payload: &[u8]) -> f64 {
-    if payload.is_empty() {
-        return f64::INFINITY;
-    }
-    encode_frame(payload).len() as f64 / payload.len() as f64
 }
 
 #[cfg(test)]
@@ -295,6 +287,11 @@ mod tests {
     fn fcs16_known_vector() {
         // The classic PPP check value: FCS over "123456789" is 0x906E.
         assert_eq!(fcs16(b"123456789"), 0x906E);
+    }
+
+    /// Framing overhead: encoded size / payload size.
+    fn overhead_ratio(payload: &[u8]) -> f64 {
+        encode_frame(payload).len() as f64 / payload.len() as f64
     }
 
     #[test]

@@ -44,27 +44,20 @@ impl SerialConfig {
         self
     }
 
-    /// A configuration with a fixed startup latency (ablations).
-    pub fn with_startup(mut self, startup: SimTime) -> Self {
-        self.startup_min = startup;
-        self.startup_max = startup;
-        self
-    }
-
     /// Midpoint of the startup window — the deterministic default.
-    pub fn startup_nominal(&self) -> SimTime {
+    pub(crate) fn startup_nominal(&self) -> SimTime {
         SimTime::from_micros((self.startup_min.as_micros() + self.startup_max.as_micros()) / 2)
     }
 
     /// Startup latency drawn uniformly from the configured window.
-    pub fn startup_jittered(&self, rng: &mut SimRng) -> SimTime {
+    pub(crate) fn startup_jittered(&self, rng: &mut SimRng) -> SimTime {
         SimTime::from_micros(
             rng.uniform_u64(self.startup_min.as_micros(), self.startup_max.as_micros()),
         )
     }
 
     /// Wire time for `bytes` of payload, excluding startup.
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
+    pub(crate) fn wire_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs_f64(bytes as f64 * 8.0 / self.effective_bps)
     }
 
@@ -80,13 +73,6 @@ impl SerialConfig {
             None => self.startup_nominal(),
         };
         startup + self.wire_time(bytes)
-    }
-
-    /// Latency of a zero-payload transaction — an acknowledgment. §5.4:
-    /// "the acknowledgment signal requires a separate transaction, which
-    /// typically costs 50–100 ms".
-    pub fn ack_time(&self, rng: Option<&mut SimRng>) -> SimTime {
-        self.transfer_time(0, rng)
     }
 
     /// Link efficiency: effective over raw line rate (~69% on Itsy, the
@@ -133,9 +119,11 @@ mod tests {
     #[test]
     fn ack_costs_only_startup() {
         let cfg = SerialConfig::paper();
-        let ack = cfg.ack_time(None);
+        // An acknowledgment is a zero-payload transaction. §5.4: "the
+        // acknowledgment signal requires a separate transaction, which
+        // typically costs 50–100 ms".
+        let ack = cfg.transfer_time(0, None);
         assert_eq!(ack, cfg.startup_nominal());
-        // §5.4: 50–100 ms per ack.
         assert!(ack >= SimTime::from_millis(50) && ack <= SimTime::from_millis(100));
     }
 
@@ -158,10 +146,6 @@ mod tests {
     fn ablation_constructors() {
         let fast = SerialConfig::paper().with_effective_bps(1_000_000.0);
         assert!(fast.transfer_secs(10_342) < 0.2);
-        let fixed = SerialConfig::paper().with_startup(SimTime::from_millis(50));
-        assert_eq!(fixed.startup_nominal(), SimTime::from_millis(50));
-        let mut rng = SimRng::seed_from_u64(2);
-        assert_eq!(fixed.startup_jittered(&mut rng), SimTime::from_millis(50));
     }
 
     #[test]

@@ -68,13 +68,8 @@ impl Route {
     }
 
     /// Indices of the serial lines this route occupies.
-    pub fn links(&self) -> &[usize] {
+    pub(crate) fn links(&self) -> &[usize] {
         &self.links[..self.len]
-    }
-
-    /// Whether the transfer transits the hub (two serial lines).
-    pub fn is_forwarded(&self) -> bool {
-        self.len == 2
     }
 }
 
@@ -86,7 +81,6 @@ mod tests {
     fn host_node_routes_use_one_link() {
         let r = Route::between(Endpoint::Host, Endpoint::Node(0));
         assert_eq!(r.links(), &[0]);
-        assert!(!r.is_forwarded());
         let r = Route::between(Endpoint::Node(2), Endpoint::Host);
         assert_eq!(r.links(), &[2]);
     }
@@ -95,7 +89,6 @@ mod tests {
     fn node_node_routes_are_forwarded() {
         let r = Route::between(Endpoint::Node(0), Endpoint::Node(1));
         assert_eq!(r.links(), &[0, 1]);
-        assert!(r.is_forwarded());
     }
 
     #[test]

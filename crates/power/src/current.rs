@@ -23,8 +23,7 @@
 //! even at idle.
 
 use crate::dvs::FreqLevel;
-use crate::sa1100::BATTERY_VOLTS;
-use dles_units::{MilliAmps, MilliWatts};
+use dles_units::MilliAmps;
 
 /// Operating mode of a node, as in Fig. 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,17 +92,13 @@ impl CurrentModel {
         let i = Self::mode_idx(mode);
         self.base_ma[i] + MilliAmps::new(self.k[i] * level.switching_activity())
     }
-
-    /// Power draw at the 4 V pack voltage.
-    pub fn power_mw(&self, mode: Mode, level: FreqLevel) -> MilliWatts {
-        self.current_ma(mode, level) * BATTERY_VOLTS
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dvs::DvsTable;
+    use crate::sa1100::BATTERY_VOLTS;
     use dles_units::Hertz;
 
     fn table() -> DvsTable {
@@ -184,13 +179,5 @@ mod tests {
                 prev = i;
             }
         }
-    }
-
-    #[test]
-    fn power_is_4v_times_current() {
-        let m = CurrentModel::itsy();
-        let l = table().highest();
-        let i = m.current_ma(Mode::Computation, l).get();
-        assert!((m.power_mw(Mode::Computation, l).get() - 4.0 * i).abs() < 1e-9);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::sa1100::SA1100_OPERATING_POINTS;
 use dles_sim::SimTime;
-use dles_units::{Hertz, MegaCycles, Seconds, Volts};
+use dles_units::{Hertz, Volts};
 use std::fmt;
 
 /// One DVS operating point: a (frequency, core voltage) pair.
@@ -56,7 +56,7 @@ impl DvsTable {
     }
 
     /// Build a table from raw (MHz, V) pairs; must be sorted by frequency.
-    pub fn from_points(points: &[(f64, f64)]) -> Self {
+    pub(crate) fn from_points(points: &[(f64, f64)]) -> Self {
         assert!(!points.is_empty(), "empty DVS table");
         assert!(
             points.windows(2).all(|w| w[0].0 < w[1].0),
@@ -73,14 +73,6 @@ impl DvsTable {
                 })
                 .collect(),
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = FreqLevel> + '_ {
@@ -127,18 +119,6 @@ impl DvsTable {
     pub fn scale_from_peak(&self, at_peak: SimTime, at: FreqLevel) -> SimTime {
         at_peak.scale_f64(self.highest().freq_mhz / at.freq_mhz)
     }
-
-    /// Cycle count represented by a duration at the peak frequency
-    /// (mega-cycles). Cycle counts are the frequency-independent measure of
-    /// computation used by the partitioning analyzer.
-    pub fn peak_secs_to_megacycles(&self, secs: Seconds) -> MegaCycles {
-        secs * self.highest().freq_mhz
-    }
-
-    /// Time to execute `megacycles` at level `at`.
-    pub fn megacycles_to_time(&self, megacycles: MegaCycles, at: FreqLevel) -> SimTime {
-        SimTime::from_secs_f64((megacycles / at.freq_mhz).get())
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +128,7 @@ mod tests {
     #[test]
     fn sa1100_table_shape() {
         let t = DvsTable::sa1100();
-        assert_eq!(t.len(), 11);
+        assert_eq!(t.levels.len(), 11);
         assert_eq!(t.lowest().freq_mhz.mhz(), 59.0);
         assert_eq!(t.highest().freq_mhz.mhz(), 206.4);
         assert_eq!(t.level(3).freq_mhz.mhz(), 103.2);
@@ -182,15 +162,6 @@ mod tests {
         let at_peak = SimTime::from_secs_f64(1.1);
         let scaled = t.scale_from_peak(at_peak, half);
         assert!((scaled.as_secs_f64() - 2.2).abs() < 1e-3);
-    }
-
-    #[test]
-    fn cycles_roundtrip() {
-        let t = DvsTable::sa1100();
-        let mc = t.peak_secs_to_megacycles(Seconds::new(1.1));
-        assert!((mc.get() - 227.04).abs() < 1e-6);
-        let back = t.megacycles_to_time(mc, t.highest());
-        assert!((back.as_secs_f64() - 1.1).abs() < 1e-6);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Reproduces the power-relevant behaviour of the Itsy's StrongARM SA-1100
 //! as published in Liu & Chou (IPPS 2004):
 //!
-//! * the 11-level frequency/voltage table of Fig. 7 ([`dvs`], [`sa1100`]);
+//! * the 11-level frequency/voltage table of Fig. 7 ([`DvsTable`], [`sa1100`]);
 //! * the three-mode (idle / communication / computation) current profile of
 //!   Fig. 7, via an analytic `I = I_base + k · f · V²` model fitted to every
-//!   current value the paper states ([`current`]);
+//!   current value the paper states ([`CurrentModel`]);
 //! * linear performance scaling with clock frequency (§4.3);
 //! * a power-state machine whose piecewise-constant current waveform a
 //!   monitor reduces to the node's mean current, the one figure of Itsy's
-//!   built-in power monitor a run reports ([`state`], [`monitor`]), plus
-//!   the per-mode energy split ([`energy`]).
+//!   built-in power monitor a run reports ([`PowerState`],
+//!   [`PowerMonitor`]), plus the per-mode energy split ([`EnergyAccount`]).
 //!
 //! ```
 //! use dles_power::{DvsTable, Mode, CurrentModel};
@@ -26,12 +26,12 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod current;
-pub mod dvs;
-pub mod energy;
-pub mod monitor;
+pub(crate) mod current;
+pub(crate) mod dvs;
+pub(crate) mod energy;
+pub(crate) mod monitor;
 pub mod sa1100;
-pub mod state;
+pub(crate) mod state;
 
 pub use current::{CurrentModel, Mode};
 pub use dvs::{DvsTable, FreqLevel};

@@ -23,7 +23,7 @@ pub struct LoadSegment {
 
 impl LoadSegment {
     /// Energy drawn over the segment at the pack voltage.
-    pub fn energy_mj(&self) -> MilliJoules {
+    pub(crate) fn energy_mj(&self) -> MilliJoules {
         self.current_ma * BATTERY_VOLTS * Seconds::new(self.duration.as_secs_f64())
     }
 

@@ -7,12 +7,12 @@
 //! The 11 (frequency, voltage) operating points are the x-axis labels of
 //! Fig. 7.
 
-use dles_units::{Hertz, Seconds, Volts};
+use dles_units::Volts;
 
 /// The 11 SA-1100 operating points used by Itsy: raw (MHz, V) pairs, the
 /// form [`DvsTable::from_points`](crate::dvs::DvsTable::from_points)
 /// ingests before typing them as ([`Hertz`], [`Volts`]).
-pub const SA1100_OPERATING_POINTS: [(f64, f64); 11] = [
+pub(crate) const SA1100_OPERATING_POINTS: [(f64, f64); 11] = [
     (59.0, 0.919),
     (73.7, 0.978),
     (88.5, 1.067),
@@ -30,17 +30,6 @@ pub const SA1100_OPERATING_POINTS: [(f64, f64); 11] = [
 /// current draw (mA) into power (mW): `P = V_BATT · I`.
 pub const BATTERY_VOLTS: Volts = Volts::new(4.0);
 
-/// Peak clock rate — the baseline configuration's operating point.
-pub const PEAK_MHZ: Hertz = Hertz::from_mhz(206.4);
-
-/// Lowest clock rate — the "DVS during I/O" operating point (§5.2).
-pub const MIN_MHZ: Hertz = Hertz::from_mhz(59.0);
-
-/// Single-iteration latency of the whole ATR algorithm at the peak clock
-/// rate (§4.3: "1.1 seconds to complete on one Itsy node running at the
-/// peak clock rate of 206.4 MHz").
-pub const ATR_FULL_SECS_AT_PEAK: Seconds = Seconds::new(1.1);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,7 +45,8 @@ mod tests {
 
     #[test]
     fn endpoints_match_paper() {
-        assert_eq!(SA1100_OPERATING_POINTS[0], (MIN_MHZ.mhz(), 0.919));
-        assert_eq!(SA1100_OPERATING_POINTS[10], (PEAK_MHZ.mhz(), 1.393));
+        // 59 MHz is the "DVS during I/O" level (§5.2); 206.4 MHz the peak.
+        assert_eq!(SA1100_OPERATING_POINTS[0], (59.0, 0.919));
+        assert_eq!(SA1100_OPERATING_POINTS[10], (206.4, 1.393));
     }
 }

@@ -148,20 +148,9 @@ impl<W: World> Engine<W> {
         self.queue.push(at, event)
     }
 
-    /// Schedule an event after a delay from the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: W::Event) -> EventId {
-        let at = self.now.checked_add(delay).expect("time overflow");
-        self.queue.push(at, event)
-    }
-
     /// Handle exactly one event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.dispatch_next().is_some()
-    }
-
-    /// Run until the queue drains.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
     }
 
     /// Run until the queue drains, a handler requests a stop, or the next
@@ -227,7 +216,7 @@ mod tests {
         });
         e.schedule_at(SimTime::from_micros(5), 1);
         e.schedule_at(SimTime::from_micros(3), 2);
-        assert_eq!(e.run(), RunOutcome::QueueEmpty);
+        assert_eq!(e.run_until(SimTime::MAX), RunOutcome::QueueEmpty);
         assert_eq!(
             e.world().seen,
             vec![(SimTime::from_micros(3), 2), (SimTime::from_micros(5), 1)]
@@ -243,7 +232,7 @@ mod tests {
             respawn: true,
         });
         e.schedule_at(SimTime::ZERO, 0);
-        e.run();
+        e.run_until(SimTime::MAX);
         assert_eq!(e.world().seen.len(), 6);
         assert_eq!(e.now(), SimTime::from_micros(50));
     }
@@ -262,7 +251,7 @@ mod tests {
         );
         assert_eq!(e.world().seen.len(), 1);
         // Resume: the pending event is still there.
-        assert_eq!(e.run(), RunOutcome::QueueEmpty);
+        assert_eq!(e.run_until(SimTime::MAX), RunOutcome::QueueEmpty);
         assert_eq!(e.world().seen.len(), 2);
     }
 
@@ -285,7 +274,7 @@ mod tests {
     fn request_stop_halts_the_loop() {
         let mut e = Engine::new(Stopper { count: 0 });
         e.schedule_at(SimTime::ZERO, ());
-        assert_eq!(e.run(), RunOutcome::Stopped);
+        assert_eq!(e.run_until(SimTime::MAX), RunOutcome::Stopped);
         assert_eq!(e.world().count, 3);
     }
 
@@ -301,7 +290,7 @@ mod tests {
         }
         let mut e = Engine::new(Bad);
         e.schedule_at(SimTime::from_micros(10), ());
-        e.run();
+        e.run_until(SimTime::MAX);
     }
 
     #[test]
@@ -320,14 +309,14 @@ mod tests {
         // Default engine: NullRecorder → tracing() is false, nothing kept.
         let mut off = Engine::new(Emitter);
         off.schedule_at(SimTime::ZERO, 1);
-        off.run();
+        off.run_until(SimTime::MAX);
         assert!(off.recorder_mut().take_records().is_empty());
 
         // Memory recorder: records come back out in order.
         let mut on = Engine::with_recorder(Emitter, Box::new(MemoryRecorder::new()));
         on.schedule_at(SimTime::from_micros(3), 7);
         on.schedule_at(SimTime::from_micros(9), 8);
-        on.run();
+        on.run_until(SimTime::MAX);
         let records = on.recorder_mut().take_records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].u64_field("ev"), Some(7));
@@ -365,7 +354,7 @@ mod tests {
         e.schedule_at(t, Ev::Low);
         e.schedule_at(t, Ev::Mid);
         e.schedule_at(t, Ev::Low);
-        assert_eq!(e.run(), RunOutcome::QueueEmpty);
+        assert_eq!(e.run_until(SimTime::MAX), RunOutcome::QueueEmpty);
         assert_eq!(e.world().seen, vec![Ev::High, Ev::Low, Ev::Mid, Ev::Low]);
     }
 

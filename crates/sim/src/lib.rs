@@ -34,25 +34,25 @@
 //!
 //! let mut engine = Engine::new(Counter { fired: 0 });
 //! engine.schedule_at(SimTime::ZERO, Ev::Tick);
-//! engine.run();
+//! engine.run_until(SimTime::MAX);
 //! assert_eq!(engine.world().fired, 10);
 //! assert_eq!(engine.now(), SimTime::from_millis(900));
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod engine;
-pub mod event;
-pub mod par;
+pub(crate) mod engine;
+pub(crate) mod event;
+pub(crate) mod par;
 #[cfg(test)]
 mod proptests;
-pub mod rng;
-pub mod stats;
-pub mod time;
-pub mod trace;
+pub(crate) mod rng;
+pub(crate) mod stats;
+pub(crate) mod time;
+pub(crate) mod trace;
 
 pub use engine::{Ctx, Engine, RunOutcome, World};
-pub use event::{EventEntry, EventId, EventQueue};
-pub use par::{par_map, par_map_slice, resolve_workers};
+pub use event::{EventId, EventQueue};
+pub use par::{par_map, par_map_slice};
 pub use rng::SimRng;
 pub use stats::{CounterSet, DistSummary, Histogram};
 pub use time::SimTime;

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 /// Resolve a `--threads`-style worker count: `0` means one worker per
 /// available core; the result is clamped to `[1, jobs]` so no worker ever
 /// starts without work.
-pub fn resolve_workers(threads: usize, jobs: usize) -> usize {
+pub(crate) fn resolve_workers(threads: usize, jobs: usize) -> usize {
     let t = if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -130,7 +130,7 @@ fn engine_clock_monotone() {
             times: vec![],
         });
         engine.schedule_at(SimTime::ZERO, ());
-        engine.run();
+        engine.run_until(SimTime::MAX);
         let times = &engine.world().times;
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(times.len() as u64, engine.processed());

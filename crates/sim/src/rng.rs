@@ -36,11 +36,6 @@ impl SimRng {
         SimRng { state, seed }
     }
 
-    /// The seed this RNG was created with (for report provenance).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent child RNG; `salt` distinguishes siblings.
     ///
     /// Used to give each simulated component its own stream so adding a
@@ -69,11 +64,6 @@ impl SimRng {
         s3 = s3.rotate_left(45);
         self.state = [s0, s1, s2, s3];
         result
-    }
-
-    /// Next raw 32-bit output (upper bits of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 random bits.

@@ -103,10 +103,6 @@ impl Histogram {
         }
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     pub fn mean(&self) -> f64 {
         if self.count > 0 {
             self.sum / self.count as f64
@@ -116,7 +112,7 @@ impl Histogram {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -142,18 +138,6 @@ impl Histogram {
             }
         }
         self.hi
-    }
-
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 }
 
@@ -253,7 +237,7 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             h.record(v);
         }
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.count, 4);
         assert!((h.mean() - 2.5).abs() < 1e-12);
         assert!((h.std_dev() - (1.25f64).sqrt()).abs() < 1e-9);
     }
@@ -264,9 +248,9 @@ mod tests {
         h.record(-0.5);
         h.record(2.0);
         h.record(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins().iter().sum::<u64>(), 1);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.bins.iter().sum::<u64>(), 1);
     }
 
     #[test]

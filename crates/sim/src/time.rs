@@ -34,8 +34,8 @@ impl SimTime {
     /// The maximum representable time; used as an "infinite" horizon.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    pub const MICROS_PER_MILLI: u64 = 1_000;
-    pub const MICROS_PER_SEC: u64 = 1_000_000;
+    pub(crate) const MICROS_PER_MILLI: u64 = 1_000;
+    pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
     pub const MICROS_PER_HOUR: u64 = 3_600_000_000;
 
     /// Construct from whole microseconds.
@@ -99,7 +99,7 @@ impl SimTime {
 
     /// Checked addition; `None` on overflow.
     #[inline]
-    pub const fn checked_add(self, other: SimTime) -> Option<SimTime> {
+    pub(crate) const fn checked_add(self, other: SimTime) -> Option<SimTime> {
         match self.0.checked_add(other.0) {
             Some(v) => Some(SimTime(v)),
             None => None,
@@ -114,26 +114,6 @@ impl SimTime {
             return SimTime::ZERO;
         }
         SimTime((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// The larger of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 

@@ -202,7 +202,7 @@ impl TraceRecord {
     /// order — so byte-identical inputs yield byte-identical lines. No
     /// intermediate `String`s: `component` and `kind` are escaped straight
     /// into `out`, which a streaming recorder reuses across records.
-    pub fn write_jsonl<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn write_jsonl<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         write!(out, "{{\"t_us\": {}", self.time.as_micros())?;
         out.write_str(", \"component\": ")?;
         write_json_str(out, &self.component)?;
@@ -212,13 +212,6 @@ impl TraceRecord {
             write!(out, ", \"{name}\": {value}")?;
         }
         out.write_str("}")
-    }
-
-    /// [`Self::write_jsonl`] into a fresh `String`, for one-off callers.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + 24 * self.fields.len());
-        let _ = self.write_jsonl(&mut out);
-        out
     }
 }
 
@@ -549,10 +542,6 @@ impl MemoryRecorder {
     pub fn new() -> Self {
         Self::default()
     }
-
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
 }
 
 impl Recorder for MemoryRecorder {
@@ -572,7 +561,6 @@ pub struct JsonlRecorder {
     /// with [`TraceRecord::write_jsonl`] and flushed as one `write_all`,
     /// so the per-record cost is formatting only, not allocation.
     buf: String,
-    lines: u64,
 }
 
 impl JsonlRecorder {
@@ -587,13 +575,7 @@ impl JsonlRecorder {
         JsonlRecorder {
             out: BufWriter::new(writer),
             buf: String::new(),
-            lines: 0,
         }
-    }
-
-    /// Number of lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 
     /// Flush the underlying writer.
@@ -608,10 +590,8 @@ impl Recorder for JsonlRecorder {
         let _ = record.write_jsonl(&mut self.buf);
         self.buf.push('\n');
         // I/O errors on a trace sink should not abort a multi-hour
-        // simulation; the line count lets callers detect short writes.
-        if self.out.write_all(self.buf.as_bytes()).is_ok() {
-            self.lines += 1;
-        }
+        // simulation.
+        let _ = self.out.write_all(self.buf.as_bytes());
     }
 }
 
@@ -633,9 +613,15 @@ mod tests {
             .with("alive", true)
     }
 
+    fn to_jsonl(r: &TraceRecord) -> String {
+        let mut out = String::new();
+        r.write_jsonl(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn jsonl_has_fixed_key_order() {
-        let line = sample().to_jsonl();
+        let line = to_jsonl(&sample());
         assert_eq!(
             line,
             "{\"t_us\": 2000000, \"component\": \"node1\", \"kind\": \"state_transition\", \
@@ -646,7 +632,7 @@ mod tests {
     #[test]
     fn string_fields_are_escaped() {
         let r = TraceRecord::new(SimTime::ZERO, "a\"b", "k").with("s", "x\ny\\");
-        let line = r.to_jsonl();
+        let line = to_jsonl(&r);
         assert!(line.contains("\"a\\\"b\""));
         assert!(line.contains("\"x\\ny\\\\\""));
     }
@@ -683,9 +669,9 @@ mod tests {
         assert!(r.enabled());
         r.record(sample());
         r.record(sample());
-        assert_eq!(r.records().len(), 2);
+        assert_eq!(r.records.len(), 2);
         assert_eq!(r.take_records().len(), 2);
-        assert!(r.records().is_empty());
+        assert!(r.records.is_empty());
     }
 
     #[test]
@@ -708,7 +694,6 @@ mod tests {
             let mut rec = JsonlRecorder::to_writer(Box::new(buf.clone()));
             rec.record(sample());
             rec.record(sample());
-            assert_eq!(rec.lines(), 2);
         }
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -788,7 +773,6 @@ mod tests {
             buf.clear();
             r.write_jsonl(&mut buf).unwrap();
             assert_eq!(buf, reference_jsonl(&r), "record #{i}: {r:?}");
-            assert_eq!(r.to_jsonl(), buf, "to_jsonl delegates, record #{i}");
         }
     }
 }

@@ -26,8 +26,7 @@
 //!    operation, so a migrated call site performs the same operations in
 //!    the same order as the bare-`f64` expression it replaced and every
 //!    serialized trace/report byte is unchanged. `min`/`max` forward to
-//!    `f64::min`/`f64::max` (IEEE NaN semantics) for the same reason;
-//!    sorting goes through [`Seconds::total_cmp`] etc., which is total.
+//!    `f64::min`/`f64::max` (IEEE NaN semantics) for the same reason.
 //! 2. **No conversion without a name.** Scale changes (`/ 3600.0`,
 //!    `/ 1000.0`) only happen inside `to_*` methods, never implicitly in
 //!    an operator, so wherever scales meet the code names the
@@ -76,12 +75,6 @@ macro_rules! quantity {
             #[inline]
             pub const fn get(self) -> f64 {
                 self.0
-            }
-
-            /// Total order over the raw values (NaN-safe; use for sorts).
-            #[inline]
-            pub fn total_cmp(&self, other: &Self) -> Ordering {
-                self.0.total_cmp(&other.0)
             }
 
             /// IEEE `f64::min` semantics (a NaN operand is ignored).
@@ -329,7 +322,7 @@ dim_div!(Watts / Volts = Amps);
 // appears; each forwards to a single f64 operation so migrated call
 // sites stay bit-identical with the `/ 3600.0`-style code they replace.
 impl Seconds {
-    pub const PER_HOUR: f64 = 3600.0;
+    pub(crate) const PER_HOUR: f64 = 3600.0;
 
     #[inline]
     pub fn to_hours(self) -> Hours {
@@ -510,28 +503,11 @@ mod tests {
     fn min_max_keep_ieee_nan_semantics() {
         let nan = Seconds::new(f64::NAN);
         let one = Seconds::new(1.0);
-        // f64::max ignores a NaN operand; total_cmp ranks NaN above +inf.
+        // f64::max ignores a NaN operand.
         assert_eq!(nan.max(one).get(), 1.0);
         assert_eq!(one.max(nan).get(), 1.0);
-        assert_eq!(nan.total_cmp(&one), Ordering::Greater);
         assert!(!nan.is_finite());
         assert!(one.is_finite());
-    }
-
-    #[test]
-    fn total_cmp_sorts_deterministically() {
-        let mut xs = [
-            Hours::new(2.0),
-            Hours::new(f64::NAN),
-            Hours::new(-1.0),
-            Hours::new(0.5),
-        ];
-        xs.sort_by(Hours::total_cmp);
-        let raw: Vec<f64> = xs.iter().map(|h| h.get()).collect();
-        assert_eq!(raw[0], -1.0);
-        assert_eq!(raw[1], 0.5);
-        assert_eq!(raw[2], 2.0);
-        assert!(raw[3].is_nan());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! the simulator allocates nothing per event.
 //!
 //! A counting [`GlobalAlloc`] wraps [`System`] and counts every `alloc`,
-//! `alloc_zeroed` and `realloc` made on the calling thread. Each
+//! `alloc_zeroed` and `realloc` made on the calling thread. The
+//! configurations are the paper's experiments on KiBaM, EXP-2C on the
+//! ideal and Peukert batteries, and the two adaptive policies. Each
 //! configuration runs under `NullRecorder` for its first
 //! [`WARM_UP`] of simulated time. The rest of the run, to battery death,
 //! must then make at most [`MAX_STEADY_ALLOCS`] allocations, over a
@@ -25,6 +27,9 @@
 //!   PPP codec once per bit-error hit and allocates its frames, so that
 //!   cost is per injected fault, not per event;
 //! - `JsonlRecorder`, which builds one owned `TraceRecord` per record;
+//! - the Rakhmatov–Vrudhula battery. `RakhmatovBattery::advanced` clones
+//!   its mode `Vec` on every bisection step of the exhaustion search, so
+//!   that model allocates per battery transition;
 //! - the determinism rules in `clippy.toml`, which this test does not
 //!   replace.
 //!
@@ -36,10 +41,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dles_battery::packs::itsy_pack_b;
 use dles_core::experiment::{policy_config, Experiment};
+use dles_core::node::BatterySpec;
 use dles_core::pipeline::{build_engine, PipelineConfig};
 use dles_core::policy::SchedulingPolicy;
 use dles_sim::SimTime;
+use dles_units::MilliAmps;
 
 /// Simulated time after which a run counts as warm.
 const WARM_UP: SimTime = SimTime::from_secs(600);
@@ -130,9 +138,32 @@ fn assert_bounded(runs: impl IntoIterator<Item = PipelineConfig>) {
     );
 }
 
+/// EXP-2C on another battery model, as in `repro --ablations`' Ablation 1.
+fn exp2c_on(model: &str, battery: BatterySpec) -> PipelineConfig {
+    let mut cfg = Experiment::Exp2C.config();
+    cfg.label = format!("{} ({model})", cfg.label);
+    cfg.battery = battery;
+    cfg
+}
+
 #[test]
 fn paper_experiments_allocate_nothing_per_event() {
-    assert_bounded(Experiment::ALL.map(Experiment::config));
+    let capacity_mah = itsy_pack_b().kibam.capacity_mah;
+    let ideal = exp2c_on("ideal", BatterySpec::Ideal { capacity_mah });
+    let peukert = exp2c_on(
+        "Peukert",
+        BatterySpec::Peukert {
+            capacity_mah,
+            reference_ma: MilliAmps::new(60.0),
+            exponent: 1.2,
+        },
+    );
+    assert_bounded(
+        Experiment::ALL
+            .map(Experiment::config)
+            .into_iter()
+            .chain([ideal, peukert]),
+    );
 }
 
 #[test]

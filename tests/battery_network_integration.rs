@@ -17,7 +17,7 @@ fn profile_from_schedule(schedule: &[(Mode, usize, f64)]) -> LoadProfile {
     let steps: Vec<LoadStep> = schedule
         .iter()
         .map(|&(mode, level_idx, secs)| {
-            let level = table.level(level_idx % table.len());
+            let level = table.level(level_idx % table.iter().count());
             LoadStep::from_secs(secs, model.current_ma(mode, level).get())
         })
         .collect();
@@ -30,8 +30,7 @@ fn dvs_during_io_always_helps_the_battery() {
     // never shortens pack-B lifetime.
     let table = DvsTable::sa1100();
     let model = CurrentModel::itsy();
-    for level_idx in 1..table.len() {
-        let level = table.level(level_idx);
+    for level in table.iter().skip(1) {
         let low = table.lowest();
         let with_dvs = LoadProfile::repeating(vec![
             LoadStep::from_secs(1.0, model.current_ma(Mode::Communication, low).get()),
@@ -49,7 +48,7 @@ fn dvs_during_io_always_helps_the_battery() {
         let t_without = simulate_lifetime(&mut b2, &without).lifetime;
         assert!(
             t_with >= t_without,
-            "DVS during I/O hurt at level {level_idx}: {t_with:?} < {t_without:?}"
+            "DVS during I/O hurt at level {level}: {t_with:?} < {t_without:?}"
         );
     }
 }
