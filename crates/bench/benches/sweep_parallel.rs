@@ -10,9 +10,8 @@
 
 use dles_bench::bench;
 use dles_core::policy::DvsPolicy;
-use dles_core::rotation::RotationConfig;
 use dles_core::scale::n_node_config;
-use dles_core::{run_pipeline, PipelineConfig, SystemConfig};
+use dles_core::{run_pipeline, PipelineConfig, SystemConfig, Technique};
 use dles_sim::{par_map_slice, SimTime};
 use std::hint::black_box;
 
@@ -33,7 +32,7 @@ fn scaling_jobs() -> Vec<PipelineConfig> {
                 &sys,
                 n,
                 DvsPolicy::DvsDuringIo,
-                Some(RotationConfig::paper()),
+                Some(Technique::PAPER_ROTATION),
             ));
         }
         for (v, cfg) in variants.into_iter().enumerate() {

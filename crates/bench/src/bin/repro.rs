@@ -13,6 +13,7 @@
 //! repro --fig10         the experiment summary (Fig. 10)
 //! repro --exp 2C        one experiment in detail (0A 0B 1 1A 2 2A 2B 2C)
 //! repro --trace FILE    with --exp: stream structured events as JSONL
+//!                       (exit 1 if the file cannot be written)
 //! repro --counters      with --exp: print the monotonic event counters
 //! repro --policy NAME   scheduling policy: `static` (the paper's fixed
 //!                       behaviour, default), `soc-skew` (rotate when the
@@ -49,15 +50,14 @@ use dles_core::experiment::{run_experiment, Experiment};
 use dles_core::metrics::ExperimentResult;
 use dles_core::node::BatterySpec;
 use dles_core::partition::best_partition;
-use dles_core::pipeline::{run_pipeline, run_pipeline_with};
+use dles_core::pipeline::{run_pipeline, run_pipeline_traced, Technique};
 use dles_core::policy::SchedulingPolicy;
 use dles_core::report;
-use dles_core::rotation::RotationConfig;
 use dles_core::timeline::{capture_timeline, render_timeline};
 use dles_core::workload::SystemConfig;
 use dles_power::CurrentModel;
 use dles_sim::{JsonlRecorder, SimTime};
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -220,7 +220,7 @@ fn main() {
             "--fig5" => print_fig5(),
             "--fig9" => print_timeline_fig(
                 Experiment::Exp2C,
-                Some(2),
+                NonZeroU64::new(2),
                 "Fig. 9 — node rotation on two nodes (rotating every 2 frames)",
             ),
             "--fig6" => print!("{}", report::render_fig6(&sys)),
@@ -281,9 +281,9 @@ fn parse_num<T: std::str::FromStr>(arg: Option<&String>, need: &str) -> T {
 
 /// The Monte Carlo robustness study: N seeded trials of the experiment 2B
 /// configuration (two nodes + §5.4 recovery) under a fault profile. With a
-/// non-static `--policy` the base switches to the 2C rotation workload —
-/// adaptive scheduling needs the rotation wave, which is mutually
-/// exclusive with §5.4 recovery.
+/// non-static `--policy` the base switches to the 2C rotation workload:
+/// adaptive scheduling needs the rotation wave, and a run applies either
+/// recovery or rotation, never both.
 fn run_montecarlo_study(
     trials: usize,
     faults_name: &str,
@@ -307,8 +307,8 @@ fn run_montecarlo_study(
     } else {
         dles_core::policy_config(policy)
     };
-    if no_recovery && base.recovery.is_some() {
-        base.recovery = None;
+    if no_recovery && base.technique == Some(Technique::Recovery) {
+        base.technique = None;
         base.label = format!("{} (no recovery)", base.label);
     }
     if let Some(s) = horizon_s {
@@ -337,7 +337,7 @@ fn run_exp_detail(label: &str, trace_path: Option<&str>, counters: bool, policy:
         });
     let mut cfg = exp.config();
     if !policy.is_static() {
-        if cfg.rotation.is_none() {
+        if !matches!(cfg.technique, Some(Technique::Rotation { .. })) {
             eprintln!(
                 "--policy {} needs the rotation workload; use --exp 2C",
                 policy.name()
@@ -352,7 +352,10 @@ fn run_exp_detail(label: &str, trace_path: Option<&str>, counters: bool, policy:
                 eprintln!("cannot create trace file {path}: {e}");
                 std::process::exit(2);
             });
-            let r = run_pipeline_with(cfg, Box::new(recorder));
+            let r = run_pipeline_traced(cfg, Box::new(recorder)).unwrap_or_else(|e| {
+                eprintln!("cannot write trace file {path}: {e}");
+                std::process::exit(1);
+            });
             eprintln!("trace written to {path}");
             r
         }
@@ -370,7 +373,7 @@ fn run_fig10(json: bool) {
     let results: Vec<(Experiment, ExperimentResult)> = Experiment::ALL
         .iter()
         .copied()
-        .zip(dles_core::experiment::run_all_experiments(true))
+        .zip(dles_core::experiment::run_all_experiments())
         .collect();
 
     let fig10: Vec<_> = results
@@ -439,13 +442,13 @@ fn run_ablations() {
     );
 
     println!("Ablation 2 — rotation period (frames between rotations)");
-    for period in [1u64, 10, 100, 1000, 5000] {
+    for period_frames in [1, 10, 100, 1000, 5000].map(|p| NonZeroU64::new(p).expect("positive")) {
         let mut cfg = Experiment::Exp2C.config();
-        cfg.rotation = Some(RotationConfig::every(period));
+        cfg.technique = Some(Technique::Rotation { period_frames });
         let r = run_pipeline(cfg);
         println!(
             "  every {:>5} frames: T = {:.2} h, {} deadline misses",
-            period,
+            period_frames,
             r.life_hours(),
             r.deadline_misses
         );
@@ -526,11 +529,11 @@ fn print_fig5() {
 }
 
 /// Render a figure timeline by running the experiment config briefly.
-fn print_timeline_fig(exp: Experiment, rotation_period: Option<u64>, title: &str) {
+fn print_timeline_fig(exp: Experiment, rotation_period: Option<NonZeroU64>, title: &str) {
     let mut cfg = exp.config();
     let frames = 6;
-    if let Some(period) = rotation_period {
-        cfg.rotation = Some(RotationConfig::every(period));
+    if let Some(period_frames) = rotation_period {
+        cfg.technique = Some(Technique::Rotation { period_frames });
     }
     let tl = capture_timeline(cfg, frames);
     println!("{title}");

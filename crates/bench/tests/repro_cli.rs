@@ -1,5 +1,6 @@
 //! The `repro` binary rejects bad flag values with one line on stderr and
-//! exit code 2, never with a panic.
+//! exit code 2, never with a panic, and fails when its trace file cannot
+//! be written.
 
 use std::process::Command;
 
@@ -13,4 +14,19 @@ fn zero_monte_carlo_trials_exit_2_without_a_panic() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(stderr.contains("at least 1"), "stderr: {stderr}");
+}
+
+/// Every write to `/dev/full` fails with "no space left on device".
+#[cfg(target_os = "linux")]
+#[test]
+fn trace_to_a_full_device_fails_without_claiming_success() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "1", "--trace", "/dev/full"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(!stderr.contains("trace written"), "stderr: {stderr}");
+    assert!(stderr.contains("/dev/full"), "stderr: {stderr}");
 }

@@ -17,10 +17,8 @@
 
 use crate::metrics::ExperimentResult;
 use crate::node::BatterySpec;
-use crate::pipeline::{run_pipeline, PipelineConfig};
+use crate::pipeline::{run_pipeline, PipelineConfig, Technique};
 use crate::policy::{DvsPolicy, SchedulingPolicy};
-use crate::recovery::RecoveryConfig;
-use crate::rotation::RotationConfig;
 use crate::workload::{NodeShare, SystemConfig};
 use dles_atr::BlockRange;
 use dles_battery::packs::{itsy_pack_a, itsy_pack_b};
@@ -155,8 +153,7 @@ impl Experiment {
             scheduling: SchedulingPolicy::Static,
             battery: BatterySpec::Kibam(itsy_pack_b().kibam),
             current_model: CurrentModel::itsy(),
-            rotation: None,
-            recovery: None,
+            technique: None,
             io_enabled: true,
             jitter_seed: None,
             faults: None,
@@ -198,14 +195,14 @@ impl Experiment {
                 // the paper measured 73.7 and 118 MHz.
                 levels: vec![level(73.7), level(118.0)],
                 policy: DvsPolicy::DvsDuringIo,
-                recovery: Some(RecoveryConfig::paper()),
+                technique: Some(Technique::Recovery),
                 ..base
             },
             Experiment::Exp2C => PipelineConfig {
                 shares: vec![scheme1.0, scheme1.1],
                 levels: vec![level(59.0), level(103.2)],
                 policy: DvsPolicy::DvsDuringIo,
-                rotation: Some(RotationConfig::paper()),
+                technique: Some(Technique::PAPER_ROTATION),
                 ..base
             },
         }
@@ -229,13 +226,10 @@ pub fn run_experiment(cfg: &PipelineConfig) -> ExperimentResult {
     run_pipeline(cfg.clone())
 }
 
-/// Run every experiment (optionally in parallel) and return the results in
+/// Run every experiment, one worker per core, and return the results in
 /// the paper's order.
-pub fn run_all_experiments(parallel: bool) -> Vec<ExperimentResult> {
-    let threads = if parallel { 0 } else { 1 };
-    dles_sim::par_map_slice(&Experiment::ALL, threads, |_, e| {
-        run_experiment(&e.config())
-    })
+pub fn run_all_experiments() -> Vec<ExperimentResult> {
+    dles_sim::par_map_slice(&Experiment::ALL, 0, |_, e| run_experiment(&e.config()))
 }
 
 #[cfg(test)]
@@ -247,8 +241,14 @@ mod tests {
         assert_eq!(Experiment::Exp1.config().n_nodes(), 1);
         assert_eq!(Experiment::Exp2.config().n_nodes(), 2);
         assert!(!Experiment::Exp0A.config().io_enabled);
-        assert!(Experiment::Exp2B.config().recovery.is_some());
-        assert!(Experiment::Exp2C.config().rotation.is_some());
+        assert_eq!(
+            Experiment::Exp2B.config().technique,
+            Some(Technique::Recovery)
+        );
+        assert_eq!(
+            Experiment::Exp2C.config().technique,
+            Some(Technique::PAPER_ROTATION)
+        );
         assert_eq!(Experiment::Exp2C.config().policy, DvsPolicy::DvsDuringIo);
     }
 

@@ -17,16 +17,16 @@
 //!   each power segment settled once into the battery, the mean-current
 //!   monitor and the per-mode energy split;
 //! * [`pipeline`] — the discrete-event model of the whole distributed
-//!   system: host, serial hub, N nodes, the §5.4 acknowledgment and
-//!   timeout protocol, failure detection, node rotation;
+//!   system: host, serial hub, N nodes, and the [`Technique`] a run
+//!   adds: the §5.4 acknowledgment and timeout protocol with failure
+//!   detection, or §5.5 node rotation, each with the paper's fixed
+//!   protocol numbers;
 //! * [`faults`] — seeded fault injection: serial bit errors (through the
 //!   real PPP codec), drops, delays, transient brownouts, battery
 //!   variance;
 //! * [`montecarlo`] — the Monte Carlo robustness harness: N seeded trials
 //!   under a fault profile, sharded across threads, reproducibly
 //!   aggregated;
-//! * `recovery` — power-failure recovery configuration (§5.4);
-//! * [`rotation`] — node-rotation configuration (§5.5);
 //! * [`metrics`] — the paper's metrics `T(N)`, `F(N)`, `T_norm`, `R_norm`
 //!   (§4.5);
 //! * [`experiment`] — ready-made configurations for every experiment of
@@ -54,9 +54,7 @@ pub mod node;
 pub mod partition;
 pub mod pipeline;
 pub mod policy;
-pub(crate) mod recovery;
 pub mod report;
-pub mod rotation;
 pub mod scale;
 pub mod sweep;
 pub mod timeline;
@@ -68,6 +66,7 @@ pub use faults::FaultProfile;
 pub use metrics::ExperimentResult;
 pub use montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig, MonteCarloReport};
 pub use pipeline::{
-    build_engine, build_engine_with, run_pipeline, run_pipeline_with, PipelineConfig, PipelineWorld,
+    build_engine, build_engine_with, run_pipeline, run_pipeline_with, PipelineConfig,
+    PipelineWorld, Technique,
 };
 pub use workload::SystemConfig;

@@ -8,6 +8,7 @@
 use dles_battery::kibam::KibamParams;
 use dles_battery::rakhmatov::RvParams;
 use dles_battery::{Battery, IdealBattery, KibamBattery, PeukertBattery, RakhmatovBattery};
+use dles_net::Endpoint;
 use dles_power::{
     CurrentModel, EnergyAccount, FreqLevel, LoadSegment, Mode, PowerMonitor, PowerState,
 };
@@ -15,12 +16,6 @@ use dles_sim::{EventId, NullRecorder, Recorder, SimTime};
 use dles_units::{MilliAmpHours, MilliAmps};
 
 use crate::metrics::NodeOutcome;
-
-/// Trace-component tag for node index `node` (1-based, matching the
-/// paper's figures). Called only where a record is actually built.
-pub(crate) fn component_of(node: usize) -> String {
-    format!("node{}", node + 1)
-}
 
 /// Which battery model powers a node — KiBaM for reproduction, ideal and
 /// Peukert for the "what would a naive battery model predict" ablations.
@@ -217,7 +212,7 @@ impl SimNode {
                     current_ma: current,
                 };
                 recorder.record(seg.trace_record(
-                    component_of(node),
+                    Endpoint::Node(node).to_string(),
                     prev_mode.name(),
                     prev_level.freq_mhz,
                 ));

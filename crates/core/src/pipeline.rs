@@ -22,10 +22,11 @@
 
 use crate::faults::{FaultPlan, FaultState, LinkFault};
 use crate::metrics::ExperimentResult;
-use crate::node::{component_of, BatterySpec, DeathArm, SimNode};
-use crate::policy::{DvsPolicy, SchedulingPolicy};
-use crate::recovery::RecoveryConfig;
-use crate::rotation::RotationConfig;
+use crate::node::{BatterySpec, DeathArm, SimNode};
+use crate::policy::{
+    DvsPolicy, SchedulingPolicy, ADAPTIVE_MAX_PERIOD_FRAMES, ADAPTIVE_MIN_PERIOD_FRAMES,
+    ADAPTIVE_TARGET_SKEW, SOC_SKEW_MIN_GAP_FRAMES, SOC_SKEW_THRESHOLD,
+};
 use crate::transaction::{Transfer, TransferKind};
 use crate::workload::{NodeShare, SystemConfig};
 use dles_net::{link_component, Endpoint, LinkSchedule};
@@ -35,14 +36,76 @@ use dles_sim::{
     TraceEvent, World,
 };
 use dles_units::MilliAmps;
+use std::num::NonZeroU64;
 
 /// Tolerance added to the per-frame deadline before counting a miss
 /// (absorbs sub-millisecond rounding in transfer times).
 const DEADLINE_TOLERANCE: SimTime = SimTime(50_000); // 50 ms
 
+/// §5.4: how long a sender waits for an acknowledgment before it declares
+/// the receiver dead, twice the worst-case ack latency (100 ms).
+const ACK_WAIT: SimTime = SimTime::from_millis(200);
+
+/// §5.4: how many frame delays a mid-pipeline node tolerates hearing
+/// nothing from upstream before it checks whether its neighbour died.
+const RECV_TIMEOUT_FRAMES: u64 = 2;
+
+/// §5.4: idle time a survivor spends reloading code when it absorbs a
+/// dead neighbour's share.
+const MIGRATION_DELAY: SimTime = SimTime::from_millis(100);
+
+/// §5.4: how many times an unacknowledged transfer to a live receiver is
+/// retransmitted before its frame is abandoned. Only lossy links need
+/// this: on a healthy link an ack timeout never fires against a live
+/// target.
+const MAX_RETRIES: u32 = 4;
+
+/// §5.5: idle time a node spends loading its new role's code at a
+/// rotation ("It should be sufficient for both nodes to load the new code
+/// into memory").
+const RECONFIG_DELAY: SimTime = SimTime::from_millis(50);
+
 /// How near its death sentinel a node must come before the sentinel is
 /// recomputed, and how near its bound before it re-arms exactly.
 const DEATH_WINDOW: SimTime = SimTime::from_secs(60);
+
+/// The technique a run adds on top of partitioning and DVS. The paper
+/// treats power-failure recovery and node rotation as alternatives, so a
+/// run applies at most one of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Technique {
+    /// Power-failure recovery (§5.4): "Each sending transaction must be
+    /// acknowledged by the receiver. A timeout mechanism is used on each
+    /// node to detect the failure of the neighboring nodes. The
+    /// computation share of the failed node will then migrate to one of
+    /// its neighboring nodes." Every ack is a serial transaction of its
+    /// own, so the nodes must run at faster DVS levels to meet the frame
+    /// delay.
+    Recovery,
+    /// Node rotation (§5.5): once every `period_frames` frames the node
+    /// at the head of the pipeline processes its own share and the next
+    /// one on the same frame, with its data already local. That removes
+    /// one SEND/RECV pair, and every node's role shifts by one, the tail
+    /// node rotating to the front. The host still emits one frame and
+    /// receives one result every `D`.
+    Rotation {
+        /// Frames between rotations. Frame 0 never rotates.
+        period_frames: NonZeroU64,
+    },
+}
+
+impl Technique {
+    /// The paper's §6.7 rotation: once every 100 frames.
+    pub const PAPER_ROTATION: Technique = Technique::Rotation {
+        period_frames: NonZeroU64::new(100).expect("100 is not zero"),
+    };
+}
+
+/// Whether a rotation every `period_frames` frames falls on `frame`.
+/// Frame 0 never rotates: there is nothing to balance yet.
+fn rotates_on(period_frames: NonZeroU64, frame: u64) -> bool {
+    frame > 0 && frame % period_frames == 0
+}
 
 /// Complete configuration of one pipeline experiment.
 #[derive(Debug, Clone)]
@@ -66,10 +129,8 @@ pub struct PipelineConfig {
     pub battery: BatterySpec,
     /// The CPU current model.
     pub current_model: CurrentModel,
-    /// Node rotation (§5.5), if enabled.
-    pub rotation: Option<RotationConfig>,
-    /// Power-failure recovery (§5.4), if enabled.
-    pub recovery: Option<RecoveryConfig>,
+    /// Recovery (§5.4) or rotation (§5.5), if either.
+    pub technique: Option<Technique>,
     /// `false` for the no-I/O experiments 0A/0B: nodes loop PROC locally.
     pub io_enabled: bool,
     /// Seed for startup-latency jitter; `None` = deterministic nominal.
@@ -89,6 +150,19 @@ impl PipelineConfig {
         self.shares.len()
     }
 
+    /// Whether the run applies §5.4 recovery.
+    fn recovery(&self) -> bool {
+        self.technique == Some(Technique::Recovery)
+    }
+
+    /// The rotation period, if the run applies §5.5 rotation.
+    fn rotation_period(&self) -> Option<NonZeroU64> {
+        match self.technique {
+            Some(Technique::Rotation { period_frames }) => Some(period_frames),
+            _ => None,
+        }
+    }
+
     fn validate(&self) {
         assert!(!self.shares.is_empty(), "pipeline needs at least one stage");
         assert_eq!(
@@ -96,21 +170,16 @@ impl PipelineConfig {
             self.levels.len(),
             "one DVS level per stage required"
         );
-        if self.rotation.is_some() {
+        if self.rotation_period().is_some() {
             assert!(
                 self.shares.len() >= 2,
                 "rotation requires at least two nodes"
             );
+        } else {
             assert!(
-                self.recovery.is_none(),
-                "rotation and recovery are alternative techniques (§5.5)"
-            );
-        }
-        if !self.scheduling.is_static() {
-            assert!(
-                self.rotation.is_some(),
+                self.scheduling.is_static(),
                 "adaptive scheduling policies decide *when* to rotate and \
-                 need a RotationConfig for the wave mechanics"
+                 need the rotation technique for the wave mechanics"
             );
         }
         if let Some(scales) = &self.battery_scales {
@@ -407,7 +476,7 @@ impl PipelineWorld {
             double_from_share: vec![None; n],
             wave_outstanding: 0,
             last_rotation_frame: 0,
-            adaptive_period: cfg.rotation.map(|r| r.period_frames).unwrap_or(0),
+            adaptive_period: cfg.rotation_period().map_or(0, NonZeroU64::get),
             i_max,
             last_event: SimTime::ZERO,
             recv_seq: vec![0; n],
@@ -468,25 +537,26 @@ impl PipelineWorld {
     /// Pure function of event history (frame counters and settled battery
     /// state), so the decision is deterministic at any thread count.
     fn rotation_due(&self, frame: u64) -> bool {
-        if self.cfg.rotation.is_none() {
+        let Some(period_frames) = self.cfg.rotation_period() else {
             return false;
-        }
+        };
         match self.cfg.scheduling {
-            SchedulingPolicy::Static => self.cfg.rotation.is_some_and(|rot| rot.triggers_on(frame)),
-            SchedulingPolicy::RotateOnSocSkew {
-                threshold_soc,
-                min_gap_frames,
-            } => {
+            SchedulingPolicy::Static => rotates_on(period_frames, frame),
+            SchedulingPolicy::RotateOnSocSkew => {
                 frame > 0
-                    && frame - self.last_rotation_frame >= min_gap_frames.max(1)
-                    && self.soc_skew() >= threshold_soc
+                    && frame - self.last_rotation_frame >= SOC_SKEW_MIN_GAP_FRAMES
+                    && self.soc_skew() >= SOC_SKEW_THRESHOLD
             }
-            SchedulingPolicy::AdaptivePeriod { .. } => {
-                self.adaptive_period > 0
-                    && frame > 0
-                    && frame - self.last_rotation_frame >= self.adaptive_period
+            SchedulingPolicy::AdaptivePeriod => {
+                frame > 0 && frame - self.last_rotation_frame >= self.adaptive_period
             }
         }
+    }
+
+    /// How long a mid-pipeline node waits on silence from upstream before
+    /// checking whether its neighbour died.
+    fn recv_timeout(&self) -> SimTime {
+        self.cfg.sys.frame_delay * RECV_TIMEOUT_FRAMES
     }
 
     /// One doubling of the current rotation wave resolved (executed, lost
@@ -555,7 +625,7 @@ impl PipelineWorld {
                     share,
                     frame,
                 }
-                .record(ctx.now(), component_of(node)),
+                .record(ctx.now(), Endpoint::Node(node).to_string()),
             );
         }
         self.nodes[node].transition_recorded(ctx.now(), mode, level, ctx.recorder(), node);
@@ -701,7 +771,7 @@ impl PipelineWorld {
         } else {
             (Endpoint::Node(self.target_for(share + 1)), Some(share + 1))
         };
-        let seq = if self.cfg.recovery.is_some() {
+        let seq = if self.cfg.recovery() {
             let s = self.send_seq[node];
             self.send_seq[node] += 1;
             self.outstanding[node].push(OutstandingSend {
@@ -758,23 +828,18 @@ impl PipelineWorld {
         }
         let skew = self.soc_skew();
         let mut action = "rotate";
-        if let SchedulingPolicy::AdaptivePeriod {
-            target_skew_soc,
-            min_period_frames,
-            max_period_frames,
-        } = self.cfg.scheduling
-        {
-            if skew > target_skew_soc {
-                self.adaptive_period = (self.adaptive_period / 2).max(min_period_frames.max(1));
+        let adaptive = self.cfg.scheduling == SchedulingPolicy::AdaptivePeriod;
+        if adaptive {
+            if skew > ADAPTIVE_TARGET_SKEW {
+                self.adaptive_period = (self.adaptive_period / 2).max(ADAPTIVE_MIN_PERIOD_FRAMES);
                 action = "rotate_shrink";
-            } else if skew.get() < target_skew_soc.get() / 2.0 {
-                self.adaptive_period = (self.adaptive_period * 2).min(max_period_frames);
+            } else if skew.get() < ADAPTIVE_TARGET_SKEW.get() / 2.0 {
+                self.adaptive_period = (self.adaptive_period * 2).min(ADAPTIVE_MAX_PERIOD_FRAMES);
                 action = "rotate_stretch";
             }
         }
         self.count(Counter::PolicyDecisions);
         if ctx.tracing() {
-            let adaptive = matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. });
             ctx.emit(
                 TraceEvent::PolicyDecision {
                     policy: self.cfg.scheduling.name(),
@@ -847,11 +912,11 @@ impl PipelineWorld {
         if ctx.tracing() {
             ctx.emit(
                 TraceEvent::Migration {
-                    dead: component_of(dead),
+                    dead: Endpoint::Node(dead).to_string(),
                     merged_freq_mhz: level.freq_mhz.mhz(),
                     feasible: feasible.is_some(),
                 }
-                .record(ctx.now(), component_of(survivor)),
+                .record(ctx.now(), Endpoint::Node(survivor).to_string()),
             );
         }
         // The survivor's pending sends targeted the old share map; any
@@ -862,12 +927,7 @@ impl PipelineWorld {
         // shrunken pipeline.
         self.depth_history
             .push((self.next_frame, self.cfg.shares.len()));
-        let delay = self
-            .cfg
-            .recovery
-            .map(|r| r.migration_delay)
-            .unwrap_or(SimTime::ZERO);
-        let t = self.nodes[survivor].busy_until.max(ctx.now()) + delay;
+        let t = self.nodes[survivor].busy_until.max(ctx.now()) + MIGRATION_DELAY;
         self.nodes[survivor].busy_until = t;
         self.set_node_state(ctx, survivor, Mode::Idle);
     }
@@ -1028,7 +1088,7 @@ impl PipelineWorld {
                             payload: self.transfers[id].kind.name(),
                             frame,
                         }
-                        .record(ctx.now(), component_of(i)),
+                        .record(ctx.now(), Endpoint::Node(i).to_string()),
                     );
                 }
             }
@@ -1054,12 +1114,12 @@ impl PipelineWorld {
                         self.start_proc(ctx, node, frame, share);
                     }
                 }
-                if let Some(rec) = self.cfg.recovery {
+                if self.cfg.recovery() {
                     if let Some(seq) = t.seq {
                         // Reliable send: watch for its ack by sequence
                         // number, so concurrent sends to different
                         // endpoints are attributed independently.
-                        ctx.schedule_in(rec.ack_wait, Ev::AckTimeout { node: s, seq });
+                        ctx.schedule_in(ACK_WAIT, Ev::AckTimeout { node: s, seq });
                     }
                 }
             }
@@ -1074,7 +1134,7 @@ impl PipelineWorld {
                         self.count(Counter::TransfersLost);
                         return;
                     }
-                    if self.cfg.recovery.is_some() && self.recent_host_frames.contains(&t.frame) {
+                    if self.cfg.recovery() && self.recent_host_frames.contains(&t.frame) {
                         // Duplicate delivery (a retransmission whose
                         // original — or its ack — was lost): re-ack so the
                         // sender stands down, but don't double-count.
@@ -1082,7 +1142,7 @@ impl PipelineWorld {
                         self.host_ack(ctx, t.from, t.frame, t.seq);
                         return;
                     }
-                    if self.cfg.recovery.is_some() {
+                    if self.cfg.recovery() {
                         remember(&mut self.recent_host_frames, t.frame);
                     }
                     self.count(Counter::FramesCompleted);
@@ -1110,7 +1170,7 @@ impl PipelineWorld {
                             .record(ctx.now(), "host"),
                         );
                     }
-                    if self.cfg.recovery.is_some() {
+                    if self.cfg.recovery() {
                         self.host_ack(ctx, t.from, t.frame, t.seq);
                     }
                 }
@@ -1151,7 +1211,7 @@ impl PipelineWorld {
                             reason = "protocol invariant: every Data transfer is planned with Some(next_share)"
                         )]
                         let share = t.next_share.expect("data to a node carries a share");
-                        if self.cfg.recovery.is_some() && self.recent_frames[r].contains(&t.frame) {
+                        if self.cfg.recovery() && self.recent_frames[r].contains(&t.frame) {
                             // Duplicate delivery after a lost ack: re-ack
                             // (without re-processing) so the sender stops.
                             self.count(Counter::DuplicateFramesDropped);
@@ -1162,11 +1222,11 @@ impl PipelineWorld {
                             return;
                         }
                         self.recv_seq[r] += 1;
-                        if let Some(rec) = self.cfg.recovery {
+                        if self.cfg.recovery() {
                             remember(&mut self.recent_frames[r], t.frame);
                             // Re-arm the upstream-silence watchdog.
                             let seq = self.recv_seq[r];
-                            ctx.schedule_in(rec.recv_timeout, Ev::RecvTimeout { node: r, seq });
+                            ctx.schedule_in(self.recv_timeout(), Ev::RecvTimeout { node: r, seq });
                             // Acknowledge, then process.
                             let then_proc = Some((r, t.frame, share));
                             self.plan_transfer(
@@ -1201,17 +1261,12 @@ impl PipelineWorld {
         // (its data is already in memory), pausing only to reload code.
         if let Some(from) = self.double_from_share[node].take() {
             if from == share {
-                let delay = self
-                    .cfg
-                    .rotation
-                    .map(|r| r.reconfig_delay)
-                    .unwrap_or(SimTime::ZERO);
                 self.set_node_state(ctx, node, Mode::Idle);
-                self.nodes[node].busy_until = ctx.now() + delay;
+                self.nodes[node].busy_until = ctx.now() + RECONFIG_DELAY;
                 // The wave's doubling resolves when the DoubleProc fires,
                 // so the reconfig window itself holds the wave open.
                 ctx.schedule_in(
-                    delay,
+                    RECONFIG_DELAY,
                     Ev::DoubleProc {
                         node,
                         frame,
@@ -1236,7 +1291,7 @@ impl PipelineWorld {
             clippy::expect_used,
             reason = "invariant: migrate unassigns only the dead node, and a dead node returned above"
         )]
-        let cur = if self.cfg.recovery.is_some() {
+        let cur = if self.cfg.recovery() {
             self.share_of_node[node].expect("a live node keeps its share")
         } else {
             share
@@ -1292,7 +1347,7 @@ impl PipelineWorld {
                     delivered_mah: self.nodes[node].battery.delivered_mah().get(),
                     stranded_mah: self.nodes[node].stranded_mah().get(),
                 }
-                .record(ctx.now(), component_of(node)),
+                .record(ctx.now(), Endpoint::Node(node).to_string()),
             );
         }
         self.nodes[node].death = DeathArm::Exact(None);
@@ -1300,7 +1355,7 @@ impl PipelineWorld {
         if self.double_from_share[node].take().is_some() {
             self.wave_resolve_one();
         }
-        if self.cfg.recovery.is_none() {
+        if !self.cfg.recovery() {
             // Without recovery the pipeline stalls at the first failure
             // (§6.4): the system's battery life ends here.
             self.stopped_at = Some(ctx.now());
@@ -1337,7 +1392,7 @@ impl PipelineWorld {
                     payload: TransferKind::Ack.name(),
                     bytes: 0,
                     frame: entry.frame,
-                    waiter: Some(component_of(node)),
+                    waiter: Some(Endpoint::Node(node).to_string()),
                     upstream_alive: None,
                 }
                 .record(ctx.now(), link_component(entry.to, Endpoint::Node(node))),
@@ -1357,8 +1412,7 @@ impl PipelineWorld {
             _ => {
                 // The target is alive (or is the host): the loss was
                 // transient — retransmit, up to the retry budget.
-                let max_retries = self.cfg.recovery.map(|r| r.max_retries).unwrap_or(0);
-                if entry.retries < max_retries {
+                if entry.retries < MAX_RETRIES {
                     self.outstanding[node][pos].retries += 1;
                     self.count(Counter::Retransmissions);
                     self.plan_transfer(
@@ -1393,7 +1447,7 @@ impl PipelineWorld {
             if ctx.tracing() {
                 ctx.emit(
                     TraceEvent::FaultInjected(InjectedFault::Brownout { duration })
-                        .record(ctx.now(), component_of(node)),
+                        .record(ctx.now(), Endpoint::Node(node).to_string()),
                 );
             }
             self.set_node_state(ctx, node, Mode::Idle);
@@ -1441,10 +1495,10 @@ impl PipelineWorld {
         }
         if !self.nodes[upstream].alive {
             self.migrate(ctx, node, upstream);
-        } else if let Some(rec) = self.cfg.recovery {
+        } else if self.cfg.recovery() {
             // Upstream is alive but slow; keep watching.
             let seq = self.recv_seq[node];
-            ctx.schedule_in(rec.recv_timeout, Ev::RecvTimeout { node, seq });
+            ctx.schedule_in(self.recv_timeout(), Ev::RecvTimeout { node, seq });
         }
     }
 }
@@ -1507,12 +1561,28 @@ pub fn run_pipeline(cfg: PipelineConfig) -> ExperimentResult {
 
 /// [`run_pipeline`] with an explicit trace recorder. The recorder receives
 /// every structured event of the run (power segments, transactions, state
-/// transitions, rotations, failures); a [`dles_sim::JsonlRecorder`] is
-/// flushed when the engine is dropped at the end of this call.
+/// transitions, rotations, failures). Its sink's errors are not checked:
+/// a recorder writing to a sink that can fail runs through
+/// [`run_pipeline_traced`].
 pub fn run_pipeline_with(cfg: PipelineConfig, recorder: Box<dyn Recorder>) -> ExperimentResult {
-    let horizon = cfg.horizon;
+    run_to_horizon(&mut build_engine_with(cfg, recorder))
+}
+
+/// [`run_pipeline_with`], then [`Recorder::finish`]: the run's result, or
+/// the first error the recorder's sink reported.
+pub fn run_pipeline_traced(
+    cfg: PipelineConfig,
+    recorder: Box<dyn Recorder>,
+) -> std::io::Result<ExperimentResult> {
     let mut engine = build_engine_with(cfg, recorder);
-    let outcome = engine.run_until(horizon);
+    let result = run_to_horizon(&mut engine);
+    engine.recorder_mut().finish()?;
+    Ok(result)
+}
+
+/// Run a freshly built engine to its configured horizon and report.
+fn run_to_horizon(engine: &mut Engine<PipelineWorld>) -> ExperimentResult {
+    let outcome = engine.run_until(engine.world().cfg.horizon);
     debug_assert_ne!(
         outcome,
         RunOutcome::QueueEmpty,
@@ -1554,6 +1624,32 @@ mod tests {
         EXACT_ONLY.with(Cell::get)
     }
 
+    #[test]
+    fn ack_wait_exceeds_worst_case_ack() {
+        assert!(ACK_WAIT > SimTime::from_millis(100));
+        let d = SystemConfig::paper().frame_delay;
+        assert!(d * RECV_TIMEOUT_FRAMES > d);
+    }
+
+    #[test]
+    fn paper_config_rotates_every_100() {
+        let Technique::Rotation { period_frames } = Technique::PAPER_ROTATION else {
+            panic!("the paper's rotation is a rotation");
+        };
+        assert!(!rotates_on(period_frames, 0));
+        assert!(!rotates_on(period_frames, 99));
+        assert!(rotates_on(period_frames, 100));
+        assert!(rotates_on(period_frames, 200));
+        assert!(!rotates_on(period_frames, 150));
+    }
+
+    #[test]
+    fn custom_period() {
+        assert!(rotates_on(NonZeroU64::MIN, 1));
+        assert!(rotates_on(NonZeroU64::MIN, 2));
+        assert!(!rotates_on(NonZeroU64::MIN, 0));
+    }
+
     fn base_config(label: &str) -> PipelineConfig {
         let sys = SystemConfig::paper();
         let share = NodeShare::from_profile(&sys.profile, BlockRange::full());
@@ -1566,8 +1662,7 @@ mod tests {
             scheduling: SchedulingPolicy::Static,
             battery: BatterySpec::Kibam(itsy_pack_b().kibam),
             current_model: CurrentModel::itsy(),
-            rotation: None,
-            recovery: None,
+            technique: None,
             io_enabled: true,
             jitter_seed: None,
             faults: None,
@@ -1662,7 +1757,7 @@ mod tests {
     fn rotation_balances_discharge() {
         let mut cfg = two_node_config("2C");
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::paper());
+        cfg.technique = Some(Technique::PAPER_ROTATION);
         let r = run_pipeline(cfg);
         // Both nodes die close together: balanced load.
         let deaths: Vec<f64> = r
@@ -1690,7 +1785,7 @@ mod tests {
         let plain = run_pipeline(two_node_config("2"));
         let mut cfg = two_node_config("2C");
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::paper());
+        cfg.technique = Some(Technique::PAPER_ROTATION);
         let rot = run_pipeline(cfg);
         assert!(
             rot.lifetime.as_hours_f64() > plain.lifetime.as_hours_f64() * 1.1,
@@ -1714,7 +1809,7 @@ mod tests {
                 .by_freq(dles_units::Hertz::from_mhz(118.0))
                 .unwrap(),
         ];
-        cfg.recovery = Some(RecoveryConfig::paper());
+        cfg.technique = Some(Technique::Recovery);
         let r = run_pipeline(cfg);
         // Both nodes eventually die; lifetime is the second death.
         assert!(r.nodes.iter().all(|n| n.death_time.is_some()));
@@ -1806,15 +1901,6 @@ mod tests {
         assert!(node1_us > 10_000_000, "node1 covered {node1_us} µs");
     }
 
-    #[test]
-    #[should_panic(expected = "alternative techniques")]
-    fn rotation_plus_recovery_rejected() {
-        let mut cfg = two_node_config("bad");
-        cfg.rotation = Some(RotationConfig::paper());
-        cfg.recovery = Some(RecoveryConfig::paper());
-        run_pipeline(cfg);
-    }
-
     /// Regression (pre-fix-failing): a rotation due while the previous
     /// wave still has unresolved doublings must *defer*, not launch. The
     /// pre-fix code launched unconditionally, overwriting the in-flight
@@ -1827,7 +1913,9 @@ mod tests {
     fn rotation_defers_while_a_wave_is_still_reconfiguring() {
         let mut cfg = two_node_config("overlap");
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::every(1));
+        cfg.technique = Some(Technique::Rotation {
+            period_frames: NonZeroU64::MIN,
+        });
         let mut engine = build_engine(cfg);
         {
             // A wave is mid-reconfig: its tag is consumed (DoubleProc
@@ -1862,7 +1950,7 @@ mod tests {
         use dles_sim::MemoryRecorder;
         let mut cfg = two_node_config("2C-skew");
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::paper());
+        cfg.technique = Some(Technique::PAPER_ROTATION);
         // The adaptive-period feedback loop shrinks the period step by
         // step (100 → 50 → 25 → …), so the early rotation gaps genuinely
         // vary and the boundary leaves the fixed grid.
@@ -1918,7 +2006,7 @@ mod tests {
         use crate::faults::FaultProfile;
         let mut cfg = two_node_config("reconfig-brownout");
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::paper());
+        cfg.technique = Some(Technique::PAPER_ROTATION);
         cfg.faults = Some(FaultPlan::new(FaultProfile::brownout(), 1));
         cfg.horizon = SimTime::from_secs(1200);
         let mut engine = build_engine(cfg);
@@ -1983,7 +2071,7 @@ mod tests {
             .map(|l| l.unwrap_or(sys.dvs.highest()))
             .collect();
         cfg.shares = part.shares;
-        cfg.recovery = Some(RecoveryConfig::paper());
+        cfg.technique = Some(Technique::Recovery);
         cfg.sys = sys;
         let mut engine = build_engine(cfg);
         {
@@ -2029,7 +2117,7 @@ mod tests {
     #[test]
     fn ack_timeout_to_live_target_retransmits() {
         let mut cfg = two_node_config("retry");
-        cfg.recovery = Some(RecoveryConfig::paper());
+        cfg.technique = Some(Technique::Recovery);
         let mut engine = build_engine(cfg);
         {
             let w = engine.world_mut();
@@ -2086,7 +2174,7 @@ mod tests {
             .collect();
         cfg.shares = part.shares;
         cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.recovery = Some(RecoveryConfig::paper());
+        cfg.technique = Some(Technique::Recovery);
         // A tiny battery on the middle node forces an early death + migration.
         cfg.battery_scales = Some(vec![1.0, 0.02, 1.0]);
         cfg.horizon = SimTime::from_secs(3600);

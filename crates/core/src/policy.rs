@@ -12,9 +12,10 @@
 //! per-node state-of-charge estimates
 //! (`SimNode::soc_estimate`) and decide online when the
 //! next rotation wave should launch. The `Static` variant defers entirely
-//! to the configured [`DvsPolicy`] and
-//! [`crate::rotation::RotationConfig`], reproducing the paper's behaviour
-//! byte-for-byte.
+//! to the configured [`DvsPolicy`] and the rotation period of
+//! [`crate::pipeline::Technique::Rotation`], reproducing the paper's
+//! behaviour byte-for-byte. Each adaptive variant has one fixed setting,
+//! the constants below.
 
 use dles_power::{DvsTable, FreqLevel, Mode};
 use dles_units::StateOfCharge;
@@ -40,72 +41,69 @@ impl DvsPolicy {
     }
 }
 
+/// `soc-skew`: the max–min spread of the alive nodes' SoC estimates that
+/// launches a wave. The tail node drains ~3e-5 SoC per frame faster than
+/// the head under EXP-2C currents, so 1e-4 rotates every few frames.
+pub(crate) const SOC_SKEW_THRESHOLD: StateOfCharge = StateOfCharge::new(1e-4);
+
+/// `soc-skew`: the least gap between two waves, in frames.
+pub(crate) const SOC_SKEW_MIN_GAP_FRAMES: u64 = 1;
+
+/// `adaptive`: the skew the period controller steers toward at each wave.
+pub(crate) const ADAPTIVE_TARGET_SKEW: StateOfCharge = StateOfCharge::new(1e-4);
+
+/// `adaptive`: the floor of the adapted period, in frames.
+pub(crate) const ADAPTIVE_MIN_PERIOD_FRAMES: u64 = 8;
+
+/// `adaptive`: the ceiling of the adapted period, in frames.
+pub(crate) const ADAPTIVE_MAX_PERIOD_FRAMES: u64 = 2000;
+
 /// A battery-state-aware scheduling policy layered over the fixed
-/// [`DvsPolicy`] + [`crate::rotation::RotationConfig`] pair.
+/// [`DvsPolicy`] and rotation period.
 ///
 /// All decisions are pure functions of the simulated event history (the
 /// SoC estimates are settled model state, never wall-clock or RNG), so a
 /// policy cannot break the determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingPolicy {
     /// No adaptation: the configured `DvsPolicy` and rotation period apply
     /// verbatim. This is the paper's behaviour (1A/2A/2C, rotation-100)
     /// and must stay byte-identical to the pre-policy-engine engine.
     Static,
-    /// Rotate as soon as the max–min spread of the alive nodes' SoC
-    /// estimates exceeds `threshold_soc` (and at least `min_gap_frames`
-    /// frames have elapsed since the last wave). Communication and idle
-    /// run at the lowest DVS level, as in experiment 2C.
-    RotateOnSocSkew {
-        /// SoC spread that triggers a wave. The tail node drains ~3e-5
-        /// SoC per frame faster than the head under EXP-2C currents, so
-        /// 1e-4 rotates every few frames.
-        threshold_soc: StateOfCharge,
-        /// Refractory gap between waves, in frames (≥ 1).
-        min_gap_frames: u64,
-    },
+    /// Rotate as soon as the SoC skew reaches `SOC_SKEW_THRESHOLD` and at
+    /// least `SOC_SKEW_MIN_GAP_FRAMES` frames have passed since the last
+    /// wave. Communication and idle run at the lowest DVS level, as
+    /// in experiment 2C.
+    RotateOnSocSkew,
     /// Keep a rotation period, but halve it while the observed SoC skew at
-    /// rotation time exceeds `target_skew_soc` and double it while skew
-    /// stays under half the target — a feedback loop converging on the
-    /// cheapest period that still holds the ring balanced.
-    AdaptivePeriod {
-        /// Skew the controller steers toward at each wave.
-        target_skew_soc: StateOfCharge,
-        /// Floor for the adapted period, in frames.
-        min_period_frames: u64,
-        /// Ceiling for the adapted period, in frames.
-        max_period_frames: u64,
-    },
+    /// rotation time exceeds `ADAPTIVE_TARGET_SKEW` and double it while
+    /// skew stays under half the target, between
+    /// `ADAPTIVE_MIN_PERIOD_FRAMES` and `ADAPTIVE_MAX_PERIOD_FRAMES`: a
+    /// feedback loop converging on the cheapest period that still holds
+    /// the ring balanced.
+    AdaptivePeriod,
 }
 
 impl SchedulingPolicy {
     /// CLI spellings accepted by [`SchedulingPolicy::by_name`].
     pub const NAMES: [&'static str; 3] = ["static", "soc-skew", "adaptive"];
 
-    /// Resolve a CLI name to a policy with its default parameters.
+    /// Resolve a CLI name to its policy.
     pub fn by_name(name: &str) -> Option<SchedulingPolicy> {
         match name {
             "static" => Some(SchedulingPolicy::Static),
-            "soc-skew" => Some(SchedulingPolicy::RotateOnSocSkew {
-                threshold_soc: StateOfCharge::new(1e-4),
-                min_gap_frames: 1,
-            }),
-            "adaptive" => Some(SchedulingPolicy::AdaptivePeriod {
-                target_skew_soc: StateOfCharge::new(1e-4),
-                min_period_frames: 8,
-                max_period_frames: 2000,
-            }),
+            "soc-skew" => Some(SchedulingPolicy::RotateOnSocSkew),
+            "adaptive" => Some(SchedulingPolicy::AdaptivePeriod),
             _ => None,
         }
     }
 
-    /// The CLI spelling of this policy (its `by_name` inverse, ignoring
-    /// parameter overrides).
+    /// The CLI spelling of this policy (its `by_name` inverse).
     pub fn name(&self) -> &'static str {
         match self {
             SchedulingPolicy::Static => "static",
-            SchedulingPolicy::RotateOnSocSkew { .. } => "soc-skew",
-            SchedulingPolicy::AdaptivePeriod { .. } => "adaptive",
+            SchedulingPolicy::RotateOnSocSkew => "soc-skew",
+            SchedulingPolicy::AdaptivePeriod => "adaptive",
         }
     }
 
@@ -170,6 +168,18 @@ mod tests {
         assert_eq!(SchedulingPolicy::by_name("bogus"), None);
         assert!(SchedulingPolicy::by_name("static").unwrap().is_static());
         assert!(!SchedulingPolicy::by_name("soc-skew").unwrap().is_static());
+    }
+
+    #[test]
+    fn every_policy_round_trips_through_its_name() {
+        for p in [
+            SchedulingPolicy::Static,
+            SchedulingPolicy::RotateOnSocSkew,
+            SchedulingPolicy::AdaptivePeriod,
+        ] {
+            assert!(SchedulingPolicy::NAMES.contains(&p.name()), "{p:?}");
+            assert_eq!(SchedulingPolicy::by_name(p.name()), Some(p));
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@ use crate::experiment::Experiment;
 use crate::metrics::ExperimentResult;
 use crate::partition::fig8_schemes;
 use crate::workload::SystemConfig;
+use dles_net::Endpoint;
 use dles_power::{CurrentModel, Mode};
+use dles_sim::FieldValue;
 use std::fmt::Write as _;
 
 /// One row of the Fig. 10 summary.
@@ -206,9 +208,9 @@ pub fn render_experiment_detail(e: Experiment, r: &ExperimentResult) -> String {
             .unwrap_or_else(|| "alive".into());
         let _ = writeln!(
             out,
-            "  node{}: death {}, delivered {:.0} mAh, stranded {:.0} mAh, \
+            "  {}: death {}, delivered {:.0} mAh, stranded {:.0} mAh, \
              mean {:.1} mA, comm {:.0} J / comp {:.0} J / idle {:.0} J",
-            i + 1,
+            Endpoint::Node(i),
             death,
             n.delivered_mah.get(),
             n.stranded_mah.get(),
@@ -236,68 +238,43 @@ pub fn render_counters(label: &str, counters: &dles_sim::CounterSet) -> String {
 }
 
 /// Serialize Fig. 10 rows to pretty JSON (for machine-readable artifacts).
+/// Values render as trace fields do: strings escaped, non-finite numbers
+/// as `null`.
 pub fn to_json(rows: &[Fig10Row]) -> String {
+    let num = FieldValue::F64;
     let mut out = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n  {\n");
-        let _ = writeln!(out, "    \"label\": {},", json_str(&r.label));
-        let _ = writeln!(out, "    \"description\": {},", json_str(&r.description));
         let _ = writeln!(
             out,
-            "    \"absolute_hours\": {},",
-            json_f64(r.absolute_hours)
+            "    \"label\": {},",
+            FieldValue::from(r.label.as_str())
         );
+        let _ = writeln!(
+            out,
+            "    \"description\": {},",
+            FieldValue::from(r.description.as_str())
+        );
+        let _ = writeln!(out, "    \"absolute_hours\": {},", num(r.absolute_hours));
         let _ = writeln!(
             out,
             "    \"normalized_hours\": {},",
-            json_f64(r.normalized_hours)
+            num(r.normalized_hours)
         );
-        let _ = writeln!(out, "    \"rnorm_percent\": {},", json_f64(r.rnorm_percent));
-        let _ = writeln!(out, "    \"paper_hours\": {},", json_f64(r.paper_hours));
-        let paper_rn = match r.paper_rnorm_percent {
-            Some(p) => json_f64(p),
-            None => "null".into(),
-        };
+        let _ = writeln!(out, "    \"rnorm_percent\": {},", num(r.rnorm_percent));
+        let _ = writeln!(out, "    \"paper_hours\": {},", num(r.paper_hours));
+        // No paper figure renders as `null`, as a non-finite number does.
+        let paper_rn = num(r.paper_rnorm_percent.unwrap_or(f64::NAN));
         let _ = writeln!(out, "    \"paper_rnorm_percent\": {paper_rn},");
-        let _ = writeln!(out, "    \"kframes\": {},", json_f64(r.kframes));
-        let _ = writeln!(out, "    \"paper_kframes\": {}", json_f64(r.paper_kframes));
+        let _ = writeln!(out, "    \"kframes\": {},", num(r.kframes));
+        let _ = writeln!(out, "    \"paper_kframes\": {}", num(r.paper_kframes));
         out.push_str("  }");
     }
     out.push_str("\n]");
     out
-}
-
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an f64 as a JSON number (finite values only; non-finite → null).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
 }
 
 #[cfg(test)]

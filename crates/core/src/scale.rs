@@ -8,9 +8,8 @@
 //! byte-identical output for any worker count.
 
 use crate::experiment::Experiment;
-use crate::pipeline::PipelineConfig;
+use crate::pipeline::{PipelineConfig, Technique};
 use crate::policy::DvsPolicy;
-use crate::rotation::RotationConfig;
 use crate::sweep::run_jobs;
 use crate::workload::SystemConfig;
 use dles_units::Hours;
@@ -40,7 +39,7 @@ pub fn n_node_config(
     sys: &SystemConfig,
     n: usize,
     policy: DvsPolicy,
-    rotation: Option<RotationConfig>,
+    technique: Option<Technique>,
 ) -> Option<PipelineConfig> {
     let best = crate::partition::best_partition(sys, n)?;
     let mut cfg = Experiment::Exp2.config();
@@ -49,7 +48,7 @@ pub fn n_node_config(
     cfg.shares = best.shares.clone();
     cfg.levels = best.levels.iter().map(|l| l.expect("feasible")).collect();
     cfg.policy = policy;
-    cfg.rotation = rotation;
+    cfg.technique = technique;
     Some(cfg)
 }
 
@@ -76,7 +75,7 @@ pub fn scaling_study(sys: &SystemConfig, max_nodes: usize, threads: usize) -> Ve
                     sys,
                     n,
                     DvsPolicy::DvsDuringIo,
-                    Some(RotationConfig::paper()),
+                    Some(Technique::PAPER_ROTATION),
                 ),
             ));
         }

@@ -17,6 +17,7 @@
 //! eliminated SEND/RECV pair.
 
 use crate::pipeline::{build_engine_with, PipelineConfig};
+use dles_net::Endpoint;
 use dles_sim::{MemoryRecorder, SimTime, TraceRecord};
 
 /// One contiguous activity interval on one node.
@@ -50,7 +51,7 @@ pub fn capture_timeline(mut cfg: PipelineConfig, frames: u64) -> Timeline {
 
     let mut spans = Vec::new();
     for node in 0..n_nodes {
-        let component = format!("node{}", node + 1);
+        let component = Endpoint::Node(node).to_string();
         // Records in time order; at the same instant the more specific
         // event wins (the `io` direction markers follow the generic
         // `state_transition` to communication mode).
@@ -158,7 +159,7 @@ pub fn render_timeline(timeline: &Timeline, quantum: SimTime) -> String {
     }
     out.push('\n');
     for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!("node{}  ", i + 1));
+        out.push_str(&format!("{}  ", Endpoint::Node(i)));
         out.extend(row.iter());
         out.push('\n');
     }
@@ -230,7 +231,9 @@ mod tests {
         // Rotate every 2 frames; capture 6 frames: the doubling node runs
         // two PROC bursts back to back (Fig. 9's shape).
         let mut cfg = Experiment::Exp2C.config();
-        cfg.rotation = Some(crate::rotation::RotationConfig::every(2));
+        cfg.technique = Some(crate::pipeline::Technique::Rotation {
+            period_frames: std::num::NonZeroU64::new(2).unwrap(),
+        });
         let tl = capture_timeline(cfg, 6);
         let b = activity_breakdown(&tl);
         // With rotation both nodes compute a comparable amount even over a

@@ -26,8 +26,9 @@ use dles_core::faults::{FaultPlan, FaultProfile};
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
 use dles_core::pipeline::{run_pipeline_with, PipelineConfig};
 use dles_core::policy::SchedulingPolicy;
-use dles_core::rotation::RotationConfig;
+use dles_core::Technique;
 use dles_sim::{JsonlRecorder, SimTime};
+use std::num::NonZeroU64;
 
 /// A `Write` target the test can read back after the recorder is dropped.
 #[derive(Clone)]
@@ -54,7 +55,9 @@ fn golden_path(name: &str) -> PathBuf {
 fn exp2c_trace_bytes() -> Vec<u8> {
     let mut cfg = Experiment::Exp2C.config();
     cfg.jitter_seed = Some(0x5EED);
-    cfg.rotation = Some(RotationConfig::every(10));
+    cfg.technique = Some(Technique::Rotation {
+        period_frames: NonZeroU64::new(10).unwrap(),
+    });
     cfg.horizon = SimTime::from_secs(230);
     trace_bytes(cfg)
 }
@@ -100,7 +103,9 @@ fn all_shapes_trace_bytes() -> Vec<u8> {
         let mut cfg = Experiment::Exp2C.config();
         cfg.jitter_seed = Some(0x5EED);
         cfg.scheduling = SchedulingPolicy::by_name(policy).expect("known policy");
-        cfg.rotation = Some(RotationConfig::every(5));
+        cfg.technique = Some(Technique::Rotation {
+            period_frames: NonZeroU64::new(5).unwrap(),
+        });
         cfg.horizon = SimTime::from_secs(40);
         bytes.extend(trace_bytes(cfg));
     }

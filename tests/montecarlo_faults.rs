@@ -62,7 +62,7 @@ fn recovery_beats_no_recovery_on_lossy_link() {
         threads: 0,
     });
     let mut base = short_2b();
-    base.recovery = None;
+    base.technique = None;
     base.label = format!("{} (no recovery)", base.label);
     let without = run_monte_carlo(&MonteCarloConfig {
         base,

@@ -8,11 +8,12 @@ use dles_core::experiment::Experiment;
 use dles_core::node::BatterySpec;
 use dles_core::pipeline::run_pipeline;
 use dles_core::policy::DvsPolicy;
-use dles_core::rotation::RotationConfig;
+use dles_core::Technique;
 use dles_power::sa1100::BATTERY_VOLTS;
 use dles_power::{CurrentModel, DvsTable, Mode};
 use dles_sim::SimTime;
 use dles_tests::assert_close_percent;
+use std::num::NonZeroU64;
 
 /// The DES lifetime of the baseline must match the analytic discharge of
 /// the equivalent load profile (independent implementations).
@@ -123,7 +124,9 @@ fn two_node_throughput_is_one_result_per_d() {
 #[test]
 fn rotation_every_frame_preserves_throughput() {
     let mut cfg = Experiment::Exp2C.config();
-    cfg.rotation = Some(RotationConfig::every(1));
+    cfg.technique = Some(Technique::Rotation {
+        period_frames: NonZeroU64::new(1).unwrap(),
+    });
     cfg.horizon = SimTime::from_secs(2300);
     let r = run_pipeline(cfg);
     assert!(r.frames_completed >= 990, "frames {}", r.frames_completed);
@@ -141,7 +144,9 @@ fn three_node_pipeline_with_rotation() {
     let mut cfg = Experiment::Exp2C.config();
     cfg.shares = best.shares.clone();
     cfg.levels = best.levels.iter().map(|l| l.unwrap()).collect();
-    cfg.rotation = Some(RotationConfig::every(50));
+    cfg.technique = Some(Technique::Rotation {
+        period_frames: NonZeroU64::new(50).unwrap(),
+    });
     cfg.policy = DvsPolicy::DvsDuringIo;
     cfg.horizon = SimTime::from_secs(3 * 2300);
     let r = run_pipeline(cfg);

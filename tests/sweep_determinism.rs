@@ -13,8 +13,9 @@ use dles_core::experiment::Experiment;
 use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
 use dles_core::pipeline::{run_pipeline, run_pipeline_with, PipelineConfig};
-use dles_core::rotation::RotationConfig;
+use dles_core::Technique;
 use dles_sim::{par_map_slice, JsonlRecorder, SimTime};
+use std::num::NonZeroU64;
 
 /// A short Exp2-shaped job: real pipeline physics, capped horizon.
 fn job(label: &str, horizon_s: u64, seed: u64) -> PipelineConfig {
@@ -96,7 +97,9 @@ fn exp2c_trace_golden_survives_the_sweep_rewiring() {
     let out = buf.clone();
     let mut cfg = Experiment::Exp2C.config();
     cfg.jitter_seed = Some(0x5EED);
-    cfg.rotation = Some(RotationConfig::every(10));
+    cfg.technique = Some(Technique::Rotation {
+        period_frames: NonZeroU64::new(10).unwrap(),
+    });
     cfg.horizon = SimTime::from_secs(230);
     let _ = run_pipeline_with(cfg, Box::new(JsonlRecorder::to_writer(Box::new(out))));
     let actual = buf.0.lock().unwrap().clone();

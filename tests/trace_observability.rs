@@ -8,8 +8,9 @@ use std::sync::{Arc, Mutex};
 
 use dles_core::experiment::Experiment;
 use dles_core::pipeline::{run_pipeline, run_pipeline_with};
-use dles_core::rotation::RotationConfig;
+use dles_core::Technique;
 use dles_sim::{JsonlRecorder, SimTime};
+use std::num::NonZeroU64;
 
 /// A `Write` target the test can read back after the recorder is dropped.
 #[derive(Clone)]
@@ -33,7 +34,9 @@ fn traced_2c_jsonl(seed: u64) -> Vec<u8> {
     let out = buf.clone();
     let mut cfg = Experiment::Exp2C.config();
     cfg.jitter_seed = Some(seed);
-    cfg.rotation = Some(RotationConfig::every(10));
+    cfg.technique = Some(Technique::Rotation {
+        period_frames: NonZeroU64::new(10).unwrap(),
+    });
     cfg.horizon = SimTime::from_secs(230);
     let _ = run_pipeline_with(cfg, Box::new(JsonlRecorder::to_writer(Box::new(out))));
     let bytes = buf.0.lock().unwrap().clone();
