@@ -6,7 +6,7 @@
 //! any set of such anchors by minimizing the mean squared *relative*
 //! lifetime error with Nelder–Mead in an unconstrained reparameterization
 //! (`ln C`, `logit c`, `ln k`). Anchor lifetimes are evaluated in parallel
-//! through the deterministic work-pull map [`dles_sim::par_map_slice`] —
+//! through the deterministic work-pull map [`dles_sim::par_map`] —
 //! each anchor's discharge simulation is independent, and the objective
 //! value does not depend on the worker count.
 
@@ -64,7 +64,7 @@ pub(crate) fn predict_hours(params: KibamParams, profile: &LoadProfile) -> f64 {
 fn objective(params: KibamParams, anchors: &[Anchor]) -> f64 {
     // Evaluate anchors in parallel; battery discharge sims are independent.
     let total_weight: f64 = anchors.iter().map(|a| a.weight).sum();
-    let errors = dles_sim::par_map_slice(anchors, 0, |_, anchor| {
+    let errors = dles_sim::par_map(anchors, 0, |anchor| {
         let predicted = predict_hours(params, &anchor.profile);
         let rel = (predicted - anchor.measured_hours) / anchor.measured_hours;
         anchor.weight * rel * rel

@@ -1,6 +1,6 @@
-//! Sweep scaling bench: the N-node scaling-study job set fanned out
-//! through `dles_sim::par_map_slice`, the way `repro --sweep` runs it,
-//! serially (`--threads 1`) and with one worker per core.
+//! Sweep scaling bench: the N-node scaling-study job set run through
+//! `dles_core::run_jobs`, the way `repro --sweep` runs it, serially
+//! (`--threads 1`) and with one worker per core.
 //!
 //! Besides printing one timing line per label, `main` writes the measured
 //! medians and the parallel speedup to `BENCH_sweep.json` at the repo
@@ -9,45 +9,43 @@
 //! full multi-hour discharge.
 
 use dles_bench::bench;
+use dles_core::partition::best_partition;
 use dles_core::policy::DvsPolicy;
-use dles_core::scale::n_node_config;
-use dles_core::{run_pipeline, PipelineConfig, SystemConfig, Technique};
-use dles_sim::{par_map_slice, SimTime};
+use dles_core::sweep::partition_config;
+use dles_core::{run_jobs, PipelineConfig, SystemConfig, Technique};
+use dles_sim::SimTime;
 use std::hint::black_box;
 
 /// Timed samples per label.
 const SAMPLES: usize = 10;
 
-/// The scaling-study fan-out (1..=4 nodes, static and rotation variants),
-/// horizon-capped to keep one serial pass under a tenth of a second. The
-/// jobs are listed heaviest first (descending node count), the order the
-/// sweeps start them in.
+/// The scaling-study job set (1..=4 nodes, static and, from two nodes on,
+/// rotation variants: seven jobs), horizon-capped to keep one serial pass
+/// under a tenth of a second.
 fn scaling_jobs() -> Vec<PipelineConfig> {
     let sys = SystemConfig::paper();
     let mut jobs = Vec::new();
-    for n in (1..=4).rev() {
-        let mut variants = vec![n_node_config(&sys, n, DvsPolicy::DvsDuringIo, None)];
+    for n in 1..=4 {
+        let best = best_partition(&sys, n).expect("paper system is feasible at 1..=4 nodes");
+        let cfg = PipelineConfig {
+            policy: DvsPolicy::DvsDuringIo,
+            horizon: SimTime::from_secs(1800),
+            ..partition_config(&sys, &best).expect("best partitions are feasible")
+        };
         if n >= 2 {
-            variants.push(n_node_config(
-                &sys,
-                n,
-                DvsPolicy::DvsDuringIo,
-                Some(Technique::PAPER_ROTATION),
-            ));
+            jobs.push(PipelineConfig {
+                technique: Some(Technique::PAPER_ROTATION),
+                ..cfg.clone()
+            });
         }
-        for (v, cfg) in variants.into_iter().enumerate() {
-            let mut cfg = cfg.expect("paper system is feasible at 1..=4 nodes");
-            cfg.label = format!("bench {n}-node v{v}");
-            cfg.horizon = SimTime::from_secs(1800);
-            jobs.push(cfg);
-        }
+        jobs.push(cfg);
     }
     jobs
 }
 
 fn main() {
     let jobs = scaling_jobs();
-    let sweep = |threads| par_map_slice(black_box(&jobs), threads, |_, c| run_pipeline(c.clone()));
+    let sweep = |threads| run_jobs(black_box(&jobs), threads);
     let serial = bench("sweep_parallel/serial_1thread", SAMPLES, || sweep(1));
     let parallel = bench("sweep_parallel/parallel_all_cores", SAMPLES, || sweep(0));
 

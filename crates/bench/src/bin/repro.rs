@@ -39,20 +39,23 @@
 //!                         --threads N     workers (default: one per core;
 //!                                         the report never depends on it)
 //!                         --horizon-s S   cap simulated time per trial
-//!                         --no-recovery   strip §5.4 recovery (ablation)
+//!                         --no-recovery   strip §5.4 recovery (ablation;
+//!                                         not with a non-static --policy)
 //! repro --calibrate     re-run the battery-pack calibration residuals
 //! repro --json          emit the Fig. 10 rows as JSON on stdout
 //! ```
 #![forbid(unsafe_code)]
 
 use dles_battery::packs::itsy_pack_b;
-use dles_core::experiment::{run_experiment, Experiment};
+use dles_core::experiment::Experiment;
 use dles_core::metrics::ExperimentResult;
 use dles_core::node::BatterySpec;
 use dles_core::partition::best_partition;
-use dles_core::pipeline::{run_pipeline, run_pipeline_traced, Technique};
+use dles_core::pipeline::{run_pipeline, run_pipeline_traced, PipelineConfig, Technique};
 use dles_core::policy::SchedulingPolicy;
 use dles_core::report;
+use dles_core::run_jobs;
+use dles_core::sweep::partition_config;
 use dles_core::timeline::{capture_timeline, render_timeline};
 use dles_core::workload::SystemConfig;
 use dles_power::CurrentModel;
@@ -246,9 +249,9 @@ fn main() {
 /// One named sweep: print the study table. Output is byte-identical for
 /// any `--threads` value — CI diffs `--threads 1` against `2`.
 fn run_sweep_study(name: &str, sys: &SystemConfig, threads: usize) {
-    use dles_core::scale::{render_scaling, scaling_study};
     use dles_core::sweep::{
         fig8_lifetime_sweep, policy_lifetime_sweep, render_fig8_sweep, render_policy_sweep,
+        render_scaling, scaling_study,
     };
     match name {
         "scaling" => {
@@ -283,7 +286,8 @@ fn parse_num<T: std::str::FromStr>(arg: Option<&String>, need: &str) -> T {
 /// configuration (two nodes + §5.4 recovery) under a fault profile. With a
 /// non-static `--policy` the base switches to the 2C rotation workload:
 /// adaptive scheduling needs the rotation wave, and a run applies either
-/// recovery or rotation, never both.
+/// recovery or rotation, never both. So `--no-recovery`, which strips 2B's
+/// recovery, cannot combine with a non-static policy.
 fn run_montecarlo_study(
     trials: usize,
     faults_name: &str,
@@ -302,12 +306,20 @@ fn run_montecarlo_study(
         );
         std::process::exit(2);
     });
+    if no_recovery && !policy.is_static() {
+        eprintln!(
+            "--no-recovery strips the 2B base's recovery; --policy {} runs the 2C rotation base, \
+             which has none",
+            policy.name()
+        );
+        std::process::exit(2);
+    }
     let mut base = if policy.is_static() {
         Experiment::Exp2B.config()
     } else {
         dles_core::policy_config(policy)
     };
-    if no_recovery && base.technique == Some(Technique::Recovery) {
+    if no_recovery {
         base.technique = None;
         base.label = format!("{} (no recovery)", base.label);
     }
@@ -332,7 +344,11 @@ fn run_exp_detail(label: &str, trace_path: Option<&str>, counters: bool, policy:
         .copied()
         .find(|e| e.label().eq_ignore_ascii_case(label))
         .unwrap_or_else(|| {
-            eprintln!("unknown experiment {label}; use one of 0A 0B 1 1A 2 2A 2B 2C");
+            let labels = Experiment::ALL.map(Experiment::label);
+            eprintln!(
+                "unknown experiment {label}; use one of {}",
+                labels.join(" ")
+            );
             std::process::exit(2);
         });
     let mut cfg = exp.config();
@@ -359,7 +375,7 @@ fn run_exp_detail(label: &str, trace_path: Option<&str>, counters: bool, policy:
             eprintln!("trace written to {path}");
             r
         }
-        None => run_experiment(&cfg),
+        None => run_pipeline(cfg),
     };
     print!("{}", report::render_experiment_detail(exp, &r));
     if counters {
@@ -368,12 +384,12 @@ fn run_exp_detail(label: &str, trace_path: Option<&str>, counters: bool, policy:
 }
 
 fn run_fig10(json: bool) {
-    // Run all §6 experiments in parallel; the runner returns them in the
+    // Run all §6 experiments as one batch; the runner returns them in the
     // paper's order regardless of scheduling.
+    let jobs: Vec<PipelineConfig> = Experiment::ALL.map(Experiment::config).into();
     let results: Vec<(Experiment, ExperimentResult)> = Experiment::ALL
-        .iter()
-        .copied()
-        .zip(dles_core::experiment::run_all_experiments())
+        .into_iter()
+        .zip(run_jobs(&jobs, 0))
         .collect();
 
     let fig10: Vec<_> = results
@@ -412,40 +428,70 @@ fn run_fig10(json: bool) {
 fn run_ablations() {
     let sys = SystemConfig::paper();
 
-    println!("Ablation 1 — battery model (experiment 2C configuration)");
-    let base_cfg = Experiment::Exp2C.config();
-    let kibam = run_pipeline(base_cfg.clone());
+    // Ablations 1–3 are one batch of runs: 2C under each battery model,
+    // 2C at each rotation period, and EXP-2 at each serial data rate.
+    let base = Experiment::Exp2C.config();
     let cap = itsy_pack_b().kibam.capacity_mah;
-    let mut ideal_cfg = base_cfg.clone();
-    ideal_cfg.battery = BatterySpec::Ideal { capacity_mah: cap };
-    let ideal = run_pipeline(ideal_cfg);
-    let mut peukert_cfg = base_cfg.clone();
-    peukert_cfg.battery = BatterySpec::Peukert {
-        capacity_mah: cap,
-        reference_ma: dles_units::MilliAmps::new(60.0),
-        exponent: 1.2,
-    };
-    let peukert = run_pipeline(peukert_cfg);
-    let mut rv_cfg = base_cfg.clone();
-    rv_cfg.battery = BatterySpec::Rakhmatov(dles_battery::RvParams {
-        alpha_mah: cap,
-        beta_sq: 2.0,
-        modes: 10,
-    });
-    let rv = run_pipeline(rv_cfg);
-    println!(
-        "  KiBaM {:.2} h | Rakhmatov-Vrudhula {:.2} h | ideal {:.2} h | Peukert {:.2} h",
-        kibam.life_hours(),
-        rv.life_hours(),
-        ideal.life_hours(),
-        peukert.life_hours()
-    );
+    let batteries = [
+        ("KiBaM", base.battery),
+        (
+            "Rakhmatov-Vrudhula",
+            BatterySpec::Rakhmatov(dles_battery::RvParams {
+                alpha_mah: cap,
+                beta_sq: 2.0,
+                modes: 10,
+            }),
+        ),
+        ("ideal", BatterySpec::Ideal { capacity_mah: cap }),
+        (
+            "Peukert",
+            BatterySpec::Peukert {
+                capacity_mah: cap,
+                reference_ma: dles_units::MilliAmps::new(60.0),
+                exponent: 1.2,
+            },
+        ),
+    ];
+    let periods = [1, 10, 100, 1000, 5000].map(|p| NonZeroU64::new(p).expect("positive"));
+    let rates = [40_000.0, 80_000.0, 115_200.0, 230_400.0];
+    let mut jobs: Vec<PipelineConfig> = Vec::new();
+    for &(_, battery) in &batteries {
+        jobs.push(PipelineConfig {
+            battery,
+            ..base.clone()
+        });
+    }
+    for &period_frames in &periods {
+        jobs.push(PipelineConfig {
+            technique: Some(Technique::Rotation { period_frames }),
+            ..base.clone()
+        });
+    }
+    for &bps in &rates {
+        let mut cfg = Experiment::Exp2.config();
+        cfg.sys.serial = cfg.sys.serial.with_effective_bps(bps);
+        // Re-derive the minimum feasible levels under the new link speed;
+        // with no feasible partition, run EXP-2's own shares and levels.
+        jobs.push(
+            best_partition(&cfg.sys, 2)
+                .and_then(|p| partition_config(&cfg.sys, &p))
+                .unwrap_or(cfg),
+        );
+    }
+    let results = run_jobs(&jobs, 0);
+    let (by_battery, rest) = results.split_at(batteries.len());
+    let (by_period, by_rate) = rest.split_at(periods.len());
+
+    println!("Ablation 1 — battery model (experiment 2C configuration)");
+    let lives: Vec<String> = batteries
+        .iter()
+        .zip(by_battery)
+        .map(|((name, _), r)| format!("{name} {:.2} h", r.life_hours()))
+        .collect();
+    println!("  {}", lives.join(" | "));
 
     println!("Ablation 2 — rotation period (frames between rotations)");
-    for period_frames in [1, 10, 100, 1000, 5000].map(|p| NonZeroU64::new(p).expect("positive")) {
-        let mut cfg = Experiment::Exp2C.config();
-        cfg.technique = Some(Technique::Rotation { period_frames });
-        let r = run_pipeline(cfg);
+    for (period_frames, r) in periods.iter().zip(by_period) {
         println!(
             "  every {:>5} frames: T = {:.2} h, {} deadline misses",
             period_frames,
@@ -455,15 +501,7 @@ fn run_ablations() {
     }
 
     println!("Ablation 3 — serial effective data rate (experiment 2)");
-    for bps in [40_000.0, 80_000.0, 115_200.0, 230_400.0] {
-        let mut cfg = Experiment::Exp2.config();
-        cfg.sys.serial = cfg.sys.serial.with_effective_bps(bps);
-        // Re-derive the minimum feasible levels under the new link speed.
-        if let Some(best) = best_partition(&cfg.sys, 2) {
-            cfg.shares = best.shares.clone();
-            cfg.levels = best.levels.iter().map(|l| l.unwrap()).collect();
-        }
-        let r = run_pipeline(cfg);
+    for (bps, r) in rates.iter().zip(by_rate) {
         println!(
             "  {:>7.0} bps: T = {:.2} h, {} deadline misses / {} frames",
             bps,

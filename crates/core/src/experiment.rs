@@ -15,15 +15,46 @@
 //! no-I/O runs as not comparable with the pipelined series; see
 //! `dles_battery::packs`).
 
-use crate::metrics::ExperimentResult;
 use crate::node::BatterySpec;
-use crate::pipeline::{run_pipeline, PipelineConfig, Technique};
+use crate::pipeline::{PipelineConfig, Technique};
 use crate::policy::{DvsPolicy, SchedulingPolicy};
 use crate::workload::{NodeShare, SystemConfig};
 use dles_atr::BlockRange;
 use dles_battery::packs::{itsy_pack_a, itsy_pack_b};
 use dles_power::CurrentModel;
 use dles_sim::SimTime;
+
+/// The paper's data for each experiment, in [`Experiment::ALL`] order:
+/// label, description, measured lifetime (h, §6), frames completed (×1000,
+/// as published) and Fig. 10's normalized battery-life ratio (%).
+const PAPER: [(&str, &str, f64, f64, Option<f64>); 8] = [
+    ("0A", "no I/O, full speed", 3.4, 11.5, None),
+    ("0B", "no I/O, half speed", 12.9, 22.5, None),
+    ("1", "baseline", 6.13, 9.6, Some(100.0)),
+    ("1A", "DVS during I/O", 7.6, 11.9, Some(124.0)),
+    (
+        "2",
+        "distributed DVS with partitioning",
+        14.1,
+        22.1,
+        Some(115.0),
+    ),
+    ("2A", "distributed DVS during I/O", 14.44, 22.6, Some(118.0)),
+    (
+        "2B",
+        "distributed DVS with power failure recovery",
+        15.72,
+        24.5,
+        Some(128.0),
+    ),
+    (
+        "2C",
+        "distributed DVS with node rotation",
+        17.82,
+        27.9,
+        Some(145.0),
+    ),
+];
 
 /// The experiments of §6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,71 +93,27 @@ impl Experiment {
     ];
 
     pub fn label(self) -> &'static str {
-        match self {
-            Experiment::Exp0A => "0A",
-            Experiment::Exp0B => "0B",
-            Experiment::Exp1 => "1",
-            Experiment::Exp1A => "1A",
-            Experiment::Exp2 => "2",
-            Experiment::Exp2A => "2A",
-            Experiment::Exp2B => "2B",
-            Experiment::Exp2C => "2C",
-        }
+        PAPER[self as usize].0
     }
 
     pub fn description(self) -> &'static str {
-        match self {
-            Experiment::Exp0A => "no I/O, full speed",
-            Experiment::Exp0B => "no I/O, half speed",
-            Experiment::Exp1 => "baseline",
-            Experiment::Exp1A => "DVS during I/O",
-            Experiment::Exp2 => "distributed DVS with partitioning",
-            Experiment::Exp2A => "distributed DVS during I/O",
-            Experiment::Exp2B => "distributed DVS with power failure recovery",
-            Experiment::Exp2C => "distributed DVS with node rotation",
-        }
+        PAPER[self as usize].1
     }
 
     /// The lifetime the paper measured, hours (§6).
     pub fn paper_hours(self) -> f64 {
-        match self {
-            Experiment::Exp0A => 3.4,
-            Experiment::Exp0B => 12.9,
-            Experiment::Exp1 => 6.13,
-            Experiment::Exp1A => 7.6,
-            Experiment::Exp2 => 14.1,
-            Experiment::Exp2A => 14.44,
-            Experiment::Exp2B => 15.72,
-            Experiment::Exp2C => 17.82,
-        }
+        PAPER[self as usize].2
     }
 
     /// Frames the paper reports completed (×1000 rounded as published).
     pub fn paper_kframes(self) -> f64 {
-        match self {
-            Experiment::Exp0A => 11.5,
-            Experiment::Exp0B => 22.5,
-            Experiment::Exp1 => 9.6,
-            Experiment::Exp1A => 11.9,
-            Experiment::Exp2 => 22.1,
-            Experiment::Exp2A => 22.6,
-            Experiment::Exp2B => 24.5,
-            Experiment::Exp2C => 27.9,
-        }
+        PAPER[self as usize].3
     }
 
     /// The paper's normalized battery-life ratio, percent (Fig. 10);
     /// `None` for the non-comparable no-I/O runs.
     pub(crate) fn paper_rnorm_percent(self) -> Option<f64> {
-        match self {
-            Experiment::Exp0A | Experiment::Exp0B => None,
-            Experiment::Exp1 => Some(100.0),
-            Experiment::Exp1A => Some(124.0),
-            Experiment::Exp2 => Some(115.0),
-            Experiment::Exp2A => Some(118.0),
-            Experiment::Exp2B => Some(128.0),
-            Experiment::Exp2C => Some(145.0),
-        }
+        PAPER[self as usize].4
     }
 
     /// Build the configuration for this experiment.
@@ -221,20 +208,10 @@ pub fn policy_config(policy: SchedulingPolicy) -> PipelineConfig {
     cfg
 }
 
-/// Run one experiment configuration to battery exhaustion.
-pub fn run_experiment(cfg: &PipelineConfig) -> ExperimentResult {
-    run_pipeline(cfg.clone())
-}
-
-/// Run every experiment, one worker per core, and return the results in
-/// the paper's order.
-pub fn run_all_experiments() -> Vec<ExperimentResult> {
-    dles_sim::par_map_slice(&Experiment::ALL, 0, |_, e| run_experiment(&e.config()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_pipeline;
 
     #[test]
     fn configs_have_expected_shapes() {
@@ -265,6 +242,10 @@ mod tests {
 
     #[test]
     fn labels_unique() {
+        // `PAPER` is indexed by discriminant, so it must follow `ALL`.
+        for (i, e) in Experiment::ALL.into_iter().enumerate() {
+            assert_eq!(e as usize, i);
+        }
         let mut labels: Vec<&str> = Experiment::ALL.iter().map(|e| e.label()).collect();
         labels.sort_unstable();
         labels.dedup();
@@ -273,7 +254,7 @@ mod tests {
 
     #[test]
     fn exp0a_reproduces_paper_lifetime() {
-        let r = run_experiment(&Experiment::Exp0A.config());
+        let r = run_pipeline(Experiment::Exp0A.config());
         let hours = r.lifetime.as_hours_f64();
         assert!(
             (hours - 3.4).abs() < 0.35,
@@ -286,7 +267,7 @@ mod tests {
 
     #[test]
     fn exp0b_reproduces_paper_lifetime() {
-        let r = run_experiment(&Experiment::Exp0B.config());
+        let r = run_pipeline(Experiment::Exp0B.config());
         let hours = r.lifetime.as_hours_f64();
         assert!(
             (hours - 12.9).abs() < 1.3,

@@ -30,17 +30,20 @@
 //! * [`metrics`] — the paper's metrics `T(N)`, `F(N)`, `T_norm`, `R_norm`
 //!   (§4.5);
 //! * [`experiment`] — ready-made configurations for every experiment of
-//!   §6 (0A, 0B, 1, 1A, 2, 2A, 2B, 2C) and an experiment runner;
-//! * [`sweep`] — deterministic parallel sweeps (Fig. 8 schemes,
-//!   scheduling policies): a batch of configurations across scoped worker
-//!   threads with byte-identical output for any worker count;
+//!   §6 (0A, 0B, 1, 1A, 2, 2A, 2B, 2C) with the paper's measured numbers;
+//! * [`sweep`] — the one batch runner, [`run_jobs`]: any list of
+//!   configurations across scoped worker threads, with byte-identical
+//!   output for any worker count; and the studies built on it (Fig. 8
+//!   schemes, the §5.3 N-node scaling study, scheduling policies);
 //! * [`report`] — the tables and figure data of the paper, regenerated.
 //!
 //! ```no_run
-//! use dles_core::experiment::{Experiment, run_experiment};
+//! use dles_core::experiment::Experiment;
+//! use dles_core::run_jobs;
 //!
-//! let baseline = run_experiment(&Experiment::Exp1.config());
-//! let rotation = run_experiment(&Experiment::Exp2C.config());
+//! // Both runs in parallel (0 = one worker per core), results in job order.
+//! let results = run_jobs(&[Experiment::Exp1.config(), Experiment::Exp2C.config()], 0);
+//! let (baseline, rotation) = (&results[0], &results[1]);
 //! // Node rotation extends normalized battery life vs. the baseline.
 //! assert!(rotation.normalized_life_hours() > baseline.normalized_life_hours());
 //! ```
@@ -55,7 +58,6 @@ pub mod partition;
 pub mod pipeline;
 pub mod policy;
 pub mod report;
-pub mod scale;
 pub mod sweep;
 pub mod timeline;
 mod transaction;
@@ -69,4 +71,5 @@ pub use pipeline::{
     build_engine, build_engine_with, run_pipeline, run_pipeline_with, PipelineConfig,
     PipelineWorld, Technique,
 };
+pub use sweep::run_jobs;
 pub use workload::SystemConfig;

@@ -1,18 +1,19 @@
 //! Monte Carlo robustness harness.
 //!
 //! Runs N seeded trials of one pipeline configuration under a
-//! [`FaultProfile`], sharding trials across scoped worker threads, and
+//! [`FaultProfile`], as one batch across scoped worker threads, and
 //! aggregates the lifetime / frames / deadline-miss distributions.
 //!
 //! Determinism contract: each trial's seeds are a pure function of
 //! `(master_seed, trial index)` — `trial_seeds` forks the master stream
-//! per trial — and the trials run through [`dles_sim::par_map`]
-//! (index-ordered result slots), so the aggregated report is
-//! **byte-identical regardless of the worker count**.
+//! per trial — and the trials run through [`run_jobs`] (results in job
+//! order), so the aggregated report is **byte-identical regardless of the
+//! worker count**.
 
 use crate::faults::{FaultPlan, FaultProfile};
-use crate::pipeline::{run_pipeline, PipelineConfig};
-use dles_sim::{par_map, CounterSet, DistSummary, SimRng};
+use crate::pipeline::PipelineConfig;
+use crate::sweep::run_jobs;
+use dles_sim::{CounterSet, DistSummary, SimRng};
 
 /// Configuration of one Monte Carlo study.
 #[derive(Debug, Clone)]
@@ -79,25 +80,30 @@ pub struct MonteCarloReport {
     pub counters: CounterSet,
 }
 
-/// Run the study. Trials run through [`par_map`]: pulled from a shared
-/// index by `threads` scoped workers, written into per-trial slots, and
-/// aggregated in trial order, so the result is independent of scheduling.
+/// Run the study. Trials run as one [`run_jobs`] batch on `threads`
+/// workers and are aggregated in trial order, so the result is
+/// independent of scheduling.
 pub fn run_monte_carlo(cfg: &MonteCarloConfig) -> MonteCarloReport {
     assert!(cfg.trials > 0, "at least one trial required");
-    let trials: Vec<TrialOutcome> = par_map(cfg.trials, cfg.threads, |trial| {
-        let (jitter_seed, fault_seed) = trial_seeds(cfg.master_seed, trial);
-        let tc = trial_config(&cfg.base, cfg.profile, cfg.master_seed, trial);
-        let r = run_pipeline(tc);
-        TrialOutcome {
-            trial,
-            jitter_seed,
-            fault_seed,
-            lifetime_h: dles_units::Hours::new(r.life_hours()),
-            frames_completed: r.frames_completed,
-            deadline_misses: r.deadline_misses,
-            counters: r.counters,
-        }
-    });
+    let jobs: Vec<PipelineConfig> = (0..cfg.trials)
+        .map(|trial| trial_config(&cfg.base, cfg.profile, cfg.master_seed, trial))
+        .collect();
+    let trials: Vec<TrialOutcome> = run_jobs(&jobs, cfg.threads)
+        .into_iter()
+        .enumerate()
+        .map(|(trial, r)| {
+            let (jitter_seed, fault_seed) = trial_seeds(cfg.master_seed, trial);
+            TrialOutcome {
+                trial,
+                jitter_seed,
+                fault_seed,
+                lifetime_h: dles_units::Hours::new(r.life_hours()),
+                frames_completed: r.frames_completed,
+                deadline_misses: r.deadline_misses,
+                counters: r.counters,
+            }
+        })
+        .collect();
     let lifetimes: Vec<f64> = trials.iter().map(|t| t.lifetime_h.get()).collect();
     let frames: Vec<f64> = trials.iter().map(|t| t.frames_completed as f64).collect();
     let misses: Vec<f64> = trials.iter().map(|t| t.deadline_misses as f64).collect();

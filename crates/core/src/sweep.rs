@@ -1,17 +1,25 @@
-//! Deterministic parallel sweeps over pipeline configurations.
+//! Deterministic batches of pipeline runs, and the studies built on them.
 //!
-//! The paper's sweeps — the Fig. 8 partition schemes, the §5.3 N-node
-//! scaling study ([`crate::scale`]) and the scheduling-policy comparison —
-//! are small fan-outs of distinct configurations, each simulated to
-//! battery exhaustion. They run through the same scoped-thread work-pull
-//! as every other study ([`dles_sim::par_map_slice`]: shared index,
-//! index-ordered result slots), so the returned rows are in job order and
-//! byte-identical for any worker count.
+//! Every result the paper reports is a batch of independent whole-pipeline
+//! runs: the §6 experiments (Fig. 10), the Fig. 8 partition schemes and the
+//! §5.3 N-node generalization; the ablations, the scheduling-policy
+//! comparison and the Monte Carlo trials are batches too. [`run_jobs`] is
+//! the one way to run such a batch. It fans the configurations out through
+//! [`dles_sim::par_map`] (shared index, index-ordered result slots), so the
+//! results are in job order and byte-identical for any worker count.
+//!
+//! §5.3: "We experiment with two Itsy nodes, although the results do
+//! generalize to more nodes." [`partition_config`] turns any analyzed
+//! partition into its EXP-2 configuration; the Fig. 8 sweep and the
+//! N-node [`scaling_study`] simulate those to battery exhaustion.
 
+use crate::experiment::Experiment;
 use crate::metrics::ExperimentResult;
-use crate::pipeline::{run_pipeline, Counter, PipelineConfig};
+use crate::partition::{best_partition, fig8_schemes, PartitionAnalysis};
+use crate::pipeline::{run_pipeline, Counter, PipelineConfig, Technique};
+use crate::policy::DvsPolicy;
 use crate::workload::SystemConfig;
-use dles_sim::par_map_slice;
+use dles_sim::par_map;
 use dles_units::{Hertz, Hours};
 
 /// Simulate every job, in parallel, and return one result per job in job
@@ -20,86 +28,87 @@ use dles_units::{Hertz, Hours};
 /// them tightly: jobs are sorted by descending node count, stable on job
 /// order. That is purely a scheduling hint — results are put back in job
 /// order, so the output cannot observe it.
-pub(crate) fn run_jobs(jobs: &[PipelineConfig], threads: usize) -> Vec<ExperimentResult> {
+pub fn run_jobs(jobs: &[PipelineConfig], threads: usize) -> Vec<ExperimentResult> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].n_nodes()));
-    let results = par_map_slice(&order, threads, |_, &i| run_pipeline(jobs[i].clone()));
+    let results = par_map(&order, threads, |&i| run_pipeline(jobs[i].clone()));
     let mut indexed: Vec<(usize, ExperimentResult)> = order.into_iter().zip(results).collect();
     indexed.sort_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One row of the Fig. 8 lifetime sweep: a partition scheme simulated to
-/// battery exhaustion (or marked infeasible — the scheme cannot meet the
-/// frame deadline at any DVS level, so there is nothing to simulate).
+/// [`run_jobs`] over the `Some` jobs; a `None` job stays `None` in place.
+fn run_feasible(jobs: &[Option<PipelineConfig>], threads: usize) -> Vec<Option<ExperimentResult>> {
+    let feasible: Vec<PipelineConfig> = jobs.iter().flatten().cloned().collect();
+    let mut results = run_jobs(&feasible, threads).into_iter();
+    jobs.iter()
+        .map(|job| job.as_ref().and_then(|_| results.next()))
+        .collect()
+}
+
+/// EXP-2 on an analyzed partition: its shares at its chosen DVS levels,
+/// under `sys`, labelled `"{n}-node"`. `None` when the partition is
+/// infeasible — some node cannot meet the frame deadline at any DVS
+/// level, so there is nothing to simulate.
+pub fn partition_config(sys: &SystemConfig, p: &PartitionAnalysis) -> Option<PipelineConfig> {
+    let levels: Vec<_> = p.levels.iter().copied().collect::<Option<_>>()?;
+    Some(PipelineConfig {
+        label: format!("{}-node", levels.len()),
+        sys: sys.clone(),
+        shares: p.shares.clone(),
+        levels,
+        ..Experiment::Exp2.config()
+    })
+}
+
+/// The clock of each of a configuration's nodes; empty for no
+/// configuration.
+fn levels_mhz(cfg: Option<&PipelineConfig>) -> Vec<Hertz> {
+    cfg.iter()
+        .flat_map(|c| &c.levels)
+        .map(|l| l.freq_mhz)
+        .collect()
+}
+
+/// `levels` as `a/b/c`, one decimal each.
+fn join_mhz(levels: &[Hertz]) -> String {
+    let text: Vec<String> = levels.iter().map(|f| format!("{:.1}", f.mhz())).collect();
+    text.join("/")
+}
+
+/// One row of the Fig. 8 lifetime sweep: a partition scheme and its run to
+/// battery exhaustion.
 #[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Scheme number in the figure's order (1-based).
     pub scheme: usize,
-    pub feasible: bool,
     /// Chosen DVS levels (empty when infeasible).
     pub levels_mhz: Vec<Hertz>,
     /// Exact per-node required clock before rounding up to a level.
     pub required_mhz: Vec<Hertz>,
-    /// Simulated lifetime (zero when infeasible).
-    pub lifetime_h: Hours,
-    pub frames_completed: u64,
-    pub deadline_misses: u64,
+    /// The simulated run; `None` when the scheme cannot meet the frame
+    /// deadline at any DVS level, so there was nothing to simulate.
+    pub result: Option<ExperimentResult>,
 }
 
 /// Simulate every Fig. 8 partition scheme to battery exhaustion, in the
-/// figure's order. Infeasible schemes produce an
-/// explicit marker row instead of being dropped, so the table always has
-/// one row per scheme.
+/// figure's order. An infeasible scheme keeps its row, with no result, so
+/// the table always has one row per scheme.
 pub fn fig8_lifetime_sweep(sys: &SystemConfig, threads: usize) -> Vec<Fig8Row> {
-    use crate::experiment::Experiment;
-    use crate::partition::fig8_schemes;
     let schemes = fig8_schemes(sys);
-    let mut jobs: Vec<PipelineConfig> = Vec::new();
-    let mut job_of_scheme: Vec<Option<usize>> = Vec::new();
-    for (i, scheme) in schemes.iter().enumerate() {
-        if scheme.is_feasible() {
-            let mut cfg = Experiment::Exp2.config();
-            cfg.label = format!("fig8 scheme {}", i + 1);
-            cfg.sys = sys.clone();
-            cfg.shares = scheme.shares.clone();
-            cfg.levels = scheme.levels.iter().map(|l| l.expect("feasible")).collect();
-            job_of_scheme.push(Some(jobs.len()));
-            jobs.push(cfg);
-        } else {
-            job_of_scheme.push(None);
-        }
-    }
-    let results = run_jobs(&jobs, threads);
+    let jobs: Vec<Option<PipelineConfig>> =
+        schemes.iter().map(|p| partition_config(sys, p)).collect();
+    let results = run_feasible(&jobs, threads);
     schemes
-        .iter()
+        .into_iter()
+        .zip(&jobs)
+        .zip(results)
         .enumerate()
-        .map(|(i, scheme)| match job_of_scheme[i] {
-            Some(j) => {
-                let r = &results[j];
-                Fig8Row {
-                    scheme: i + 1,
-                    feasible: true,
-                    levels_mhz: scheme
-                        .levels
-                        .iter()
-                        .map(|l| l.expect("feasible").freq_mhz)
-                        .collect(),
-                    required_mhz: scheme.required_mhz.clone(),
-                    lifetime_h: Hours::new(r.life_hours()),
-                    frames_completed: r.frames_completed,
-                    deadline_misses: r.deadline_misses,
-                }
-            }
-            None => Fig8Row {
-                scheme: i + 1,
-                feasible: false,
-                levels_mhz: Vec::new(),
-                required_mhz: scheme.required_mhz.clone(),
-                lifetime_h: Hours::ZERO,
-                frames_completed: 0,
-                deadline_misses: 0,
-            },
+        .map(|(i, ((scheme, job), result))| Fig8Row {
+            scheme: i + 1,
+            levels_mhz: levels_mhz(job.as_ref()),
+            required_mhz: scheme.required_mhz,
+            result,
         })
         .collect()
 }
@@ -115,40 +124,113 @@ pub fn render_fig8_sweep(rows: &[Fig8Row]) -> String {
         "scheme", "levels (MHz)", "required (MHz)", "T (h)", "frames", "misses"
     );
     let _ = writeln!(out, "{}", "-".repeat(76));
-    for r in rows {
-        let required: Vec<String> = r
-            .required_mhz
-            .iter()
-            .map(|f| format!("{:.1}", f.mhz()))
-            .collect();
-        if r.feasible {
-            let levels: Vec<String> = r
-                .levels_mhz
-                .iter()
-                .map(|f| format!("{:.1}", f.mhz()))
-                .collect();
-            let _ = writeln!(
+    for row in rows {
+        let required = join_mhz(&row.required_mhz);
+        let _ = match &row.result {
+            Some(r) => writeln!(
                 out,
                 "{:>6} {:<20} {:<20} {:>8.2} {:>8} {:>7}",
-                r.scheme,
-                levels.join("/"),
-                required.join("/"),
-                r.lifetime_h.get(),
+                row.scheme,
+                join_mhz(&row.levels_mhz),
+                required,
+                r.life_hours(),
                 r.frames_completed,
                 r.deadline_misses
-            );
-        } else {
-            let _ = writeln!(
+            ),
+            None => writeln!(
                 out,
                 "{:>6} {:<20} {:<20} {:>8} {:>8} {:>7}",
-                r.scheme,
-                "infeasible",
-                required.join("/"),
-                "-",
-                "-",
-                "-"
-            );
+                row.scheme, "infeasible", required, "-", "-", "-"
+            ),
+        };
+    }
+    out
+}
+
+/// One row of the N-node scaling study. A node count with no feasible
+/// partition still gets its rows, with no result, so the Fig. 10-style
+/// table never silently renumbers: every `n` in `1..=max_nodes` appears.
+#[derive(Debug, Clone)]
+pub struct ScaleRow {
+    pub n_nodes: usize,
+    pub technique: &'static str,
+    /// DVS levels of the chosen partition (empty when infeasible).
+    pub levels_mhz: Vec<Hertz>,
+    /// The simulated run; `None` when no partition of the chain across
+    /// `n_nodes` meets the frame deadline, so nothing was simulated.
+    pub result: Option<ExperimentResult>,
+}
+
+/// Run the scaling study: for each node count, the best feasible
+/// partition with DVS during I/O, statically and (from two nodes on) with
+/// §5.5 rotation, to battery exhaustion. The rows come in `(n_nodes,
+/// technique)` order and are byte-identical for any `threads` (0 = one
+/// worker per core).
+pub fn scaling_study(sys: &SystemConfig, max_nodes: usize, threads: usize) -> Vec<ScaleRow> {
+    assert!((1..=4).contains(&max_nodes), "1..=4 nodes supported");
+    // Planned in table order: "rotation …" sorts before "static …".
+    let mut plan: Vec<(usize, &'static str)> = Vec::new();
+    let mut jobs: Vec<Option<PipelineConfig>> = Vec::new();
+    for n in 1..=max_nodes {
+        let base = best_partition(sys, n)
+            .and_then(|p| partition_config(sys, &p))
+            .map(|cfg| PipelineConfig {
+                policy: DvsPolicy::DvsDuringIo,
+                ..cfg
+            });
+        if n >= 2 {
+            plan.push((n, "rotation + DVS during I/O"));
+            jobs.push(base.clone().map(|cfg| PipelineConfig {
+                technique: Some(Technique::PAPER_ROTATION),
+                ..cfg
+            }));
         }
+        plan.push((n, "static + DVS during I/O"));
+        jobs.push(base);
+    }
+    let results = run_feasible(&jobs, threads);
+    plan.into_iter()
+        .zip(&jobs)
+        .zip(results)
+        .map(|(((n_nodes, technique), job), result)| ScaleRow {
+            n_nodes,
+            technique,
+            levels_mhz: levels_mhz(job.as_ref()),
+            result,
+        })
+        .collect()
+}
+
+/// Render the scaling study as a text table.
+pub fn render_scaling(rows: &[ScaleRow]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "N-node scaling study (best feasible partitions)\n\
+         {:>2} {:<28} {:<28} {:>8} {:>8} {:>8} {:>7}",
+        "N", "technique", "levels (MHz)", "T (h)", "T/N (h)", "frames", "misses"
+    );
+    let _ = writeln!(out, "{}", "-".repeat(96));
+    for row in rows {
+        let _ = match &row.result {
+            Some(r) => writeln!(
+                out,
+                "{:>2} {:<28} {:<28} {:>8.2} {:>8.2} {:>8} {:>7}",
+                row.n_nodes,
+                row.technique,
+                join_mhz(&row.levels_mhz),
+                r.life_hours(),
+                r.normalized_life_hours(),
+                r.frames_completed,
+                r.deadline_misses
+            ),
+            None => writeln!(
+                out,
+                "{:>2} {:<28} {:<28} {:>8} {:>8} {:>8} {:>7}",
+                row.n_nodes, row.technique, "infeasible", "-", "-", "-", "-"
+            ),
+        };
     }
     out
 }
@@ -229,7 +311,6 @@ pub fn render_policy_sweep(rows: &[PolicyRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Experiment;
     use dles_sim::SimTime;
 
     fn short(label: &str, horizon_s: u64) -> PipelineConfig {
@@ -239,23 +320,28 @@ mod tests {
         cfg
     }
 
+    /// EXP-2 on the best `n`-node partition of the paper's system.
+    fn n_node(n: usize) -> PipelineConfig {
+        let sys = SystemConfig::paper();
+        let best = best_partition(&sys, n)
+            .unwrap_or_else(|| panic!("{n}-node partition should be feasible"));
+        partition_config(&sys, &best).expect("the best partition is feasible")
+    }
+
     #[test]
     fn results_are_worker_count_invariant() {
-        let sys = SystemConfig::paper();
-        let n_node = |n| {
-            let policy = crate::policy::DvsPolicy::DvsDuringIo;
-            let mut cfg = crate::scale::n_node_config(&sys, n, policy, None).unwrap();
-            cfg.horizon = SimTime::from_secs(300);
-            cfg
+        let capped = |n| PipelineConfig {
+            horizon: SimTime::from_secs(300),
+            ..n_node(n)
         };
         // Mixed node counts, so the heaviest-first start order differs
         // from job order and the results must be put back.
         let jobs = vec![
             short("a", 300),
-            n_node(1),
+            capped(1),
             short("b", 450),
             short("c", 300),
-            n_node(3),
+            capped(3),
             short("d", 600),
         ];
         let baseline = run_jobs(&jobs, 1);
@@ -273,16 +359,82 @@ mod tests {
     }
 
     #[test]
+    fn n_node_configs_build_for_all_supported_sizes() {
+        for n in 1..=4 {
+            assert_eq!(n_node(n).n_nodes(), n);
+        }
+        let sys = SystemConfig::paper();
+        let infeasible = &fig8_schemes(&sys)[2];
+        assert!(!infeasible.is_feasible());
+        assert!(partition_config(&sys, infeasible).is_none());
+    }
+
+    #[test]
     fn fig8_sweep_emits_one_row_per_scheme() {
         let sys = SystemConfig::paper();
         let rows = fig8_lifetime_sweep(&sys, 0);
         assert_eq!(rows.len(), 3, "one row per Fig. 8 scheme, always");
-        assert!(rows[0].feasible && rows[1].feasible);
-        assert!(!rows[2].feasible, "scheme 3 needs ~380 MHz — infeasible");
-        assert!(rows[0].lifetime_h.get() > rows[1].lifetime_h.get());
+        let hours: Vec<Option<f64>> = rows
+            .iter()
+            .map(|r| r.result.as_ref().map(ExperimentResult::life_hours))
+            .collect();
+        let (Some(h1), Some(h2), None) = (hours[0], hours[1], hours[2]) else {
+            panic!("schemes 1 and 2 are feasible, scheme 3 needs ~380 MHz: {hours:?}");
+        };
+        assert!(h1 > h2);
         let text = render_fig8_sweep(&rows);
         assert!(text.contains("infeasible"));
         assert!(text.contains("59.0/103.2"));
+    }
+
+    #[test]
+    fn scaling_study_never_drops_a_node_count() {
+        // Pre-fix, a node count whose best partition was infeasible was
+        // silently skipped and the Fig. 10-style table misnumbered its
+        // rows. Starve the serial link so the frame traffic cannot fit in
+        // the deadline: partitioned configurations (which must ship the
+        // 10 KB frame over the serial line) become infeasible, and those
+        // node counts must now surface as explicit marker rows.
+        let mut sys = SystemConfig::paper();
+        sys.serial = sys.serial.with_effective_bps(4_000.0);
+        let max_nodes = 3;
+        let rows = scaling_study(&sys, max_nodes, 0);
+        assert_eq!(
+            rows.len(),
+            1 + 2 * (max_nodes - 1),
+            "one static row per n plus one rotation row per n >= 2: {rows:?}"
+        );
+        for n in 1..=max_nodes {
+            assert!(
+                rows.iter().any(|r| r.n_nodes == n),
+                "node count {n} missing from {rows:?}"
+            );
+        }
+        assert!(
+            rows.iter().any(|r| r.result.is_none()),
+            "the starved link must make at least one row infeasible: {rows:?}"
+        );
+        let text = render_scaling(&rows);
+        assert!(text.contains("infeasible"));
+    }
+
+    #[test]
+    fn render_scaling_formats() {
+        let cfg = PipelineConfig {
+            horizon: SimTime::from_secs(300),
+            ..n_node(2)
+        };
+        let result = run_pipeline(cfg.clone());
+        let hours = format!("{:.2}", result.life_hours());
+        let rows = vec![ScaleRow {
+            n_nodes: 2,
+            technique: "rotation",
+            levels_mhz: levels_mhz(Some(&cfg)),
+            result: Some(result),
+        }];
+        let text = render_scaling(&rows);
+        assert!(text.contains("59.0/103.2"));
+        assert!(text.contains(&hours));
     }
 
     #[test]

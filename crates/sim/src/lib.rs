@@ -52,7 +52,7 @@ pub(crate) mod trace;
 
 pub use engine::{Ctx, Engine, RunOutcome, World};
 pub use event::{EventId, EventQueue};
-pub use par::{par_map, par_map_slice};
+pub use par::par_map;
 pub use rng::SimRng;
 pub use stats::{CounterSet, DistSummary, Histogram};
 pub use time::SimTime;

@@ -6,10 +6,11 @@
 //! harness pioneered, generalized here for any fan-out (config sweeps,
 //! calibration anchors, experiment batches).
 //!
-//! Determinism contract: `f` must be a pure function of its index (no
+//! Determinism contract: `f` must be a pure function of its item (no
 //! shared mutable state, no wall clock, no unseeded randomness). The
-//! scheduler then only decides *when* each `f(i)` runs, never *what* it
-//! returns, and `par_map(n, t, f) == (0..n).map(f)` for every `t`.
+//! scheduler then only decides *when* each `f(item)` runs, never *what*
+//! it returns, and `par_map(items, t, f) == items.iter().map(f)` for
+//! every `t`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,21 +29,24 @@ pub(crate) fn resolve_workers(threads: usize, jobs: usize) -> usize {
     t.max(1).min(jobs.max(1))
 }
 
-/// Map `f` over `0..n` with `threads` scoped workers (`0` = one per core).
+/// Map `f` over `items` with `threads` scoped workers (`0` = one per
+/// core).
 ///
-/// Results come back in index order regardless of scheduling; a single
+/// Results come back in item order regardless of scheduling; a single
 /// worker degenerates to a plain serial loop with no thread spawned.
-pub fn par_map<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
+    T: Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
+    let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     let workers = resolve_workers(threads, n);
     if workers == 1 {
-        return (0..n).map(f).collect();
+        return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -53,7 +57,7 @@ where
                 if i >= n {
                     break;
                 }
-                let r = f(i);
+                let r = f(&items[i]);
                 // Poison recovery: a panic in another worker's `f` must
                 // not cascade into secondary lock panics here — the slot
                 // data is index-owned, never half-written.
@@ -73,39 +77,29 @@ where
         .collect()
 }
 
-/// [`par_map`] over the items of a slice: `f` receives `(index, &item)`.
-pub fn par_map_slice<'a, T, R, F>(items: &'a [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &'a T) -> R + Sync,
-{
-    par_map(items.len(), threads, |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn par_map_preserves_index_order() {
+        let items: Vec<usize> = (0..37).collect();
         for threads in [1, 2, 3, 8] {
-            let out = par_map(37, threads, |i| i * i);
+            let out = par_map(&items, threads, |&i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn par_map_empty_is_empty() {
-        let out: Vec<u64> = par_map(0, 4, |_| unreachable!("no jobs"));
-        assert!(out.is_empty());
+    fn par_map_slice_hands_out_items() {
+        let words = ["a", "bb", "ccc"];
+        assert_eq!(par_map(&words, 2, |s| s.len()), [1, 2, 3]);
     }
 
     #[test]
-    fn par_map_slice_hands_out_items() {
-        let items = vec!["a", "bb", "ccc"];
-        let out = par_map_slice(&items, 2, |i, s| (i, s.len()));
-        assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
+    fn par_map_empty_is_empty() {
+        let out: Vec<u64> = par_map(&[0u8; 0], 4, |_| unreachable!("no jobs"));
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -118,7 +112,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_cores_still_complete() {
-        let out = par_map(5, 64, |i| i + 1);
+        let out = par_map(&[0, 1, 2, 3, 4], 64, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
     }
 }

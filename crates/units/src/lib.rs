@@ -12,11 +12,10 @@
 //! use dles_units::{MilliAmps, Seconds, Volts};
 //! let i = MilliAmps::new(46.5);
 //! let t = Seconds::new(120.0);
-//! let charge = i * t;                       // MilliAmpSeconds
-//! let mah = charge.to_milli_amp_hours();    // explicit /3600 conversion
+//! let mah = i * t.to_hours();               // explicit /3600 conversion
 //! let p = i * Volts::new(4.0);              // MilliWatts
 //! let e = p * t;                            // MilliJoules
-//! assert_eq!(mah.get(), 46.5 * 120.0 / 3600.0);
+//! assert_eq!(mah.get(), 46.5 * (120.0 / 3600.0));
 //! assert_eq!(e.get(), 46.5 * 4.0 * 120.0);
 //! ```
 //!
@@ -216,19 +215,6 @@ macro_rules! dim_mul {
     };
 }
 
-/// `$lhs / $rhs -> $out`.
-macro_rules! dim_div {
-    ($lhs:ident / $rhs:ident = $out:ident) => {
-        impl Div<$rhs> for $lhs {
-            type Output = $out;
-            #[inline]
-            fn div(self, rhs: $rhs) -> $out {
-                $out(self.0 / rhs.0)
-            }
-        }
-    };
-}
-
 quantity!(
     /// Duration in seconds.
     Seconds
@@ -244,10 +230,6 @@ quantity!(
     Hertz
 );
 quantity!(
-    /// Processing work in megacycles (MHz · s).
-    MegaCycles
-);
-quantity!(
     /// Electric potential in volts.
     Volts
 );
@@ -258,12 +240,6 @@ quantity!(
 quantity!(
     /// Current in amps.
     Amps
-);
-quantity!(
-    /// Charge in milliamp-seconds — the raw `I · t` integrator output.
-    /// Convert to [`MilliAmpHours`] explicitly via
-    /// [`MilliAmpSeconds::to_milli_amp_hours`].
-    MilliAmpSeconds
 );
 quantity!(
     /// Charge in milliamp-hours (battery capacity unit).
@@ -296,27 +272,19 @@ quantity!(
 
 // Dimensional algebra. Every line is one physical identity; nothing else
 // type-checks.
-dim_mul!(MilliAmps * Seconds = MilliAmpSeconds);
 dim_mul!(MilliAmps * Hours = MilliAmpHours);
 dim_mul!(MilliAmps * Volts = MilliWatts);
 dim_mul!(Amps * Volts = Watts);
 dim_mul!(Watts * Seconds = Joules);
 dim_mul!(MilliWatts * Seconds = MilliJoules);
-dim_mul!(Hertz * Seconds = MegaCycles);
-// SoC is a fraction of a pack's nominal capacity: scaling capacity by it
-// yields the charge still in the pack (`stranded_mah` at death).
-dim_mul!(StateOfCharge * MilliAmpHours = MilliAmpHours);
 
-dim_div!(MilliAmpHours / MilliAmps = Hours);
-dim_div!(MilliAmpHours / Hours = MilliAmps);
-dim_div!(MilliAmpSeconds / Seconds = MilliAmps);
-dim_div!(MilliAmpSeconds / MilliAmps = Seconds);
-dim_div!(MegaCycles / Hertz = Seconds);
-dim_div!(MegaCycles / Seconds = Hertz);
-dim_div!(Joules / Seconds = Watts);
-dim_div!(Joules / Watts = Seconds);
-dim_div!(MilliWatts / Volts = MilliAmps);
-dim_div!(Watts / Volts = Amps);
+impl Div<MilliAmps> for MilliAmpHours {
+    type Output = Hours;
+    #[inline]
+    fn div(self, rhs: MilliAmps) -> Hours {
+        Hours(self.0 / rhs.0)
+    }
+}
 
 // Named scale conversions. These are the only places a scale factor
 // appears; each forwards to a single f64 operation so migrated call
@@ -373,22 +341,6 @@ impl Amps {
     #[inline]
     pub fn to_milli_amps(self) -> MilliAmps {
         MilliAmps(self.0 * 1000.0)
-    }
-}
-
-impl MilliAmpSeconds {
-    /// `/ 3600` rescale — the explicit mA·s → mAh step the battery
-    /// integrators must name.
-    #[inline]
-    pub fn to_milli_amp_hours(self) -> MilliAmpHours {
-        MilliAmpHours(self.0 / Seconds::PER_HOUR)
-    }
-}
-
-impl MilliAmpHours {
-    #[inline]
-    pub fn to_milli_amp_seconds(self) -> MilliAmpSeconds {
-        MilliAmpSeconds(self.0 * Seconds::PER_HOUR)
     }
 }
 
@@ -462,13 +414,24 @@ mod tests {
     }
 
     #[test]
+    fn soc_scales_capacity_like_the_raw_expression() {
+        let soc = StateOfCharge::new(0.37);
+        let cap = MilliAmpHours::new(992.7);
+        let remaining = cap * soc.get();
+        assert_eq!(remaining.get(), 992.7 * 0.37);
+        assert_eq!(remaining / cap, 992.7 * 0.37 / 992.7);
+        let skew = StateOfCharge::new(0.41) - StateOfCharge::new(0.37);
+        assert_eq!(skew.get(), 0.41 - 0.37);
+        assert!(StateOfCharge::new(0.5) > StateOfCharge::new(0.25));
+    }
+
+    #[test]
     fn dimensional_products_match_raw_f64_expressions() {
         let i = MilliAmps::new(46.5);
         let t = Seconds::new(120.0);
         let v = Volts::new(4.0);
-        assert_eq!((i * t).get(), 46.5 * 120.0);
-        assert_eq!((t * i).get(), 120.0 * 46.5);
         assert_eq!((i * v).get(), 46.5 * 4.0);
+        assert_eq!((v * i).get(), 4.0 * 46.5);
         assert_eq!((i.to_amps() * v).get(), 46.5 / 1000.0 * 4.0);
         assert_eq!(
             (i.to_amps() * v * t).get(),
@@ -480,13 +443,8 @@ mod tests {
     #[test]
     fn charge_conversions_are_the_historical_expressions() {
         let i = MilliAmps::new(130.0);
-        let t = Seconds::new(777.5);
-        assert_eq!(
-            (i * t).to_milli_amp_hours().get(),
-            130.0 * 777.5 / 3600.0,
-            "mA·s → mAh must be a trailing /3600, not a reordered product"
-        );
         assert_eq!((i * Hours::new(2.5)).get(), 130.0 * 2.5);
+        assert_eq!((Hours::new(2.5) * i).get(), 2.5 * 130.0);
     }
 
     #[test]
@@ -494,9 +452,6 @@ mod tests {
         let cap = MilliAmpHours::new(992.7);
         let i = MilliAmps::new(55.0);
         assert_eq!((cap / i).get(), 992.7 / 55.0);
-        assert_eq!((cap / Hours::new(4.0)).get(), 992.7 / 4.0);
-        let work = Hertz::from_mhz(206.4) * Seconds::new(1.1);
-        assert_eq!((work / Hertz::from_mhz(59.0)).get(), 206.4 * 1.1 / 59.0);
     }
 
     #[test]
@@ -508,17 +463,6 @@ mod tests {
         assert_eq!(one.max(nan).get(), 1.0);
         assert!(!nan.is_finite());
         assert!(one.is_finite());
-    }
-
-    #[test]
-    fn soc_scales_capacity_like_the_raw_expression() {
-        let soc = StateOfCharge::new(0.37);
-        let cap = MilliAmpHours::new(992.7);
-        assert_eq!((soc * cap).get(), 0.37 * 992.7);
-        assert_eq!((cap * soc).get(), 992.7 * 0.37);
-        let skew = StateOfCharge::new(0.41) - StateOfCharge::new(0.37);
-        assert_eq!(skew.get(), 0.41 - 0.37);
-        assert!(StateOfCharge::new(0.5) > StateOfCharge::new(0.25));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! roughly 45%.
 #![forbid(unsafe_code)]
 
-use dles_core::experiment::{run_experiment, Experiment};
+use dles_core::experiment::Experiment;
+use dles_core::run_pipeline;
 
 fn main() {
     println!("dles quickstart — Liu & Chou (IPPS 2004) reproduction\n");
 
     println!("running baseline (one Itsy node at 206.4 MHz, D = 2.3 s)...");
-    let baseline = run_experiment(&Experiment::Exp1.config());
+    let baseline = run_pipeline(Experiment::Exp1.config());
     println!(
         "  T(1) = {:.2} h, F(1) = {:.1}K frames",
         baseline.life_hours(),
@@ -24,7 +25,7 @@ fn main() {
     );
 
     println!("running node rotation (two nodes at 59/103.2 MHz, rotate every 100 frames)...");
-    let rotation = run_experiment(&Experiment::Exp2C.config());
+    let rotation = run_pipeline(Experiment::Exp2C.config());
     println!(
         "  T(2C) = {:.2} h, F(2C) = {:.1}K frames",
         rotation.life_hours(),

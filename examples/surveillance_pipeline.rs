@@ -14,7 +14,8 @@
 
 use dles_atr::pipeline::AtrPipeline;
 use dles_atr::scene::SceneBuilder;
-use dles_core::experiment::{run_experiment, Experiment};
+use dles_core::experiment::Experiment;
+use dles_core::run_pipeline;
 
 fn main() {
     let n_frames: u64 = std::env::args()
@@ -60,7 +61,7 @@ fn main() {
 
     // --- The energy side: how long would the post stay up? ---
     println!("\nsimulating the battery budget of the two-node rotating deployment...");
-    let result = run_experiment(&Experiment::Exp2C.config());
+    let result = run_pipeline(Experiment::Exp2C.config());
     let frames = result.frames_completed;
     println!(
         "  the two-node post processes {:.1}K frames over {:.1} h before its\n\
@@ -71,7 +72,7 @@ fn main() {
         result.deadline_misses,
         result.life_hours(),
     );
-    let baseline = run_experiment(&Experiment::Exp1.config());
+    let baseline = run_pipeline(Experiment::Exp1.config());
     println!(
         "  a single-node post lasts {:.1} h — the distributed deployment with\n\
          rotation buys {:.0}% more normalized uptime.",

@@ -6,8 +6,9 @@
 //! (exp 1, 2, 2C within a few percent); the known deviations (1A, 2B) are
 //! asserted with wider bands and documented in EXPERIMENTS.md.
 
-use dles_core::experiment::{run_experiment, Experiment};
+use dles_core::experiment::Experiment;
 use dles_core::metrics::ExperimentResult;
+use dles_core::{run_jobs, PipelineConfig};
 use dles_tests::assert_close_percent;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -16,18 +17,12 @@ use std::sync::OnceLock;
 fn results() -> &'static BTreeMap<&'static str, ExperimentResult> {
     static RESULTS: OnceLock<BTreeMap<&'static str, ExperimentResult>> = OnceLock::new();
     RESULTS.get_or_init(|| {
-        let mut map = BTreeMap::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = Experiment::ALL
-                .iter()
-                .map(|&e| s.spawn(move || (e.label(), run_experiment(&e.config()))))
-                .collect();
-            for h in handles {
-                let (label, r) = h.join().expect("experiment panicked");
-                map.insert(label, r);
-            }
-        });
-        map
+        let jobs: Vec<PipelineConfig> = Experiment::ALL.map(Experiment::config).into();
+        Experiment::ALL
+            .map(Experiment::label)
+            .into_iter()
+            .zip(run_jobs(&jobs, 0))
+            .collect()
     })
 }
 

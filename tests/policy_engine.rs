@@ -11,9 +11,10 @@
 use dles_core::experiment::{policy_config, Experiment};
 use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
-use dles_core::pipeline::{run_pipeline, PipelineConfig};
+use dles_core::pipeline::PipelineConfig;
 use dles_core::policy::SchedulingPolicy;
-use dles_sim::{par_map_slice, SimTime};
+use dles_core::run_jobs;
+use dles_sim::SimTime;
 
 /// One horizon-capped job per policy: real 2C physics, bounded runtime.
 fn policy_jobs(horizon_s: u64) -> Vec<PipelineConfig> {
@@ -28,9 +29,9 @@ fn policy_jobs(horizon_s: u64) -> Vec<PipelineConfig> {
 }
 
 /// Render a sweep the way `repro --sweep policy` fans it out underneath:
-/// every job through `par_map_slice`, one result line per job in job order.
+/// every job through `run_jobs`, one result line per job in job order.
 fn sweep_report(jobs: &[PipelineConfig], threads: usize) -> String {
-    par_map_slice(jobs, threads, |_, cfg| run_pipeline(cfg.clone()))
+    run_jobs(jobs, threads)
         .iter()
         .map(|r| {
             format!(

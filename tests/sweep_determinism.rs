@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex};
 use dles_core::experiment::Experiment;
 use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
-use dles_core::pipeline::{run_pipeline, run_pipeline_with, PipelineConfig};
-use dles_core::Technique;
-use dles_sim::{par_map_slice, JsonlRecorder, SimTime};
+use dles_core::pipeline::{run_pipeline_with, PipelineConfig};
+use dles_core::{run_jobs, Technique};
+use dles_sim::{JsonlRecorder, SimTime};
 use std::num::NonZeroU64;
 
 /// A short Exp2-shaped job: real pipeline physics, capped horizon.
@@ -27,9 +27,9 @@ fn job(label: &str, horizon_s: u64, seed: u64) -> PipelineConfig {
 }
 
 /// Render a sweep the way `repro --sweep` fans it out: every job through
-/// `par_map_slice`, one result line per job in job order.
+/// `run_jobs`, one result line per job in job order.
 fn sweep_report(jobs: &[PipelineConfig], threads: usize) -> String {
-    par_map_slice(jobs, threads, |_, cfg| run_pipeline(cfg.clone()))
+    run_jobs(jobs, threads)
         .iter()
         .map(|r| {
             format!(
