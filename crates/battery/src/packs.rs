@@ -12,10 +12,11 @@
 //! * **pack B** — fits the I/O-bound series anchored on the baseline
 //!   (1: 6.13 h) and partitioned (2: 14.1 h) experiments.
 //!
-//! The constants below were produced by [`calibrate_kibam`](crate::calibrate_kibam)
-//! (see the `repro --calibrate` subcommand in `dles-bench`, which re-runs
-//! the fit and prints residuals); they are checked against the anchors in
-//! this module's tests.
+//! The constants below were produced by [`calibrate_kibam`](crate::calibrate_kibam):
+//! `dles-bench`'s `calibrate_packs` binary re-runs the fit and prints its
+//! residuals, and `repro --calibrate` prints the constants themselves.
+//! `tests/experiments_integration.rs` (`calibrated_anchors_match_paper_lifetimes`)
+//! checks them against the anchors.
 
 use crate::kibam::{KibamBattery, KibamParams};
 use dles_units::MilliAmpHours;

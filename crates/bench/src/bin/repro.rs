@@ -41,7 +41,7 @@
 //!                         --horizon-s S   cap simulated time per trial
 //!                         --no-recovery   strip §5.4 recovery (ablation;
 //!                                         not with a non-static --policy)
-//! repro --calibrate     re-run the battery-pack calibration residuals
+//! repro --calibrate     print the calibrated battery-pack parameters
 //! repro --json          emit the Fig. 10 rows as JSON on stdout
 //! ```
 #![forbid(unsafe_code)]
@@ -135,7 +135,7 @@ fn main() {
                 policy = SchedulingPolicy::by_name(name).unwrap_or_else(|| {
                     eprintln!(
                         "unknown policy {name}; use one of: {}",
-                        SchedulingPolicy::NAMES.join(" ")
+                        SchedulingPolicy::ALL.map(|p| p.name()).join(" ")
                     );
                     std::process::exit(2);
                 });
@@ -302,7 +302,7 @@ fn run_montecarlo_study(
     let profile = FaultProfile::by_name(faults_name).unwrap_or_else(|| {
         eprintln!(
             "unknown fault profile {faults_name}; use one of: {}",
-            FaultProfile::NAMES.join(" ")
+            FaultProfile::PRESETS.map(|(name, _)| name).join(" ")
         );
         std::process::exit(2);
     });
@@ -397,9 +397,8 @@ fn run_fig10(json: bool) {
         .filter(|(e, _)| Experiment::FIG10.contains(e))
         .cloned()
         .collect();
-    let rows = report::fig10_rows(&fig10);
     if json {
-        println!("{}", report::to_json(&rows));
+        println!("{}", report::to_json(&fig10));
         return;
     }
     println!("§6.1 — no-I/O experiments (battery pack A; not comparable with the series below)");
@@ -413,12 +412,12 @@ fn run_fig10(json: bool) {
             e.description(),
             r.life_hours(),
             e.paper_hours(),
-            r.frames_completed as f64 / 1000.0,
+            r.kframes(),
             e.paper_kframes()
         );
     }
     println!();
-    print!("{}", report::render_fig10(&rows));
+    print!("{}", report::render_fig10(&fig10));
     println!();
     for (e, r) in &fig10 {
         print!("{}", report::render_experiment_detail(*e, r));

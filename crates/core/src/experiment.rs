@@ -261,7 +261,7 @@ mod tests {
             "0A simulated {hours} h vs paper 3.4 h"
         );
         // ~11.5K frames.
-        let kf = r.frames_completed as f64 / 1000.0;
+        let kf = r.kframes();
         assert!((kf - 11.5).abs() < 1.3, "0A frames {kf}K vs 11.5K");
     }
 

@@ -46,7 +46,7 @@ pub struct FaultProfile {
 
 impl FaultProfile {
     /// No faults at all (the seed behavior).
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultProfile {
             bit_error_rate: 0.0,
             drop_prob: 0.0,
@@ -60,7 +60,7 @@ impl FaultProfile {
     }
 
     /// A lossy serial link: bit errors, drops, and delays, healthy nodes.
-    pub fn lossy_link() -> Self {
+    pub const fn lossy_link() -> Self {
         FaultProfile {
             bit_error_rate: 1e-6,
             drop_prob: 0.03,
@@ -71,7 +71,7 @@ impl FaultProfile {
     }
 
     /// Healthy links, flaky power: periodic transient brownouts.
-    pub(crate) fn brownout() -> Self {
+    pub(crate) const fn brownout() -> Self {
         FaultProfile {
             brownout_mean_interval: SimTime::from_secs(600),
             brownout_duration: SimTime::from_secs(5),
@@ -80,7 +80,7 @@ impl FaultProfile {
     }
 
     /// Per-node battery variance only (manufacturing + state-of-charge).
-    pub(crate) fn battery_variance() -> Self {
+    const fn battery_variance() -> Self {
         FaultProfile {
             capacity_std_frac: 0.05,
             charge_spread_frac: 0.05,
@@ -89,7 +89,7 @@ impl FaultProfile {
     }
 
     /// Everything at once.
-    pub(crate) fn harsh() -> Self {
+    pub(crate) const fn harsh() -> Self {
         FaultProfile {
             brownout_mean_interval: SimTime::from_secs(900),
             brownout_duration: SimTime::from_secs(5),
@@ -99,21 +99,22 @@ impl FaultProfile {
         }
     }
 
-    /// Look up a named profile (`none`, `lossy`, `brownout`, `battery`,
-    /// `harsh`), for the `repro --faults NAME` CLI.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "none" => Some(Self::none()),
-            "lossy" | "lossy_link" => Some(Self::lossy_link()),
-            "brownout" => Some(Self::brownout()),
-            "battery" | "battery_variance" => Some(Self::battery_variance()),
-            "harsh" => Some(Self::harsh()),
-            _ => None,
-        }
-    }
+    /// The named profiles of the `repro --faults NAME` CLI.
+    pub const PRESETS: [(&'static str, FaultProfile); 5] = [
+        ("none", Self::none()),
+        ("lossy", Self::lossy_link()),
+        ("brownout", Self::brownout()),
+        ("battery", Self::battery_variance()),
+        ("harsh", Self::harsh()),
+    ];
 
-    /// The profile names accepted by [`Self::by_name`].
-    pub const NAMES: [&'static str; 5] = ["none", "lossy", "brownout", "battery", "harsh"];
+    /// Look up one of the [`Self::PRESETS`] by name, ignoring ASCII case.
+    pub fn by_name(name: &str) -> Option<Self> {
+        Self::PRESETS
+            .into_iter()
+            .find(|(preset, _)| preset.eq_ignore_ascii_case(name))
+            .map(|(_, profile)| profile)
+    }
 
     /// Whether any link-level fault can occur.
     pub fn has_link_faults(&self) -> bool {
@@ -256,8 +257,8 @@ mod tests {
 
     #[test]
     fn named_profiles_resolve() {
-        for name in FaultProfile::NAMES {
-            assert!(FaultProfile::by_name(name).is_some(), "profile {name}");
+        for (name, profile) in FaultProfile::PRESETS {
+            assert_eq!(FaultProfile::by_name(name), Some(profile), "profile {name}");
         }
         assert!(FaultProfile::by_name("LOSSY").is_some(), "case-insensitive");
         assert!(FaultProfile::by_name("bogus").is_none());

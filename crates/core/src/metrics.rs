@@ -60,6 +60,11 @@ impl ExperimentResult {
         self.lifetime.as_hours_f64()
     }
 
+    /// `F(N)` in thousands of frames, as the paper reports it.
+    pub fn kframes(&self) -> f64 {
+        self.frames_completed as f64 / 1000.0
+    }
+
     /// `T_norm(N) = T(N) / N` in hours.
     pub fn normalized_life_hours(&self) -> f64 {
         self.life_hours() / self.n_nodes as f64

@@ -9,11 +9,10 @@ use dles_battery::kibam::KibamParams;
 use dles_battery::rakhmatov::RvParams;
 use dles_battery::{Battery, IdealBattery, KibamBattery, PeukertBattery, RakhmatovBattery};
 use dles_net::Endpoint;
-use dles_power::{
-    CurrentModel, EnergyAccount, FreqLevel, LoadSegment, Mode, PowerMonitor, PowerState,
-};
-use dles_sim::{EventId, NullRecorder, Recorder, SimTime};
-use dles_units::{MilliAmpHours, MilliAmps};
+use dles_power::sa1100::BATTERY_VOLTS;
+use dles_power::{CurrentModel, EnergyAccount, FreqLevel, Mode, PowerMonitor, PowerState};
+use dles_sim::{EventId, NullRecorder, Recorder, SimTime, TraceEvent};
+use dles_units::{MilliAmpHours, MilliAmps, Seconds};
 
 use crate::metrics::NodeOutcome;
 
@@ -98,11 +97,10 @@ pub(crate) struct SimNode {
     pub monitor: PowerMonitor,
     /// Energy attribution by mode.
     pub energy: EnergyAccount,
-    /// Whether the battery still has charge.
-    pub alive: bool,
     /// When the node's current activity completes (scheduling hint).
     pub busy_until: SimTime,
-    /// Time of battery exhaustion, once dead.
+    /// Time of battery exhaustion, once dead; `None` while the battery
+    /// still has charge.
     pub death_time: Option<SimTime>,
     /// The node's pending death event.
     pub(crate) death: DeathArm,
@@ -116,11 +114,15 @@ impl SimNode {
             power: PowerState::new(model, Mode::Idle, idle_level),
             monitor: PowerMonitor::new(),
             energy: EnergyAccount::new(),
-            alive: true,
             busy_until: SimTime::ZERO,
             death_time: None,
             death: DeathArm::Exact(None),
         }
+    }
+
+    /// Whether the battery still has charge.
+    pub(crate) fn alive(&self) -> bool {
+        self.death_time.is_none()
     }
 
     /// How long the battery, as settled at the node's last transition, can
@@ -143,14 +145,14 @@ impl SimNode {
         recorder: &mut dyn Recorder,
         node: usize,
     ) {
-        assert!(self.alive, "transition on a dead node");
+        assert!(self.alive(), "transition on a dead node");
         self.settle(now, Some((mode, level)), recorder, node);
     }
 
     /// The battery is exhausted at exactly `now`: settle the final segment,
     /// emit its `power_segment` record and mark the node dead.
     pub(crate) fn die_recorded(&mut self, now: SimTime, recorder: &mut dyn Recorder, node: usize) {
-        assert!(self.alive, "node died twice");
+        assert!(self.alive(), "node died twice");
         let current = self.settle(now, None, recorder, node);
         // `now` came from time_to_exhaustion rounded to the microsecond, so
         // the battery may sit a hair short of exhaustion; nudge it over.
@@ -165,14 +167,13 @@ impl SimNode {
             self.battery.is_exhausted(),
             "death event fired far from actual exhaustion"
         );
-        self.alive = false;
         self.death_time = Some(now);
     }
 
     /// Close instrumentation at the end of an experiment for a node that
     /// survived.
     pub(crate) fn finish(&mut self, now: SimTime) {
-        if self.alive {
+        if self.alive() {
             self.settle(now, None, &mut NullRecorder, 0);
         }
     }
@@ -206,16 +207,17 @@ impl SimNode {
             self.monitor.record(now, dur, current);
             self.energy.add(prev_mode, dur, current);
             if recorder.enabled() {
-                let seg = LoadSegment {
-                    start: now.saturating_sub(dur),
-                    duration: dur,
-                    current_ma: current,
-                };
-                recorder.record(seg.trace_record(
-                    Endpoint::Node(node).to_string(),
-                    prev_mode.name(),
-                    prev_level.freq_mhz,
-                ));
+                let energy = current * BATTERY_VOLTS * Seconds::new(dur.as_secs_f64());
+                recorder.record(
+                    TraceEvent::PowerSegment {
+                        mode: prev_mode.name(),
+                        freq_mhz: prev_level.freq_mhz.mhz(),
+                        duration: dur,
+                        current_ma: current.get(),
+                        energy_mj: energy.get(),
+                    }
+                    .record(now, Endpoint::Node(node).to_string()),
+                );
             }
         }
         current
@@ -301,7 +303,7 @@ mod tests {
         let mut n = node();
         let ttd = enter(&mut n, 0, Mode::Computation, table.highest()).unwrap();
         n.die_recorded(ttd, &mut NullRecorder, 0);
-        assert!(!n.alive);
+        assert!(!n.alive());
         assert_eq!(n.death_time, Some(ttd));
         assert!(n.battery.is_exhausted());
         let o = n.outcome();
@@ -350,6 +352,39 @@ mod tests {
         // Second: the 1 s of computation closed by the next transition.
         assert_eq!(records[1].str_field("mode"), Some("computation"));
         assert_eq!(records[1].u64_field("duration_us"), Some(1_000_000));
+    }
+
+    #[test]
+    fn settled_segment_record_carries_power_fields() {
+        use dles_sim::{FieldValue, MemoryRecorder};
+        let table = DvsTable::sa1100();
+        let mut n = node();
+        enter(&mut n, 1, Mode::Computation, table.highest());
+        let mut rec = MemoryRecorder::new();
+        n.transition_recorded(
+            SimTime::from_secs(3),
+            Mode::Idle,
+            table.lowest(),
+            &mut rec,
+            0,
+        );
+        let records = rec.take_records();
+        assert_eq!(records.len(), 1);
+        // The 2 s of computation from 1 s, stamped at its end, when its
+        // draw is known.
+        let seg = &records[0];
+        assert_eq!(seg.time, SimTime::from_secs(3));
+        assert_eq!(seg.kind, "power_segment");
+        assert_eq!(seg.str_field("mode"), Some("computation"));
+        assert_eq!(seg.field("freq_mhz"), Some(&FieldValue::F64(206.4)));
+        assert_eq!(seg.u64_field("duration_us"), Some(2_000_000));
+        let Some(&FieldValue::F64(current_ma)) = seg.field("current_ma") else {
+            panic!("current_ma is a number: {seg:?}");
+        };
+        assert!((current_ma - 130.0).abs() < 1.0, "Fig. 7 peak {current_ma}");
+        // mA × 4 V × 2 s, in that order, so the energy keeps its bits.
+        let energy_mj = current_ma * 4.0 * 2.0;
+        assert_eq!(seg.field("energy_mj"), Some(&FieldValue::F64(energy_mj)));
     }
 
     #[test]

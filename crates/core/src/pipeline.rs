@@ -365,10 +365,9 @@ impl Counter {
 pub struct PipelineWorld {
     cfg: PipelineConfig,
     nodes: Vec<SimNode>,
-    /// stage/share index → node index.
+    /// stage/share index → node index; a node whose share migrated away
+    /// is in no entry.
     node_of_share: Vec<usize>,
-    /// node index → its current stage (None once its share migrated away).
-    share_of_node: Vec<Option<usize>>,
     links: LinkSchedule,
     rng: Option<SimRng>,
     /// Planned transfers by id; a slot is reused once its `XferEnd` has
@@ -467,7 +466,6 @@ impl PipelineWorld {
         PipelineWorld {
             nodes,
             node_of_share: (0..n).collect(),
-            share_of_node: (0..n).map(Some).collect(),
             links: LinkSchedule::new(n),
             rng,
             transfers: Vec::new(),
@@ -503,10 +501,16 @@ impl PipelineWorld {
         self.node_of_share[share]
     }
 
+    /// The share `node` currently holds; `None` once its share migrated
+    /// away.
+    fn share_of_node(&self, node: usize) -> Option<usize> {
+        self.node_of_share.iter().position(|&n| n == node)
+    }
+
     /// The base (computation) level of a node's current role; nodes whose
     /// share migrated away idle at the lowest level.
     fn base_level(&self, node: usize) -> FreqLevel {
-        match self.share_of_node[node] {
+        match self.share_of_node(node) {
             Some(s) => self.cfg.levels[s],
             None => self.cfg.sys.dvs.lowest(),
         }
@@ -525,7 +529,7 @@ impl PipelineWorld {
     fn soc_skew(&self) -> dles_units::StateOfCharge {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for n in self.nodes.iter().filter(|n| n.alive) {
+        for n in self.nodes.iter().filter(|n| n.alive()) {
             let soc = n.soc_estimate().get();
             lo = lo.min(soc);
             hi = hi.max(soc);
@@ -596,7 +600,7 @@ impl PipelineWorld {
 
     /// Transition a node and reschedule its death event.
     fn set_node_state(&mut self, ctx: &mut Ctx<Ev>, node: usize, mode: Mode) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         let base = self.base_level(node);
@@ -742,7 +746,7 @@ impl PipelineWorld {
 
     /// Begin PROC of `share` for `frame` on `node`.
     fn start_proc(&mut self, ctx: &mut Ctx<Ev>, node: usize, frame: u64, share: usize) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         let level = self.cfg.levels[share];
@@ -798,7 +802,7 @@ impl PipelineWorld {
         let Endpoint::Node(sender) = sender else {
             return;
         };
-        if !self.nodes[sender].alive {
+        if !self.nodes[sender].alive() {
             return;
         }
         self.plan_transfer(
@@ -812,9 +816,6 @@ impl PipelineWorld {
         // The node that held share s now holds share s+1; the tail holder
         // becomes the head.
         self.node_of_share.rotate_right(1);
-        for (s, &node) in self.node_of_share.iter().enumerate() {
-            self.share_of_node[node] = Some(s);
-        }
         self.count(Counter::Rotations);
     }
 
@@ -855,13 +856,13 @@ impl PipelineWorld {
 
     /// A survivor absorbs an adjacent dead stage's share (§5.4).
     fn migrate(&mut self, ctx: &mut Ctx<Ev>, survivor: usize, dead: usize) {
-        let Some(s_surv) = self.share_of_node[survivor] else {
+        let Some(s_surv) = self.share_of_node(survivor) else {
             return;
         };
-        let Some(s_dead) = self.share_of_node[dead] else {
+        let Some(s_dead) = self.share_of_node(dead) else {
             return; // already migrated away
         };
-        assert!(!self.nodes[dead].alive, "migrating from a living node");
+        assert!(!self.nodes[dead].alive(), "migrating from a living node");
         // Merge the two adjacent ranges.
         let (lo, hi) = (s_surv.min(s_dead), s_surv.max(s_dead));
         assert_eq!(hi - lo, 1, "only adjacent shares can merge");
@@ -880,32 +881,13 @@ impl PipelineWorld {
             // late every frame is.
             self.policy_override[survivor] = Some(DvsPolicy::FixedLevel);
         }
-        // Rebuild share-indexed tables without the dead stage.
-        let mut shares = Vec::with_capacity(self.cfg.shares.len() - 1);
-        let mut levels = Vec::with_capacity(self.cfg.levels.len() - 1);
-        let mut node_of_share = Vec::with_capacity(self.node_of_share.len() - 1);
-        for s in 0..self.cfg.shares.len() {
-            if s == s_dead {
-                continue;
-            }
-            if s == s_surv {
-                shares.push(merged);
-                levels.push(level);
-            } else {
-                shares.push(self.cfg.shares[s]);
-                levels.push(self.cfg.levels[s]);
-            }
-            node_of_share.push(self.node_of_share[s]);
-        }
-        self.cfg.shares = shares;
-        self.cfg.levels = levels;
-        self.node_of_share = node_of_share;
-        for entry in self.share_of_node.iter_mut() {
-            *entry = None;
-        }
-        for (s, &node) in self.node_of_share.iter().enumerate() {
-            self.share_of_node[node] = Some(s);
-        }
+        // The survivor's share becomes the merged one; the dead stage
+        // leaves every share-indexed table.
+        self.cfg.shares[s_surv] = merged;
+        self.cfg.levels[s_surv] = level;
+        self.cfg.shares.remove(s_dead);
+        self.cfg.levels.remove(s_dead);
+        self.node_of_share.remove(s_dead);
         // In-flight data against the old share map is lost.
         self.epoch += 1;
         self.count(Counter::Migrations);
@@ -933,7 +915,7 @@ impl PipelineWorld {
     }
 
     fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
+        self.nodes.iter().filter(|n| n.alive()).count()
     }
 
     /// Collect the experiment result; `now` is the end of observation.
@@ -982,7 +964,7 @@ impl World for PipelineWorld {
                 // doubling is resolved even when the node can't run it,
                 // else the next rotation would be deferred forever.
                 self.wave_resolve_one();
-                if !self.nodes[node].alive {
+                if !self.nodes[node].alive() {
                     // Death stops a rotation pipeline; nothing to do.
                 } else if self.is_offline(ctx.now(), node) {
                     // Brownout hit during reconfig: the doubled frame's
@@ -1031,7 +1013,7 @@ impl PipelineWorld {
                 let n = self.node_of_share.len();
                 for s in 0..n - 1 {
                     let node = self.node_of_share[s];
-                    if self.nodes[node].alive {
+                    if self.nodes[node].alive() {
                         self.double_from_share[node] = Some(s);
                         self.wave_outstanding += 1;
                     }
@@ -1052,7 +1034,7 @@ impl PipelineWorld {
             }
         }
 
-        if !self.nodes[head].alive {
+        if !self.nodes[head].alive() {
             return; // frame lost; recovery timeouts handle failover
         }
         let bytes = self.cfg.shares[0].recv_bytes;
@@ -1103,7 +1085,7 @@ impl PipelineWorld {
         }
         // Sender side returns to idle (or awaits its ack).
         if let Endpoint::Node(s) = t.from {
-            if self.nodes[s].alive {
+            if self.nodes[s].alive() {
                 self.set_node_state(ctx, s, Mode::Idle);
                 if let Some((node, frame, share)) = t.then_proc {
                     // This was an ack the receiver owed; now it can PROC.
@@ -1176,7 +1158,7 @@ impl PipelineWorld {
                 }
             }
             Endpoint::Node(r) => {
-                if !self.nodes[r].alive {
+                if !self.nodes[r].alive() {
                     return; // data lost; the sender's ack timeout will fire
                 }
                 if self.is_offline(ctx.now(), r) {
@@ -1243,7 +1225,7 @@ impl PipelineWorld {
     }
 
     fn on_proc_end(&mut self, ctx: &mut Ctx<Ev>, node: usize, frame: u64, share: usize) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         if self.is_offline(ctx.now(), node) {
@@ -1292,7 +1274,8 @@ impl PipelineWorld {
             reason = "invariant: migrate unassigns only the dead node, and a dead node returned above"
         )]
         let cur = if self.cfg.recovery() {
-            self.share_of_node[node].expect("a live node keeps its share")
+            self.share_of_node(node)
+                .expect("a live node keeps its share")
         } else {
             share
         };
@@ -1300,7 +1283,7 @@ impl PipelineWorld {
     }
 
     fn on_local_loop(&mut self, ctx: &mut Ctx<Ev>, node: usize) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         if self.is_offline(ctx.now(), node) {
@@ -1320,7 +1303,9 @@ impl PipelineWorld {
             clippy::expect_used,
             reason = "invariant: LocalLoop runs only without I/O, where no transfer, timeout or migration ever clears a share"
         )]
-        let share = self.share_of_node[node].expect("local node keeps its share");
+        let share = self
+            .share_of_node(node)
+            .expect("local node keeps its share");
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.enter(ctx, node, Mode::Computation, level, Some(share), None);
@@ -1336,7 +1321,7 @@ impl PipelineWorld {
     }
 
     fn on_node_death(&mut self, ctx: &mut Ctx<Ev>, node: usize) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         self.count(Counter::NodeDeaths);
@@ -1369,7 +1354,7 @@ impl PipelineWorld {
     }
 
     fn on_ack_timeout(&mut self, ctx: &mut Ctx<Ev>, node: usize, seq: u64) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return; // we ourselves died
         }
         // Resolve the timed-out send by its sequence number: each
@@ -1405,7 +1390,7 @@ impl PipelineWorld {
             return;
         }
         match entry.to {
-            Endpoint::Node(target) if !self.nodes[target].alive => {
+            Endpoint::Node(target) if !self.nodes[target].alive() => {
                 self.outstanding[node].remove(pos);
                 self.migrate(ctx, node, target);
             }
@@ -1438,7 +1423,7 @@ impl PipelineWorld {
         let Some(duration) = self.faults.as_ref().map(|f| f.profile.brownout_duration) else {
             return;
         };
-        if self.nodes[node].alive {
+        if self.nodes[node].alive() {
             self.count(Counter::FaultBrownouts);
             let until = ctx.now() + duration;
             if let Some(fs) = self.faults.as_mut() {
@@ -1459,18 +1444,18 @@ impl PipelineWorld {
         let Some(next) = self.faults.as_mut().map(|f| f.next_brownout_interval()) else {
             return;
         };
-        if self.nodes[node].alive {
+        if self.nodes[node].alive() {
             self.set_node_state(ctx, node, Mode::Idle);
         }
         ctx.schedule_in(next, Ev::BrownoutStart(node));
     }
 
     fn on_recv_timeout(&mut self, ctx: &mut Ctx<Ev>, node: usize, seq: u64) {
-        if seq != self.recv_seq[node] || !self.nodes[node].alive {
+        if seq != self.recv_seq[node] || !self.nodes[node].alive() {
             return;
         }
         self.count(Counter::RecvTimeouts);
-        let Some(share) = self.share_of_node[node] else {
+        let Some(share) = self.share_of_node(node) else {
             return;
         };
         if share == 0 {
@@ -1485,7 +1470,7 @@ impl PipelineWorld {
                     bytes: 0,
                     frame: 0,
                     waiter: None,
-                    upstream_alive: Some(self.nodes[upstream].alive),
+                    upstream_alive: Some(self.nodes[upstream].alive()),
                 }
                 .record(
                     ctx.now(),
@@ -1493,7 +1478,7 @@ impl PipelineWorld {
                 ),
             );
         }
-        if !self.nodes[upstream].alive {
+        if !self.nodes[upstream].alive() {
             self.migrate(ctx, node, upstream);
         } else if self.cfg.recovery() {
             // Upstream is alive but slow; keep watching.
@@ -1954,7 +1939,7 @@ mod tests {
         // The adaptive-period feedback loop shrinks the period step by
         // step (100 → 50 → 25 → …), so the early rotation gaps genuinely
         // vary and the boundary leaves the fixed grid.
-        cfg.scheduling = SchedulingPolicy::by_name("adaptive").unwrap();
+        cfg.scheduling = SchedulingPolicy::AdaptivePeriod;
         cfg.horizon = SimTime::from_secs(900);
         let mut engine = build_engine_with(cfg, Box::new(MemoryRecorder::new()));
         engine.run_until(SimTime::from_secs(900));
@@ -2016,7 +2001,6 @@ mod tests {
             // its doubling pending, when a brownout knocks it offline.
             let w = engine.world_mut();
             w.node_of_share = vec![1, 0];
-            w.share_of_node = vec![Some(1), Some(0)];
             w.wave_outstanding = 1;
             w.faults.as_mut().unwrap().offline_until[0] = SimTime::from_millis(100);
         }
@@ -2038,7 +2022,7 @@ mod tests {
             );
             assert_eq!(w.wave_outstanding, 0, "the wave must resolve anyway");
             assert_eq!(
-                w.share_of_node[0],
+                w.share_of_node(0),
                 Some(1),
                 "the node keeps its new role through the brownout"
             );
@@ -2077,7 +2061,6 @@ mod tests {
         {
             let w = engine.world_mut();
             // Node 3 is gone (never drew down its battery: direct kill).
-            w.nodes[2].alive = false;
             w.nodes[2].death_time = Some(SimTime::ZERO);
             // Node 2 has seq 0 outstanding to dead node 3 and a *newer*
             // seq 1 outstanding to the host.
@@ -2109,7 +2092,7 @@ mod tests {
             1,
             "seq 0's dead target must migrate"
         );
-        assert_eq!(w.share_of_node[2], None, "dead node's share absorbed");
+        assert_eq!(w.share_of_node(2), None, "dead node's share absorbed");
     }
 
     /// Regression companion: a timed-out send to a *live* endpoint is a
@@ -2360,8 +2343,7 @@ mod tests {
     fn bounded_death_arming_matches_exact_traces() {
         use crate::experiment::{policy_config, Experiment};
         use crate::faults::FaultProfile;
-        for name in ["static", "soc-skew", "adaptive"] {
-            let policy = SchedulingPolicy::by_name(name).unwrap();
+        for policy in SchedulingPolicy::ALL {
             assert_modes_agree(&small_pack(policy_config(policy)), true);
         }
         let base = small_pack(Experiment::Exp2B.config());

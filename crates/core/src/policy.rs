@@ -85,20 +85,20 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
-    /// CLI spellings accepted by [`SchedulingPolicy::by_name`].
-    pub const NAMES: [&'static str; 3] = ["static", "soc-skew", "adaptive"];
+    /// Every policy, the paper's `Static` first.
+    pub const ALL: [SchedulingPolicy; 3] = [
+        SchedulingPolicy::Static,
+        SchedulingPolicy::RotateOnSocSkew,
+        SchedulingPolicy::AdaptivePeriod,
+    ];
 
-    /// Resolve a CLI name to its policy.
+    /// Resolve a CLI name (one of [`Self::name`]'s spellings) to its
+    /// policy.
     pub fn by_name(name: &str) -> Option<SchedulingPolicy> {
-        match name {
-            "static" => Some(SchedulingPolicy::Static),
-            "soc-skew" => Some(SchedulingPolicy::RotateOnSocSkew),
-            "adaptive" => Some(SchedulingPolicy::AdaptivePeriod),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|p| p.name() == name)
     }
 
-    /// The CLI spelling of this policy (its `by_name` inverse).
+    /// The CLI spelling of this policy.
     pub fn name(&self) -> &'static str {
         match self {
             SchedulingPolicy::Static => "static",
@@ -161,8 +161,12 @@ mod tests {
 
     #[test]
     fn by_name_round_trips_every_cli_spelling() {
-        for name in SchedulingPolicy::NAMES {
-            let p = SchedulingPolicy::by_name(name).unwrap();
+        for (name, p) in [
+            ("static", SchedulingPolicy::Static),
+            ("soc-skew", SchedulingPolicy::RotateOnSocSkew),
+            ("adaptive", SchedulingPolicy::AdaptivePeriod),
+        ] {
+            assert_eq!(SchedulingPolicy::by_name(name), Some(p));
             assert_eq!(p.name(), name);
         }
         assert_eq!(SchedulingPolicy::by_name("bogus"), None);
@@ -172,13 +176,12 @@ mod tests {
 
     #[test]
     fn every_policy_round_trips_through_its_name() {
-        for p in [
-            SchedulingPolicy::Static,
-            SchedulingPolicy::RotateOnSocSkew,
-            SchedulingPolicy::AdaptivePeriod,
-        ] {
-            assert!(SchedulingPolicy::NAMES.contains(&p.name()), "{p:?}");
-            assert_eq!(SchedulingPolicy::by_name(p.name()), Some(p));
+        for p in SchedulingPolicy::ALL {
+            assert_eq!(SchedulingPolicy::by_name(p.name()), Some(p), "{p:?}");
+        }
+        // `ALL` lists each policy once, so every name stays reachable.
+        for (i, p) in SchedulingPolicy::ALL.iter().enumerate() {
+            assert!(!SchedulingPolicy::ALL[..i].contains(p), "{p:?} twice");
         }
     }
 
@@ -187,8 +190,10 @@ mod tests {
         let s = SchedulingPolicy::Static;
         assert_eq!(s.dvs_policy(DvsPolicy::FixedLevel), DvsPolicy::FixedLevel);
         assert_eq!(s.dvs_policy(DvsPolicy::DvsDuringIo), DvsPolicy::DvsDuringIo);
-        for name in ["soc-skew", "adaptive"] {
-            let p = SchedulingPolicy::by_name(name).unwrap();
+        for p in [
+            SchedulingPolicy::RotateOnSocSkew,
+            SchedulingPolicy::AdaptivePeriod,
+        ] {
             assert_eq!(p.dvs_policy(DvsPolicy::FixedLevel), DvsPolicy::DvsDuringIo);
         }
     }

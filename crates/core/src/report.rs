@@ -1,9 +1,9 @@
 //! Regenerating the paper's tables and figures as text reports.
 //!
-//! Each `render_*` function returns a formatted table; `fig10_rows`
-//! produces the data series behind the paper's summary bar chart
-//! (absolute + normalized battery life with normalized ratios annotated),
-//! both as structured rows (for JSON export) and as text.
+//! Each `render_*` function returns a formatted table. The paper's summary
+//! bar chart (Fig. 10: absolute + normalized battery life with normalized
+//! ratios annotated) renders straight from the `(Experiment, run)` pairs,
+//! as text ([`render_fig10`]) or as JSON ([`to_json`]).
 
 use crate::experiment::Experiment;
 use crate::metrics::ExperimentResult;
@@ -14,53 +14,19 @@ use dles_power::{CurrentModel, Mode};
 use dles_sim::FieldValue;
 use std::fmt::Write as _;
 
-/// One row of the Fig. 10 summary.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    pub label: String,
-    pub description: String,
-    /// Simulated absolute battery life, hours.
-    pub absolute_hours: f64,
-    /// Simulated normalized battery life, hours.
-    pub normalized_hours: f64,
-    /// Simulated normalized ratio vs. the simulated baseline, percent.
-    pub rnorm_percent: f64,
-    /// The paper's measured lifetime, hours.
-    pub paper_hours: f64,
-    /// The paper's normalized ratio, percent.
-    pub paper_rnorm_percent: Option<f64>,
-    /// Frames completed (simulated), thousands.
-    pub kframes: f64,
-    /// Frames the paper reports, thousands.
-    pub paper_kframes: f64,
-}
-
-/// Build the Fig. 10 data from experiment results (the first result must
-/// be the baseline, experiment 1).
-pub fn fig10_rows(experiments: &[(Experiment, ExperimentResult)]) -> Vec<Fig10Row> {
-    let baseline = experiments
-        .iter()
+/// The run Fig. 10 normalizes against: experiment 1, the baseline.
+fn fig10_baseline(runs: &[(Experiment, ExperimentResult)]) -> &ExperimentResult {
+    runs.iter()
         .find(|(e, _)| *e == Experiment::Exp1)
-        .map(|(_, r)| r.clone())
-        .expect("baseline (experiment 1) required for normalization");
-    experiments
-        .iter()
-        .map(|(e, r)| Fig10Row {
-            label: e.label().to_owned(),
-            description: e.description().to_owned(),
-            absolute_hours: r.life_hours(),
-            normalized_hours: r.normalized_life_hours(),
-            rnorm_percent: 100.0 * r.normalized_ratio(&baseline),
-            paper_hours: e.paper_hours(),
-            paper_rnorm_percent: e.paper_rnorm_percent(),
-            kframes: r.frames_completed as f64 / 1000.0,
-            paper_kframes: e.paper_kframes(),
-        })
-        .collect()
+        .map(|(_, r)| r)
+        .expect("baseline (experiment 1) required for normalization")
 }
 
-/// Render the Fig. 10 comparison as a text table.
-pub fn render_fig10(rows: &[Fig10Row]) -> String {
+/// Render the Fig. 10 comparison of each experiment's run with the
+/// paper's figures as a text table; `runs` must include experiment 1,
+/// the normalization baseline.
+pub fn render_fig10(runs: &[(Experiment, ExperimentResult)]) -> String {
+    let baseline = fig10_baseline(runs);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -69,22 +35,22 @@ pub fn render_fig10(rows: &[Fig10Row]) -> String {
         "exp", "configuration", "T sim", "T paper", "Rn sim", "Rn paper", "F sim", "F paper"
     );
     let _ = writeln!(out, "{}", "-".repeat(104));
-    for r in rows {
-        let paper_rn = r
-            .paper_rnorm_percent
+    for (e, r) in runs {
+        let paper_rn = e
+            .paper_rnorm_percent()
             .map(|p| format!("{p:>7.0}%"))
             .unwrap_or_else(|| "      --".into());
         let _ = writeln!(
             out,
             "{:<4} {:<44} {:>7.2}h {:>7.2}h {:>7.0}% {} {:>6.1}K {:>6.1}K",
-            r.label,
-            r.description,
-            r.absolute_hours,
-            r.paper_hours,
-            r.rnorm_percent,
+            e.label(),
+            e.description(),
+            r.life_hours(),
+            e.paper_hours(),
+            100.0 * r.normalized_ratio(baseline),
             paper_rn,
-            r.kframes,
-            r.paper_kframes
+            r.kframes(),
+            e.paper_kframes()
         );
     }
     out
@@ -196,7 +162,7 @@ pub fn render_experiment_detail(e: Experiment, r: &ExperimentResult) -> String {
         e.label(),
         e.description(),
         r.life_hours(),
-        r.frames_completed as f64 / 1000.0,
+        r.kframes(),
         r.deadline_misses,
         r.mean_frame_latency_s.get(),
         r.p95_frame_latency_s.get()
@@ -237,40 +203,39 @@ pub fn render_counters(label: &str, counters: &dles_sim::CounterSet) -> String {
     out
 }
 
-/// Serialize Fig. 10 rows to pretty JSON (for machine-readable artifacts).
+/// Serialize the Fig. 10 comparison to pretty JSON (for machine-readable
+/// artifacts), one object per run; `runs` must include experiment 1.
 /// Values render as trace fields do: strings escaped, non-finite numbers
 /// as `null`.
-pub fn to_json(rows: &[Fig10Row]) -> String {
+pub fn to_json(runs: &[(Experiment, ExperimentResult)]) -> String {
+    let baseline = fig10_baseline(runs);
     let num = FieldValue::F64;
     let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, (e, r)) in runs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n  {\n");
-        let _ = writeln!(
-            out,
-            "    \"label\": {},",
-            FieldValue::from(r.label.as_str())
-        );
+        let _ = writeln!(out, "    \"label\": {},", FieldValue::from(e.label()));
         let _ = writeln!(
             out,
             "    \"description\": {},",
-            FieldValue::from(r.description.as_str())
+            FieldValue::from(e.description())
         );
-        let _ = writeln!(out, "    \"absolute_hours\": {},", num(r.absolute_hours));
+        let _ = writeln!(out, "    \"absolute_hours\": {},", num(r.life_hours()));
         let _ = writeln!(
             out,
             "    \"normalized_hours\": {},",
-            num(r.normalized_hours)
+            num(r.normalized_life_hours())
         );
-        let _ = writeln!(out, "    \"rnorm_percent\": {},", num(r.rnorm_percent));
-        let _ = writeln!(out, "    \"paper_hours\": {},", num(r.paper_hours));
+        let rnorm = 100.0 * r.normalized_ratio(baseline);
+        let _ = writeln!(out, "    \"rnorm_percent\": {},", num(rnorm));
+        let _ = writeln!(out, "    \"paper_hours\": {},", num(e.paper_hours()));
         // No paper figure renders as `null`, as a non-finite number does.
-        let paper_rn = num(r.paper_rnorm_percent.unwrap_or(f64::NAN));
+        let paper_rn = num(e.paper_rnorm_percent().unwrap_or(f64::NAN));
         let _ = writeln!(out, "    \"paper_rnorm_percent\": {paper_rn},");
-        let _ = writeln!(out, "    \"kframes\": {},", num(r.kframes));
-        let _ = writeln!(out, "    \"paper_kframes\": {}", num(r.paper_kframes));
+        let _ = writeln!(out, "    \"kframes\": {},", num(r.kframes()));
+        let _ = writeln!(out, "    \"paper_kframes\": {}", num(e.paper_kframes()));
         out.push_str("  }");
     }
     out.push_str("\n]");
@@ -299,22 +264,30 @@ mod tests {
 
     #[test]
     fn fig10_rows_normalize_against_baseline() {
-        let rows = fig10_rows(&[
+        let runs = [
             (Experiment::Exp1, fake_result(6.0, 1)),
             (Experiment::Exp2, fake_result(13.8, 2)),
-        ]);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].rnorm_percent - 100.0).abs() < 1e-9);
-        assert!((rows[1].rnorm_percent - 115.0).abs() < 1e-9);
-        let text = render_fig10(&rows);
+        ];
+        let json = to_json(&runs);
+        let rnorm: Vec<f64> = json
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("\"rnorm_percent\": "))
+            .map(|v| v.trim_end_matches(',').parse().unwrap())
+            .collect();
+        assert_eq!(rnorm.len(), 2);
+        assert!((rnorm[0] - 100.0).abs() < 1e-9);
+        assert!((rnorm[1] - 115.0).abs() < 1e-9);
+        let text = render_fig10(&runs);
         assert!(text.contains("baseline"));
         assert!(text.contains("partitioning"));
+        assert!(text.contains("    100% "), "{text}");
+        assert!(text.contains("    115% "), "{text}");
     }
 
     #[test]
     #[should_panic(expected = "baseline")]
     fn fig10_requires_baseline() {
-        let _ = fig10_rows(&[(Experiment::Exp2, fake_result(13.8, 2))]);
+        let _ = render_fig10(&[(Experiment::Exp2, fake_result(13.8, 2))]);
     }
 
     #[test]
@@ -353,8 +326,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let rows = fig10_rows(&[(Experiment::Exp1, fake_result(6.0, 1))]);
-        let json = to_json(&rows);
+        let json = to_json(&[(Experiment::Exp1, fake_result(6.0, 1))]);
         assert!(json.contains("\"rnorm_percent\""));
     }
 }

@@ -13,14 +13,14 @@
 //! partition into its EXP-2 configuration; the Fig. 8 sweep and the
 //! N-node [`scaling_study`] simulate those to battery exhaustion.
 
-use crate::experiment::Experiment;
+use crate::experiment::{policy_config, Experiment};
 use crate::metrics::ExperimentResult;
 use crate::partition::{best_partition, fig8_schemes, PartitionAnalysis};
 use crate::pipeline::{run_pipeline, Counter, PipelineConfig, Technique};
-use crate::policy::DvsPolicy;
+use crate::policy::{DvsPolicy, SchedulingPolicy};
 use crate::workload::SystemConfig;
 use dles_sim::par_map;
-use dles_units::{Hertz, Hours};
+use dles_units::Hertz;
 
 /// Simulate every job, in parallel, and return one result per job in job
 /// order; `threads` = 0 means one worker per core and never affects the
@@ -61,19 +61,15 @@ pub fn partition_config(sys: &SystemConfig, p: &PartitionAnalysis) -> Option<Pip
     })
 }
 
-/// The clock of each of a configuration's nodes; empty for no
-/// configuration.
-fn levels_mhz(cfg: Option<&PipelineConfig>) -> Vec<Hertz> {
-    cfg.iter()
-        .flat_map(|c| &c.levels)
-        .map(|l| l.freq_mhz)
-        .collect()
+/// Clocks as `a/b/c`, one decimal each.
+fn join_mhz(clocks: impl Iterator<Item = Hertz>) -> String {
+    let text: Vec<String> = clocks.map(|f| format!("{:.1}", f.mhz())).collect();
+    text.join("/")
 }
 
-/// `levels` as `a/b/c`, one decimal each.
-fn join_mhz(levels: &[Hertz]) -> String {
-    let text: Vec<String> = levels.iter().map(|f| format!("{:.1}", f.mhz())).collect();
-    text.join("/")
+/// A partition's chosen DVS levels as `a/b/c` (infeasible nodes left out).
+fn join_levels(p: &PartitionAnalysis) -> String {
+    join_mhz(p.levels.iter().flatten().map(|l| l.freq_mhz))
 }
 
 /// One row of the Fig. 8 lifetime sweep: a partition scheme and its run to
@@ -82,10 +78,9 @@ fn join_mhz(levels: &[Hertz]) -> String {
 pub struct Fig8Row {
     /// Scheme number in the figure's order (1-based).
     pub scheme: usize,
-    /// Chosen DVS levels (empty when infeasible).
-    pub levels_mhz: Vec<Hertz>,
-    /// Exact per-node required clock before rounding up to a level.
-    pub required_mhz: Vec<Hertz>,
+    /// The scheme's partition: its shares, chosen DVS levels and exact
+    /// required clocks.
+    pub partition: PartitionAnalysis,
     /// The simulated run; `None` when the scheme cannot meet the frame
     /// deadline at any DVS level, so there was nothing to simulate.
     pub result: Option<ExperimentResult>,
@@ -101,13 +96,11 @@ pub fn fig8_lifetime_sweep(sys: &SystemConfig, threads: usize) -> Vec<Fig8Row> {
     let results = run_feasible(&jobs, threads);
     schemes
         .into_iter()
-        .zip(&jobs)
         .zip(results)
         .enumerate()
-        .map(|(i, ((scheme, job), result))| Fig8Row {
+        .map(|(i, (partition, result))| Fig8Row {
             scheme: i + 1,
-            levels_mhz: levels_mhz(job.as_ref()),
-            required_mhz: scheme.required_mhz,
+            partition,
             result,
         })
         .collect()
@@ -125,13 +118,13 @@ pub fn render_fig8_sweep(rows: &[Fig8Row]) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(76));
     for row in rows {
-        let required = join_mhz(&row.required_mhz);
+        let required = join_mhz(row.partition.required_mhz.iter().copied());
         let _ = match &row.result {
             Some(r) => writeln!(
                 out,
                 "{:>6} {:<20} {:<20} {:>8.2} {:>8} {:>7}",
                 row.scheme,
-                join_mhz(&row.levels_mhz),
+                join_levels(&row.partition),
                 required,
                 r.life_hours(),
                 r.frames_completed,
@@ -154,8 +147,9 @@ pub fn render_fig8_sweep(rows: &[Fig8Row]) -> String {
 pub struct ScaleRow {
     pub n_nodes: usize,
     pub technique: &'static str,
-    /// DVS levels of the chosen partition (empty when infeasible).
-    pub levels_mhz: Vec<Hertz>,
+    /// The best feasible partition across `n_nodes`; `None` when there is
+    /// none.
+    pub partition: Option<PartitionAnalysis>,
     /// The simulated run; `None` when no partition of the chain across
     /// `n_nodes` meets the frame deadline, so nothing was simulated.
     pub result: Option<ExperimentResult>,
@@ -169,33 +163,34 @@ pub struct ScaleRow {
 pub fn scaling_study(sys: &SystemConfig, max_nodes: usize, threads: usize) -> Vec<ScaleRow> {
     assert!((1..=4).contains(&max_nodes), "1..=4 nodes supported");
     // Planned in table order: "rotation …" sorts before "static …".
-    let mut plan: Vec<(usize, &'static str)> = Vec::new();
+    let mut plan: Vec<(usize, &'static str, Option<PartitionAnalysis>)> = Vec::new();
     let mut jobs: Vec<Option<PipelineConfig>> = Vec::new();
     for n in 1..=max_nodes {
-        let base = best_partition(sys, n)
-            .and_then(|p| partition_config(sys, &p))
+        let best = best_partition(sys, n);
+        let base = best
+            .as_ref()
+            .and_then(|p| partition_config(sys, p))
             .map(|cfg| PipelineConfig {
                 policy: DvsPolicy::DvsDuringIo,
                 ..cfg
             });
         if n >= 2 {
-            plan.push((n, "rotation + DVS during I/O"));
+            plan.push((n, "rotation + DVS during I/O", best.clone()));
             jobs.push(base.clone().map(|cfg| PipelineConfig {
                 technique: Some(Technique::PAPER_ROTATION),
                 ..cfg
             }));
         }
-        plan.push((n, "static + DVS during I/O"));
+        plan.push((n, "static + DVS during I/O", best));
         jobs.push(base);
     }
     let results = run_feasible(&jobs, threads);
     plan.into_iter()
-        .zip(&jobs)
         .zip(results)
-        .map(|(((n_nodes, technique), job), result)| ScaleRow {
+        .map(|((n_nodes, technique, partition), result)| ScaleRow {
             n_nodes,
             technique,
-            levels_mhz: levels_mhz(job.as_ref()),
+            partition,
             result,
         })
         .collect()
@@ -213,19 +208,19 @@ pub fn render_scaling(rows: &[ScaleRow]) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(96));
     for row in rows {
-        let _ = match &row.result {
-            Some(r) => writeln!(
+        let _ = match (&row.partition, &row.result) {
+            (Some(p), Some(r)) => writeln!(
                 out,
                 "{:>2} {:<28} {:<28} {:>8.2} {:>8.2} {:>8} {:>7}",
                 row.n_nodes,
                 row.technique,
-                join_mhz(&row.levels_mhz),
+                join_levels(p),
                 r.life_hours(),
                 r.normalized_life_hours(),
                 r.frames_completed,
                 r.deadline_misses
             ),
-            None => writeln!(
+            _ => writeln!(
                 out,
                 "{:>2} {:<28} {:<28} {:>8} {:>8} {:>8} {:>7}",
                 row.n_nodes, row.technique, "infeasible", "-", "-", "-", "-"
@@ -239,52 +234,27 @@ pub fn render_scaling(rows: &[ScaleRow]) -> String {
 /// paper's 2C rotation workload to battery exhaustion.
 #[derive(Debug, Clone)]
 pub struct PolicyRow {
-    /// CLI name of the policy (`static`, `soc-skew`, `adaptive`).
-    pub name: &'static str,
-    pub lifetime_h: Hours,
-    pub frames_completed: u64,
-    pub deadline_misses: u64,
-    /// Rotation waves actually launched.
-    pub rotations: u64,
-    /// Lifetime delta vs the `static` fixed-100 baseline, percent.
-    pub delta_percent: f64,
+    pub policy: SchedulingPolicy,
+    pub result: ExperimentResult,
 }
 
-/// Simulate every scheduling policy on the 2C workload and compare against
-/// the paper's fixed rotation-100 baseline (always the first row).
+/// Simulate every scheduling policy on the 2C workload, in
+/// [`SchedulingPolicy::ALL`] order, so the paper's fixed rotation-100
+/// baseline (`static`) is always the first row.
 pub fn policy_lifetime_sweep(threads: usize) -> Vec<PolicyRow> {
-    use crate::experiment::policy_config;
-    use crate::policy::SchedulingPolicy;
-    let jobs: Vec<PipelineConfig> = SchedulingPolicy::NAMES
-        .iter()
-        .map(|name| policy_config(SchedulingPolicy::by_name(name).expect("NAMES entries resolve")))
-        .collect();
-    let results = run_jobs(&jobs, threads);
-    let base_h = results[0].life_hours();
-    SchedulingPolicy::NAMES
-        .iter()
-        .zip(&results)
-        .map(|(name, r)| {
-            let h = r.life_hours();
-            PolicyRow {
-                name,
-                lifetime_h: Hours::new(h),
-                frames_completed: r.frames_completed,
-                deadline_misses: r.deadline_misses,
-                rotations: r.counters.get(Counter::Rotations.key()),
-                delta_percent: if base_h > 0.0 {
-                    100.0 * (h - base_h) / base_h
-                } else {
-                    0.0
-                },
-            }
-        })
+    let jobs: Vec<PipelineConfig> = SchedulingPolicy::ALL.map(policy_config).into();
+    SchedulingPolicy::ALL
+        .into_iter()
+        .zip(run_jobs(&jobs, threads))
+        .map(|(policy, result)| PolicyRow { policy, result })
         .collect()
 }
 
-/// Render the policy comparison as a text table.
+/// Render the policy comparison as a text table, with each lifetime's
+/// delta against the first row's, in percent.
 pub fn render_policy_sweep(rows: &[PolicyRow]) -> String {
     use std::fmt::Write as _;
+    let base_h = rows.first().map_or(0.0, |r| r.result.life_hours());
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -293,16 +263,23 @@ pub fn render_policy_sweep(rows: &[PolicyRow]) -> String {
         "policy", "T (h)", "frames", "misses", "rotations", "vs static"
     );
     let _ = writeln!(out, "{}", "-".repeat(60));
-    for r in rows {
+    for row in rows {
+        let r = &row.result;
+        let h = r.life_hours();
+        let delta_percent = if base_h > 0.0 {
+            100.0 * (h - base_h) / base_h
+        } else {
+            0.0
+        };
         let _ = writeln!(
             out,
             "{:<10} {:>8.2} {:>8} {:>7} {:>10} {:>+11.2}%",
-            r.name,
-            r.lifetime_h.get(),
+            row.policy.name(),
+            h,
             r.frames_completed,
             r.deadline_misses,
-            r.rotations,
-            r.delta_percent
+            r.counters.get(Counter::Rotations.key()),
+            delta_percent
         );
     }
     out
@@ -420,16 +397,18 @@ mod tests {
 
     #[test]
     fn render_scaling_formats() {
+        let sys = SystemConfig::paper();
+        let best = best_partition(&sys, 2).expect("a feasible 2-node partition");
         let cfg = PipelineConfig {
             horizon: SimTime::from_secs(300),
-            ..n_node(2)
+            ..partition_config(&sys, &best).expect("the best partition is feasible")
         };
-        let result = run_pipeline(cfg.clone());
+        let result = run_pipeline(cfg);
         let hours = format!("{:.2}", result.life_hours());
         let rows = vec![ScaleRow {
             n_nodes: 2,
             technique: "rotation",
-            levels_mhz: levels_mhz(Some(&cfg)),
+            partition: Some(best),
             result: Some(result),
         }];
         let text = render_scaling(&rows);
@@ -441,19 +420,24 @@ mod tests {
     fn policy_sweep_adaptive_beats_the_fixed_baseline() {
         let rows = policy_lifetime_sweep(0);
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].name, "static");
-        assert_eq!(rows[0].delta_percent, 0.0, "baseline is its own reference");
+        assert_eq!(rows[0].policy, SchedulingPolicy::Static);
+        let base = rows[0].result.life_hours();
         let best = rows
             .iter()
             .skip(1)
-            .map(|r| r.delta_percent)
+            .map(|r| r.result.life_hours())
             .fold(f64::MIN, f64::max);
         assert!(
-            best > 0.0,
+            best > base,
             "at least one adaptive policy must beat fixed-100: {rows:?}"
         );
         let text = render_policy_sweep(&rows);
         assert!(text.contains("soc-skew") && text.contains("adaptive"));
+        let static_line = text.lines().find(|l| l.starts_with("static"));
+        assert!(
+            static_line.is_some_and(|l| l.ends_with(" +0.00%")),
+            "baseline is its own reference:\n{text}"
+        );
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub(crate) mod state;
 pub use current::{CurrentModel, Mode};
 pub use dvs::{DvsTable, FreqLevel};
 pub use energy::EnergyAccount;
-pub use monitor::{LoadSegment, PowerMonitor};
+pub use monitor::PowerMonitor;
 pub use state::PowerState;

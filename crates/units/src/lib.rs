@@ -9,14 +9,15 @@
 //! `f64` and only the dimensionally valid operator impls exist:
 //!
 //! ```
-//! use dles_units::{MilliAmps, Seconds, Volts};
+//! use dles_units::{Hours, MilliAmps, Seconds, Volts};
 //! let i = MilliAmps::new(46.5);
-//! let t = Seconds::new(120.0);
-//! let mah = i * t.to_hours();               // explicit /3600 conversion
+//! let mah = i * Hours::new(2.0);            // MilliAmpHours
 //! let p = i * Volts::new(4.0);              // MilliWatts
-//! let e = p * t;                            // MilliJoules
-//! assert_eq!(mah.get(), 46.5 * (120.0 / 3600.0));
+//! let e = p * Seconds::new(120.0);          // MilliJoules
+//! let w = p.to_watts();                     // explicit /1000 conversion
+//! assert_eq!(mah.get(), 46.5 * 2.0);
 //! assert_eq!(e.get(), 46.5 * 4.0 * 120.0);
+//! assert_eq!(w.get(), 46.5 * 4.0 / 1000.0);
 //! ```
 //!
 //! Design constraints, in order of priority:
@@ -26,8 +27,8 @@
 //!    the same order as the bare-`f64` expression it replaced and every
 //!    serialized trace/report byte is unchanged. `min`/`max` forward to
 //!    `f64::min`/`f64::max` (IEEE NaN semantics) for the same reason.
-//! 2. **No conversion without a name.** Scale changes (`/ 3600.0`,
-//!    `/ 1000.0`) only happen inside `to_*` methods, never implicitly in
+//! 2. **No conversion without a name.** Scale changes (`/ 1000.0`)
+//!    only happen inside `to_*` methods, never implicitly in
 //!    an operator, so wherever scales meet the code names the
 //!    conversion and the types reject a missing one.
 //! 3. **Zero cost.** `#[repr(transparent)]`, `Copy`, `const fn`
@@ -288,23 +289,7 @@ impl Div<MilliAmps> for MilliAmpHours {
 
 // Named scale conversions. These are the only places a scale factor
 // appears; each forwards to a single f64 operation so migrated call
-// sites stay bit-identical with the `/ 3600.0`-style code they replace.
-impl Seconds {
-    pub(crate) const PER_HOUR: f64 = 3600.0;
-
-    #[inline]
-    pub fn to_hours(self) -> Hours {
-        Hours(self.0 / Self::PER_HOUR)
-    }
-}
-
-impl Hours {
-    #[inline]
-    pub fn to_seconds(self) -> Seconds {
-        Seconds(self.0 * Seconds::PER_HOUR)
-    }
-}
-
+// sites stay bit-identical with the `/ 1000.0`-style code they replace.
 impl Hertz {
     /// `const` constructor from a MHz value (the stored scale).
     #[inline]
@@ -319,16 +304,6 @@ impl Hertz {
     }
 }
 
-impl Volts {
-    /// `V²` — the switching-activity factor of the Fig. 7 current model
-    /// (`I = I_base + k · f · V²`). Unitless by convention: the model
-    /// constant `k` absorbs the dimensions.
-    #[inline]
-    pub fn squared(self) -> f64 {
-        self.0 * self.0
-    }
-}
-
 impl MilliAmps {
     /// Lossless `/ 1000` rescale.
     #[inline]
@@ -337,38 +312,11 @@ impl MilliAmps {
     }
 }
 
-impl Amps {
-    #[inline]
-    pub fn to_milli_amps(self) -> MilliAmps {
-        MilliAmps(self.0 * 1000.0)
-    }
-}
-
 impl MilliWatts {
+    /// Lossless `/ 1000` rescale.
     #[inline]
     pub fn to_watts(self) -> Watts {
         Watts(self.0 / 1000.0)
-    }
-}
-
-impl Watts {
-    #[inline]
-    pub fn to_milli_watts(self) -> MilliWatts {
-        MilliWatts(self.0 * 1000.0)
-    }
-}
-
-impl MilliJoules {
-    #[inline]
-    pub fn to_joules(self) -> Joules {
-        Joules(self.0 / 1000.0)
-    }
-}
-
-impl Joules {
-    #[inline]
-    pub fn to_milli_joules(self) -> MilliJoules {
-        MilliJoules(self.0 * 1000.0)
     }
 }
 

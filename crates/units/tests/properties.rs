@@ -2,16 +2,13 @@
 //! offline, so no proptest/quickcheck — a splitmix64 generator drives a
 //! fixed number of cases per property, fully deterministic).
 //!
-//! The crate's contract has two halves and each gets a property:
-//!
-//! 1. **Bit-transparency** — every operator forwards to exactly one `f64`
-//!    operation, so typed arithmetic must be *bit-identical* (`to_bits`)
-//!    to the raw expression it replaced, including NaN/∞ cases.
-//! 2. **Named conversions round-trip** — `to_*` pairs invert each other
-//!    up to one rounding step per direction.
+//! The crate's contract is **bit-transparency**: every operator and every
+//! named `to_*` conversion forwards to exactly one `f64` operation, so
+//! typed arithmetic must be *bit-identical* (`to_bits`) to the raw
+//! expression it replaced, including NaN/∞ cases.
 
 use dles_units::{
-    Amps, Hours, Joules, MilliAmpHours, MilliAmps, MilliJoules, MilliWatts, Seconds, Volts, Watts,
+    Amps, Hours, Joules, MilliAmpHours, MilliAmps, MilliWatts, Seconds, Volts, Watts,
 };
 
 /// splitmix64 — the same finalizer `dles-sim`'s RNG uses.
@@ -131,51 +128,13 @@ fn named_conversions_match_the_historical_expressions() {
     for case in 0..CASES {
         let x = rng.value();
         assert!(
-            bits_eq(Seconds::new(x).to_hours().get(), x / 3600.0),
-            "case {case}: s→h"
-        );
-        assert!(
-            bits_eq(Hours::new(x).to_seconds().get(), x * 3600.0),
-            "case {case}: h→s"
-        );
-        assert!(
             bits_eq(MilliAmps::new(x).to_amps().get(), x / 1000.0),
             "case {case}: mA→A"
         );
         assert!(
-            bits_eq(Watts::new(x).to_milli_watts().get(), x * 1000.0),
-            "case {case}: W→mW"
+            bits_eq(MilliWatts::new(x).to_watts().get(), x / 1000.0),
+            "case {case}: mW→W"
         );
-        assert!(
-            bits_eq(Joules::new(x).to_milli_joules().get(), x * 1000.0),
-            "case {case}: J→mJ"
-        );
-        assert!(bits_eq(Volts::new(x).squared(), x * x), "case {case}: V²");
-    }
-}
-
-#[test]
-fn conversion_round_trips_are_within_one_ulp_per_leg() {
-    let mut rng = Rng(0xD1E5_0004);
-    for case in 0..CASES {
-        let x = rng.value();
-        let trips = [
-            Seconds::new(x).to_hours().to_seconds().get(),
-            Hours::new(x).to_seconds().to_hours().get(),
-            MilliAmps::new(x).to_amps().to_milli_amps().get(),
-            Amps::new(x).to_milli_amps().to_amps().get(),
-            Watts::new(x).to_milli_watts().to_watts().get(),
-            MilliWatts::new(x).to_watts().to_milli_watts().get(),
-            Joules::new(x).to_milli_joules().to_joules().get(),
-            MilliJoules::new(x).to_joules().to_milli_joules().get(),
-        ];
-        for (leg, y) in trips.into_iter().enumerate() {
-            let rel = ((y - x) / x).abs();
-            assert!(
-                rel <= 4.0 * f64::EPSILON,
-                "case {case} leg {leg}: {x} round-tripped to {y} (rel {rel:e})"
-            );
-        }
     }
 }
 

@@ -24,7 +24,7 @@ fn main() {
     for n in 1..=4usize {
         println!("--- {n} node(s) ---");
         for ranges in partitions(n) {
-            let a = analyze_partition(&sys, &ranges, SimTime::ZERO);
+            let a = analyze_partition(&sys, &ranges);
             let scheme: Vec<String> = ranges.iter().map(|r| format!("{r}")).collect();
             print!("{:<78}", scheme.join(" "));
             if a.is_feasible() {

@@ -21,7 +21,7 @@ fn main() {
     println!(
         "  T(1) = {:.2} h, F(1) = {:.1}K frames",
         baseline.life_hours(),
-        baseline.frames_completed as f64 / 1000.0
+        baseline.kframes()
     );
 
     println!("running node rotation (two nodes at 59/103.2 MHz, rotate every 100 frames)...");
@@ -29,7 +29,7 @@ fn main() {
     println!(
         "  T(2C) = {:.2} h, F(2C) = {:.1}K frames",
         rotation.life_hours(),
-        rotation.frames_completed as f64 / 1000.0
+        rotation.kframes()
     );
 
     let rnorm = 100.0 * rotation.normalized_ratio(&baseline);

@@ -168,7 +168,10 @@ fn paper_experiments_allocate_nothing_per_event() {
 
 #[test]
 fn adaptive_policies_allocate_nothing_per_event() {
-    assert_bounded(["soc-skew", "adaptive"].map(|name| {
-        policy_config(SchedulingPolicy::by_name(name).expect("a built-in policy name"))
-    }));
+    assert_bounded(
+        SchedulingPolicy::ALL
+            .into_iter()
+            .filter(|p| !p.is_static())
+            .map(policy_config),
+    );
 }

@@ -99,10 +99,13 @@ fn all_shapes_trace_bytes() -> Vec<u8> {
 
     let mut bytes = trace_bytes(local);
     bytes.extend(trace_bytes(faulty));
-    for policy in ["adaptive", "soc-skew"] {
+    for policy in [
+        SchedulingPolicy::AdaptivePeriod,
+        SchedulingPolicy::RotateOnSocSkew,
+    ] {
         let mut cfg = Experiment::Exp2C.config();
         cfg.jitter_seed = Some(0x5EED);
-        cfg.scheduling = SchedulingPolicy::by_name(policy).expect("known policy");
+        cfg.scheduling = policy;
         cfg.technique = Some(Technique::Rotation {
             period_frames: NonZeroU64::new(5).unwrap(),
         });

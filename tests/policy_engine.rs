@@ -18,12 +18,11 @@ use dles_sim::SimTime;
 
 /// One horizon-capped job per policy: real 2C physics, bounded runtime.
 fn policy_jobs(horizon_s: u64) -> Vec<PipelineConfig> {
-    SchedulingPolicy::NAMES
-        .iter()
-        .map(|name| {
-            let mut cfg = policy_config(SchedulingPolicy::by_name(name).expect("known name"));
-            cfg.horizon = SimTime::from_secs(horizon_s);
-            cfg
+    SchedulingPolicy::ALL
+        .into_iter()
+        .map(|policy| PipelineConfig {
+            horizon: SimTime::from_secs(horizon_s),
+            ..policy_config(policy)
         })
         .collect()
 }
@@ -61,7 +60,7 @@ fn adaptive_policy_sweep_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn adaptive_montecarlo_report_does_not_depend_on_worker_count() {
-    let mut base = policy_config(SchedulingPolicy::by_name("adaptive").expect("known name"));
+    let mut base = policy_config(SchedulingPolicy::AdaptivePeriod);
     base.horizon = SimTime::from_secs(1800);
     let render = |threads: usize| {
         render_montecarlo(&run_monte_carlo(&MonteCarloConfig {
@@ -97,12 +96,12 @@ fn static_policy_is_the_paper_configuration_down_to_the_cache_key() {
         same_label(policy_config(SchedulingPolicy::Static)),
         paper_key
     );
-    for name in ["soc-skew", "adaptive"] {
-        let adaptive = policy_config(SchedulingPolicy::by_name(name).expect("known name"));
+    for policy in SchedulingPolicy::ALL.into_iter().filter(|p| !p.is_static()) {
         assert_ne!(
-            same_label(adaptive),
+            same_label(policy_config(policy)),
             paper_key,
-            "{name} must differ from the static baseline"
+            "{} must differ from the static baseline",
+            policy.name()
         );
     }
 }
