@@ -2,7 +2,7 @@
 //!
 //! The recovery protocol of §5.4 only earns its cost when transfers can
 //! actually be lost. This module defines the environment's misbehavior:
-//! serial bit errors (realized through the real PPP codec in `dles-net`),
+//! serial bit errors (judged against the PPP framing in `dles-net`),
 //! dropped and delayed transactions, transient node brownouts (offline for
 //! a bounded interval, distinct from battery death), and per-node battery
 //! capacity / initial-charge variance.
@@ -22,8 +22,10 @@ use dles_sim::{SimRng, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Per-wire-bit error probability on every serial transfer. The chance
-    /// a transfer is hit is `1 − (1 − ber)^bits`; a hit is then replayed
-    /// through the PPP codec to decide whether the framing catches it.
+    /// a transfer is hit is `1 − (1 − ber)^bits`; a hit flips 1–3 random
+    /// wire bits of the transfer's PPP frame, and the framing catches it
+    /// unless the flips undo each other (the flip-parity rule of
+    /// `dles_net::fault`, which the codec's tests prove).
     pub bit_error_rate: f64,
     /// Probability a transfer is dropped outright (receiver never sees it).
     pub drop_prob: f64,
@@ -146,8 +148,9 @@ impl FaultPlan {
 pub enum LinkFault {
     /// The receiver never sees the transfer.
     Dropped,
-    /// Bit errors the PPP framing detected; the payload is discarded at
-    /// the receiver. `flipped_bits` records how many wire bits flipped.
+    /// Bit errors the PPP framing detects (by the flip-parity rule of
+    /// `dles_net::fault`); the payload is discarded at the receiver.
+    /// `flipped_bits` records how many wire bits flipped.
     Corrupted { flipped_bits: u32 },
     /// The transfer arrives late by the carried extra duration.
     Delayed(SimTime),
@@ -202,9 +205,10 @@ impl FaultState {
 
     /// Decide the fate of one serial transfer of `bytes` payload bytes for
     /// `frame`. Precedence: drop > bit errors > delay; one category per
-    /// transfer. Bit errors are realized through the real PPP codec — if
-    /// the flips happen to leave the frame decodable, the transfer
-    /// survives unharmed.
+    /// transfer. A bit-error hit flips 1–3 wire bits of the PPP frame; by
+    /// the flip-parity rule of `dles_net::fault`, which the codec's tests
+    /// prove, the frame decodes intact only if two flips hit the same bit,
+    /// and then the transfer survives unharmed.
     pub fn draw_transfer_fault(&mut self, bytes: u64, frame: u64) -> Option<LinkFault> {
         let p = self.profile;
         if p.drop_prob > 0.0 && self.link_rng.chance(p.drop_prob) {

@@ -21,8 +21,8 @@
 //!   adds: the §5.4 acknowledgment and timeout protocol with failure
 //!   detection, or §5.5 node rotation, each with the paper's fixed
 //!   protocol numbers;
-//! * [`faults`] — seeded fault injection: serial bit errors (through the
-//!   real PPP codec), drops, delays, transient brownouts, battery
+//! * [`faults`] — seeded fault injection: serial bit errors (judged
+//!   against the PPP framing), drops, delays, transient brownouts, battery
 //!   variance;
 //! * [`montecarlo`] — the Monte Carlo robustness harness: N seeded trials
 //!   under a fault profile, sharded across threads, reproducibly

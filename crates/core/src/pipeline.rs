@@ -322,7 +322,7 @@ pub(crate) enum Counter {
     PolicyDecisions,
     /// Injected link-level frame drops.
     FaultDrops,
-    /// Injected link bit errors (flipped through the PPP codec).
+    /// Injected link bit errors that corrupted the PPP frame.
     FaultBitErrors,
     /// Injected link delivery delays.
     FaultDelays,

@@ -18,8 +18,9 @@
 //!   trace records;
 //! * [`LinkSchedule`] — link occupancy bookkeeping: reserving the serial lines a
 //!   transfer needs, with cut-through forwarding across the hub;
-//! * [`fault`] — link-fault hooks: bit errors realized by flipping wire
-//!   bits and pushing the result through the real PPP codec.
+//! * [`fault`] — link-fault hooks: whether flipped wire bits corrupt a PPP
+//!   frame, decided by the framing's flip-parity rule that the codec's
+//!   tests prove.
 //!
 //! The reliable-transaction protocol of §5.4 (acknowledgments, ack and
 //! receive timeouts, retransmission) lives in `dles-core::pipeline`, which

@@ -18,21 +18,45 @@ pub(crate) const ESCAPE: u8 = 0x7D;
 /// XOR applied to escaped bytes.
 const ESCAPE_XOR: u8 = 0x20;
 
-/// CRC-16/X.25 (the PPP FCS): reflected polynomial 0x8408, init 0xFFFF,
-/// final XOR 0xFFFF.
-pub(crate) fn fcs16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= b as u16;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0x8408;
+/// Initial register of the FCS-16.
+pub(crate) const FCS16_INIT: u16 = 0xFFFF;
+
+/// CRC-16/X.25 (the PPP FCS) one byte at a time: entry `i` is `i` shifted
+/// through the reflected polynomial 0x8408 eight times (RFC 1662
+/// Appendix C's `fcstab`).
+const FCS16_TABLE: [u16; 256] = {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u16;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0x8408
             } else {
-                crc >>= 1;
-            }
+                crc >> 1
+            };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// One byte of the FCS-16 register update.
+pub(crate) fn fcs16_update(crc: u16, b: u8) -> u16 {
+    (crc >> 8) ^ FCS16_TABLE[usize::from((crc as u8) ^ b)]
+}
+
+/// CRC-16/X.25 over `data`: init [`FCS16_INIT`], final XOR 0xFFFF.
+pub(crate) fn fcs16(data: &[u8]) -> u16 {
+    !data.iter().fold(FCS16_INIT, |crc, &b| fcs16_update(crc, b))
+}
+
+/// Whether `b` is sent as the two-byte escape `ESCAPE, b ^ 0x20`.
+pub(crate) fn is_stuffed(b: u8) -> bool {
+    b == FLAG || b == ESCAPE
 }
 
 /// Encode one payload into a flagged, stuffed, checksummed frame.
@@ -41,7 +65,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out.push(FLAG);
     let crc = fcs16(payload);
     let put_escaped = |b: u8, out: &mut Vec<u8>| {
-        if b == FLAG || b == ESCAPE {
+        if is_stuffed(b) {
             out.push(ESCAPE);
             out.push(b ^ ESCAPE_XOR);
         } else {
@@ -320,15 +344,18 @@ mod proptests {
     use super::*;
     use dles_sim::SimRng;
 
-    fn random_payload(rng: &mut SimRng, max_len: u64) -> Vec<u8> {
-        let len = rng.uniform_u64(0, max_len) as usize;
+    fn random_bytes(rng: &mut SimRng, len: u64) -> Vec<u8> {
         (0..len).map(|_| rng.uniform_u64(0, 255) as u8).collect()
     }
 
-    /// Payloads dense in the bytes the codec treats specially: flag,
-    /// escape, and their unstuffed forms.
-    fn escape_dense_payload(rng: &mut SimRng, max_len: u64) -> Vec<u8> {
-        let len = rng.uniform_u64(0, max_len) as usize;
+    fn random_payload(rng: &mut SimRng, max_len: u64) -> Vec<u8> {
+        let len = rng.uniform_u64(0, max_len);
+        random_bytes(rng, len)
+    }
+
+    /// Bytes dense in those the codec treats specially: flag, escape, and
+    /// their unstuffed forms.
+    fn escape_dense_bytes(rng: &mut SimRng, len: u64) -> Vec<u8> {
         (0..len)
             .map(|_| match rng.uniform_u64(0, 9) {
                 0..=2 => FLAG,
@@ -338,6 +365,33 @@ mod proptests {
                 _ => rng.uniform_u64(0, 255) as u8,
             })
             .collect()
+    }
+
+    fn escape_dense_payload(rng: &mut SimRng, max_len: u64) -> Vec<u8> {
+        let len = rng.uniform_u64(0, max_len);
+        escape_dense_bytes(rng, len)
+    }
+
+    /// `payload` with its last byte changed so that an FCS byte is sent
+    /// stuffed, when some value of that byte does so.
+    fn with_stuffed_fcs(mut payload: Vec<u8>) -> Vec<u8> {
+        if let Some(last) = payload.len().checked_sub(1) {
+            if let Some(b) = (0..=255u8).find(|&b| {
+                payload[last] = b;
+                fcs16(&payload).to_le_bytes().into_iter().any(is_stuffed)
+            }) {
+                payload[last] = b;
+            }
+        }
+        payload
+    }
+
+    fn flip(wire: &mut [u8], bit: u64) {
+        wire[(bit / 8) as usize] ^= 1 << (bit % 8);
+    }
+
+    fn decodes_to(wire: &[u8], payload: &[u8]) -> bool {
+        matches!(decode_frames(wire).as_slice(), [Ok(p)] if p == payload)
     }
 
     /// encode → decode recovers any payload exactly.
@@ -412,6 +466,100 @@ mod proptests {
                 // empty frame); a wrong payload passed off as valid is a
                 // codec bug.
                 assert_eq!(&frame, &payload);
+            }
+        }
+    }
+
+    /// The flip-parity rule that `fault::frame_corrupted_by_flips` relies
+    /// on: a frame with a multiset of wire bits flipped decodes to
+    /// `[Ok(payload)]` if and only if every bit is flipped an even number
+    /// of times. Checked for every single flip and every pair of flips on
+    /// short random, escape-dense and stuffed-FCS payloads, which puts
+    /// flips on every flag, escape, payload and FCS bit of those frames.
+    #[test]
+    fn flipped_frame_decodes_iff_every_flip_is_undone() {
+        const MAX_LEN: u64 = 16;
+        let mut rng = SimRng::seed_from_u64(0xF11B);
+        let mut stuffed_fcs = 0;
+        for len in 0..=MAX_LEN {
+            let random = random_bytes(&mut rng, len);
+            let dense = escape_dense_bytes(&mut rng, len);
+            let fcs = with_stuffed_fcs(random_bytes(&mut rng, len));
+            stuffed_fcs += usize::from(fcs16(&fcs).to_le_bytes().into_iter().any(is_stuffed));
+            for payload in [random, dense, fcs] {
+                let mut wire = encode_frame(&payload);
+                let bits = wire.len() as u64 * 8;
+                for i in 0..bits {
+                    flip(&mut wire, i);
+                    assert!(!decodes_to(&wire, &payload), "{payload:02x?}: bit {i}");
+                    for j in i..bits {
+                        flip(&mut wire, j);
+                        assert_eq!(
+                            decodes_to(&wire, &payload),
+                            i == j,
+                            "{payload:02x?}: bits {i} and {j}"
+                        );
+                        flip(&mut wire, j);
+                    }
+                    flip(&mut wire, i);
+                }
+            }
+        }
+        assert!(stuffed_fcs >= MAX_LEN as usize, "{stuffed_fcs} stuffed FCS");
+    }
+
+    /// The same rule on frames up to the 10,342-byte data transfer, with
+    /// seeded pairs and triples of flips aimed at flags, escapes, the FCS
+    /// and anywhere else, repeats included.
+    #[test]
+    fn flip_parity_decides_long_frames() {
+        let mut rng = SimRng::seed_from_u64(0x10_342);
+        for round in 0..40 {
+            let len = rng.uniform_u64(1, 10_342);
+            let payload = if round % 2 == 0 {
+                random_bytes(&mut rng, len)
+            } else {
+                escape_dense_bytes(&mut rng, len)
+            };
+            let mut wire = encode_frame(&payload);
+            let escapes: Vec<u64> = (0..wire.len() as u64)
+                .filter(|&i| wire[i as usize] == ESCAPE)
+                .collect();
+            let last = wire.len() as u64 - 1;
+            let pick = |rng: &mut SimRng, earlier: &[u64]| -> u64 {
+                let byte = match rng.uniform_u64(0, 5) {
+                    0 => [0, last][rng.uniform_u64(0, 1) as usize],
+                    1 => last - rng.uniform_u64(1, 4),
+                    2 if !escapes.is_empty() => {
+                        escapes[rng.uniform_u64(0, escapes.len() as u64 - 1) as usize]
+                    }
+                    3 if !earlier.is_empty() => {
+                        return earlier[rng.uniform_u64(0, earlier.len() as u64 - 1) as usize]
+                    }
+                    _ => rng.uniform_u64(0, last),
+                };
+                8 * byte + rng.uniform_u64(0, 7)
+            };
+            for flips in [2, 3, 2, 3] {
+                let mut bits = Vec::new();
+                for _ in 0..flips {
+                    let bit = pick(&mut rng, &bits);
+                    bits.push(bit);
+                }
+                let undone = bits
+                    .iter()
+                    .all(|b| bits.iter().filter(|&c| c == b).count() % 2 == 0);
+                for &b in &bits {
+                    flip(&mut wire, b);
+                }
+                assert_eq!(
+                    decodes_to(&wire, &payload),
+                    undone,
+                    "len {len}: bits {bits:?}"
+                );
+                for &b in &bits {
+                    flip(&mut wire, b);
+                }
             }
         }
     }

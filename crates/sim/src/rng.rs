@@ -94,16 +94,45 @@ impl SimRng {
         if span == u64::MAX {
             return self.next_u64();
         }
-        // Rejection sampling over the largest multiple of span+1 ≤ 2^64
-        // for an unbiased draw.
-        let n = span + 1;
+        let first = self.next_u64();
+        lo + self.finish_below(first, span + 1)
+    }
+
+    /// The value of a `uniform_u64(0, n − 1)` draw whose first raw word
+    /// was `first`: rejection sampling over the largest multiple of `n`
+    /// that is ≤ 2^64, for an unbiased draw.
+    fn finish_below(&mut self, first: u64, n: u64) -> u64 {
         let zone = u64::MAX - (u64::MAX - n + 1) % n;
-        loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return lo + v % n;
-            }
+        let mut v = first;
+        while v > zone {
+            v = self.next_u64();
         }
+        v % n
+    }
+
+    /// A `uniform_u64(0, n − 1)` draw for an `n` in `1..=n_max` that is
+    /// costly to compute, returned as a word `w` whose residue `w % n` is
+    /// the draw's value. The draw consumes exactly the raw words that
+    /// `uniform_u64(0, n − 1)` would.
+    ///
+    /// `uniform_u64` rejects a raw word only above `2^64 − 1 − (2^64 mod
+    /// n)`, and `2^64 mod n < n ≤ n_max`. So a word `v ≤ 2^64 − n_max` is
+    /// accepted for every such `n`, and is the answer whatever `n` turns
+    /// out to be. Only a word in the top `n_max − 1` of the range, which
+    /// comes with probability below `n_max / 2^64`, calls `n`, to finish
+    /// the draw exactly.
+    pub fn uniform_below_deferred(&mut self, n_max: u64, n: impl FnOnce() -> u64) -> u64 {
+        assert!(n_max > 0, "uniform_below_deferred over an empty range");
+        let first = self.next_u64();
+        if first <= u64::MAX - (n_max - 1) {
+            return first;
+        }
+        let n = n();
+        assert!(
+            (1..=n_max).contains(&n),
+            "uniform_below_deferred: n = {n} outside 1..={n_max}"
+        );
+        self.finish_below(first, n)
     }
 
     /// Standard normal via Box–Muller (no distribution crate needed).
@@ -202,6 +231,67 @@ mod tests {
             seen[(r.uniform_u64(10, 12) - 10) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// A generator whose next raw word is `word`: xoshiro256++ outputs
+    /// `rotl(s0 + s3, 23) + s0`, which is `word` for `s0 = 0` and
+    /// `s3 = rotr(word, 23)`.
+    fn rng_emitting(word: u64) -> SimRng {
+        SimRng {
+            state: [0, 0x1234_5678, 0x9ABC_DEF0, word.rotate_right(23)],
+            seed: 0,
+        }
+    }
+
+    #[test]
+    fn deferred_draw_matches_uniform_u64_in_and_out_of_the_tail() {
+        let n_max = 8 * (2 * 10_342 + 6);
+        let edge = u64::MAX - (n_max - 1);
+        // Every span up to `n_max` accepts a word at the edge, so `n` is
+        // never asked for there.
+        assert_eq!(rng_emitting(edge).next_u64(), edge);
+        for n in [1, 2, 3, 48, 1000, 82_872, n_max - 1, n_max] {
+            assert!(edge <= u64::MAX - (u64::MAX - n + 1) % n, "n = {n}");
+            let w = rng_emitting(edge).uniform_below_deferred(n_max, || unreachable!());
+            assert_eq!(w % n, rng_emitting(edge).uniform_u64(0, n - 1), "n = {n}");
+        }
+        // Words in the tail: some spans reject them, so the draw is
+        // finished with the exact `n` and must leave the generator where
+        // `uniform_u64` leaves it.
+        for word in [edge + 1, u64::MAX - 7, u64::MAX] {
+            for n in [48, 81_920, 82_872, n_max - 1, n_max] {
+                let mut deferred = rng_emitting(word);
+                let mut direct = rng_emitting(word);
+                let w = deferred.uniform_below_deferred(n_max, || n);
+                assert_eq!(w % n, direct.uniform_u64(0, n - 1), "word {word:#x} n {n}");
+                assert_eq!(
+                    deferred.next_u64(),
+                    direct.next_u64(),
+                    "word {word:#x} n {n}"
+                );
+            }
+        }
+        // u64::MAX is rejected for n = 48 (2^64 mod 48 = 16), so that draw
+        // really did consume a second word.
+        let mut r = rng_emitting(u64::MAX);
+        r.next_u64();
+        let second = r.next_u64();
+        assert_eq!(
+            rng_emitting(u64::MAX).uniform_below_deferred(n_max, || 48),
+            second % 48
+        );
+    }
+
+    #[test]
+    fn deferred_draw_matches_uniform_u64_on_a_stream() {
+        let mut deferred = SimRng::seed_from_u64(23);
+        let mut direct = SimRng::seed_from_u64(23);
+        for i in 0..1000u64 {
+            let n = 48 + i * 97;
+            let w = deferred.uniform_below_deferred(n + i % 3, || n);
+            assert_eq!(w % n, direct.uniform_u64(0, n - 1));
+        }
+        assert_eq!(deferred.next_u64(), direct.next_u64());
     }
 
     #[test]

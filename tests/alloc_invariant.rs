@@ -22,10 +22,11 @@
 //! per-event allocation anywhere on the hot path adds one allocation per
 //! event and so breaks the bound by three orders of magnitude.
 //!
+//! The lossy-link fault draw is checked on its own, with no bound: a
+//! bit-error hit is decided by the PPP framing's flip-parity rule without
+//! building a frame, so a draw allocates nothing.
+//!
 //! Out of scope:
-//! - the lossy-link fault path. `frame_corrupted_by_flips` runs the real
-//!   PPP codec once per bit-error hit and allocates its frames, so that
-//!   cost is per injected fault, not per event;
 //! - `JsonlRecorder`, which builds one owned `TraceRecord` per record;
 //! - the Rakhmatov–Vrudhula battery. `RakhmatovBattery::advanced` clones
 //!   its mode `Vec` on every bisection step of the exhaustion search, so
@@ -43,6 +44,7 @@ use std::cell::Cell;
 
 use dles_battery::packs::itsy_pack_b;
 use dles_core::experiment::{policy_config, Experiment};
+use dles_core::faults::{FaultPlan, FaultProfile, FaultState, LinkFault};
 use dles_core::node::BatterySpec;
 use dles_core::pipeline::{build_engine, PipelineConfig};
 use dles_core::policy::SchedulingPolicy;
@@ -174,4 +176,27 @@ fn adaptive_policies_allocate_nothing_per_event() {
             .filter(|p| !p.is_static())
             .map(policy_config),
     );
+}
+
+#[test]
+fn lossy_link_fault_draws_allocate_nothing() {
+    // At BER 1e-4 nearly every 10 KB transfer that is not dropped is hit,
+    // so this runs every branch of the bit-error verdict, including the
+    // exact wire length of a two-flip hit.
+    let profile = FaultProfile {
+        bit_error_rate: 1e-4,
+        ..FaultProfile::lossy_link()
+    };
+    let mut faults = FaultState::new(&FaultPlan::new(profile, 42), 4);
+    let before = allocs();
+    let corrupted = (0..10_000)
+        .filter(|&frame| {
+            matches!(
+                faults.draw_transfer_fault(10_342, frame),
+                Some(LinkFault::Corrupted { .. })
+            )
+        })
+        .count();
+    assert_eq!(allocs() - before, 0, "fault draws allocated");
+    assert!(corrupted > 9_000, "only {corrupted} of 10000 corrupted");
 }
