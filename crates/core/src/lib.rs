@@ -19,8 +19,8 @@
 //! * [`pipeline`] — the discrete-event model of the whole distributed
 //!   system: host, serial hub, N nodes, and the [`Technique`] a run
 //!   adds: the §5.4 acknowledgment and timeout protocol with failure
-//!   detection, or §5.5 node rotation, each with the paper's fixed
-//!   protocol numbers;
+//!   detection (its private `protocol` module), or §5.5 node rotation,
+//!   each with the paper's fixed protocol numbers;
 //! * [`faults`] — seeded fault injection: serial bit errors (judged
 //!   against the PPP framing), drops, delays, transient brownouts, battery
 //!   variance;
@@ -60,7 +60,6 @@ pub mod policy;
 pub mod report;
 pub mod sweep;
 pub mod timeline;
-mod transaction;
 pub mod workload;
 
 pub use experiment::policy_config;

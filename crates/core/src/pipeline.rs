@@ -27,9 +27,8 @@ use crate::policy::{
     DvsPolicy, SchedulingPolicy, ADAPTIVE_MAX_PERIOD_FRAMES, ADAPTIVE_MIN_PERIOD_FRAMES,
     ADAPTIVE_TARGET_SKEW, SOC_SKEW_MIN_GAP_FRAMES, SOC_SKEW_THRESHOLD,
 };
-use crate::transaction::{Transfer, TransferKind};
 use crate::workload::{NodeShare, SystemConfig};
-use dles_net::{link_component, Endpoint, LinkSchedule};
+use dles_net::{Endpoint, LinkSchedule};
 use dles_power::{CurrentModel, FreqLevel, Mode};
 use dles_sim::{
     Ctx, Engine, EventId, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime,
@@ -42,23 +41,10 @@ use std::num::NonZeroU64;
 /// (absorbs sub-millisecond rounding in transfer times).
 const DEADLINE_TOLERANCE: SimTime = SimTime(50_000); // 50 ms
 
-/// §5.4: how long a sender waits for an acknowledgment before it declares
-/// the receiver dead, twice the worst-case ack latency (100 ms).
-const ACK_WAIT: SimTime = SimTime::from_millis(200);
-
-/// §5.4: how many frame delays a mid-pipeline node tolerates hearing
-/// nothing from upstream before it checks whether its neighbour died.
-const RECV_TIMEOUT_FRAMES: u64 = 2;
-
-/// §5.4: idle time a survivor spends reloading code when it absorbs a
-/// dead neighbour's share.
-const MIGRATION_DELAY: SimTime = SimTime::from_millis(100);
-
-/// §5.4: how many times an unacknowledged transfer to a live receiver is
-/// retransmitted before its frame is abandoned. Only lossy links need
-/// this: on a healthy link an ack timeout never fires against a live
-/// target.
-const MAX_RETRIES: u32 = 4;
+// The §5.4 protocol: a child module, so its handlers reach world state.
+#[path = "protocol.rs"]
+mod protocol;
+use protocol::{Payload, Recovery, Transfer, ACK_WAIT};
 
 /// §5.5: idle time a node spends loading its new role's code at a
 /// rotation ("It should be sufficient for both nodes to load the new code
@@ -150,11 +136,6 @@ impl PipelineConfig {
         self.shares.len()
     }
 
-    /// Whether the run applies §5.4 recovery.
-    fn recovery(&self) -> bool {
-        self.technique == Some(Technique::Recovery)
-    }
-
     /// The rotation period, if the run applies §5.5 rotation.
     fn rotation_period(&self) -> Option<NonZeroU64> {
         match self.technique {
@@ -194,27 +175,6 @@ impl PipelineConfig {
             );
         }
     }
-}
-
-/// Whether an injected fault destroys the transfer's payload in flight.
-/// Delays only stretch the wire time; drops and corruptions (detected by
-/// the PPP FCS at the receiver) suppress delivery.
-fn transfer_lost(t: &Transfer) -> bool {
-    matches!(
-        t.fault,
-        Some(LinkFault::Dropped) | Some(LinkFault::Corrupted { .. })
-    )
-}
-
-/// Size of the per-receiver duplicate-detection window (frames).
-const DEDUP_WINDOW: usize = 32;
-
-/// Record a delivered frame in a bounded sliding window.
-fn remember(window: &mut Vec<u64>, frame: u64) {
-    if window.len() == DEDUP_WINDOW {
-        window.remove(0);
-    }
-    window.push(frame);
 }
 
 /// Events of the pipeline world.
@@ -258,18 +218,6 @@ pub enum Ev {
     BrownoutEnd(usize),
 }
 
-/// A reliable data send awaiting its ack (recovery §5.4).
-#[derive(Debug, Clone)]
-struct OutstandingSend {
-    seq: u64,
-    to: Endpoint,
-    bytes: u64,
-    frame: u64,
-    next_share: Option<usize>,
-    epoch: u64,
-    retries: u32,
-}
-
 /// The event counters a run reports under `repro --counters`, one variant
 /// per key; each doc comment says what the counter counts. Every key is
 /// emitted through [`PipelineWorld::count`], the one `CounterSet::incr`
@@ -296,8 +244,10 @@ pub(crate) enum Counter {
     TransfersData,
     /// Acknowledgement transfers placed on the serial link.
     TransfersAck,
-    /// Transfers dropped in flight or rejected by the PPP FCS.
+    /// Transfers to a node, and data to the host, dropped or failing the FCS.
     TransfersLost,
+    /// Acks to the host dropped in flight or failing the PPP FCS.
+    AcksLostToHost,
     /// Transfers unheard because the receiver was browned out.
     TransfersLostOffline,
     /// Data transfers re-sent after an ack timeout.
@@ -342,6 +292,7 @@ impl Counter {
             Counter::TransfersData => "transfers_data",
             Counter::TransfersAck => "transfers_ack",
             Counter::TransfersLost => "transfers_lost",
+            Counter::AcksLostToHost => "acks_lost_to_host",
             Counter::TransfersLostOffline => "transfers_lost_offline",
             Counter::Retransmissions => "retransmissions",
             Counter::AckTimeouts => "ack_timeouts",
@@ -398,28 +349,11 @@ pub struct PipelineWorld {
     /// Time of the last event other than a death sentinel; a run cut by
     /// its horizon closes here.
     last_event: SimTime,
-    /// Monotone counters invalidating stale recv timeouts.
-    recv_seq: Vec<u64>,
-    /// Per-node monotone sequence for reliable data sends.
-    send_seq: Vec<u64>,
-    /// Per-node sends awaiting their ack, keyed by `seq`; failure
-    /// attribution reads the target from the timed-out entry itself.
-    outstanding: Vec<Vec<OutstandingSend>>,
-    /// Per-node sliding window of recently delivered frames, to drop
-    /// duplicate deliveries caused by retransmission after a lost ack.
-    recent_frames: Vec<Vec<u64>>,
-    /// Same dedup window for deliveries at the host sink.
-    recent_host_frames: Vec<u64>,
-    /// (first frame emitted at this depth, pipeline depth) checkpoints;
-    /// deadline accounting looks up the depth a frame was emitted under.
-    depth_history: Vec<(u64, usize)>,
+    /// The §5.4 protocol state; `Some` exactly when the run applies
+    /// [`Technique::Recovery`].
+    recovery: Option<Recovery>,
     /// Seeded fault-injection state (None = ideal environment).
     faults: Option<FaultState>,
-    /// Per-node policy override (a recovery survivor saddled with a
-    /// deadline-infeasible merged share runs flat out, see `migrate`).
-    policy_override: Vec<Option<DvsPolicy>>,
-    /// Share-map epoch; bumped by migration.
-    epoch: u64,
     /// End-to-end frame latency distribution (emission → delivery), s.
     /// Built at the first delivery: its 600 bins are most of a new
     /// world's heap, and a run's set-up need not pay for them.
@@ -444,10 +378,8 @@ impl PipelineWorld {
                     cfg.levels[i],
                     &cfg.sys.dvs,
                 );
-                let mut scale = cfg.battery_scales.as_ref().map_or(1.0, |s| s[i]);
-                if let Some(vs) = &variance_scales {
-                    scale *= vs[i];
-                }
+                let scale = cfg.battery_scales.as_ref().map_or(1.0, |s| s[i])
+                    * variance_scales.as_ref().map_or(1.0, |vs| vs[i]);
                 let spec = if scale == 1.0 {
                     cfg.battery
                 } else {
@@ -463,6 +395,7 @@ impl PipelineWorld {
             .fold(MilliAmps::ZERO, MilliAmps::max);
         let rng = cfg.jitter_seed.map(SimRng::seed_from_u64);
         let faults = cfg.faults.as_ref().map(|plan| FaultState::new(plan, n));
+        let recovery = (cfg.technique == Some(Technique::Recovery)).then(|| Recovery::new(n));
         PipelineWorld {
             nodes,
             node_of_share: (0..n).collect(),
@@ -477,28 +410,13 @@ impl PipelineWorld {
             adaptive_period: cfg.rotation_period().map_or(0, NonZeroU64::get),
             i_max,
             last_event: SimTime::ZERO,
-            recv_seq: vec![0; n],
-            send_seq: vec![0; n],
-            outstanding: vec![Vec::new(); n],
-            recent_frames: vec![Vec::new(); n],
-            recent_host_frames: Vec::new(),
-            depth_history: vec![(0, n)],
+            recovery,
             faults,
-            policy_override: vec![None; n],
-            epoch: 0,
             latency: None,
             stopped_at: None,
             counters: dles_sim::CounterSet::new(),
             cfg,
         }
-    }
-
-    /// The node currently holding `share`. Transfers already in flight
-    /// keep the target they were planned with; the §5.5 rotation wave
-    /// (per-node doubling) guarantees post-rotation lookups through the
-    /// *new* map are the correct recipients for every frame.
-    fn target_for(&self, share: usize) -> usize {
-        self.node_of_share[share]
     }
 
     /// The share `node` currently holds; `None` once its share migrated
@@ -517,10 +435,17 @@ impl PipelineWorld {
     }
 
     /// The DVS policy in force on a node: the scheduling policy's rule
-    /// over the configured one, unless overridden by migration.
+    /// over the configured one, unless a migration left it flat out.
     fn policy_for(&self, node: usize) -> DvsPolicy {
-        self.policy_override[node]
-            .unwrap_or_else(|| self.cfg.scheduling.dvs_policy(self.cfg.policy))
+        let flat_out = self
+            .recovery
+            .as_ref()
+            .is_some_and(|r| r.nodes[node].flat_out);
+        if flat_out {
+            DvsPolicy::FixedLevel
+        } else {
+            self.cfg.scheduling.dvs_policy(self.cfg.policy)
+        }
     }
 
     /// Max–min spread of the alive nodes' SoC estimates — the imbalance
@@ -557,12 +482,6 @@ impl PipelineWorld {
         }
     }
 
-    /// How long a mid-pipeline node waits on silence from upstream before
-    /// checking whether its neighbour died.
-    fn recv_timeout(&self) -> SimTime {
-        self.cfg.sys.frame_delay * RECV_TIMEOUT_FRAMES
-    }
-
     /// One doubling of the current rotation wave resolved (executed, lost
     /// to a brownout, or passed by). Saturating: tests may inject bare
     /// `DoubleProc` events with no wave open.
@@ -575,18 +494,6 @@ impl PipelineWorld {
         self.faults
             .as_ref()
             .is_some_and(|f| f.is_offline(node, now))
-    }
-
-    /// The pipeline depth in force when `frame` was emitted, for deadline
-    /// accounting: a frame emitted into an n-stage pipeline is due n frame
-    /// periods later even if a migration shrinks the pipeline mid-flight.
-    fn depth_at_emission(&self, frame: u64) -> u64 {
-        self.depth_history
-            .iter()
-            .rev()
-            .find(|(first, _)| *first <= frame)
-            .map(|(_, d)| *d as u64)
-            .unwrap_or(self.cfg.shares.len() as u64)
     }
 
     /// Bump one event counter.
@@ -679,15 +586,17 @@ impl PipelineWorld {
     /// Plan a transfer: find the earliest slot where its serial lines and
     /// both endpoints are free, reserve, and schedule its start/end.
     fn plan_transfer(&mut self, ctx: &mut Ctx<Ev>, mut t: Transfer) {
-        let route = dles_net::Route::between(t.from, t.to);
+        let to = t.to();
+        let route = dles_net::Route::between(t.from, to);
         let mut earliest = ctx.now();
-        for ep in [t.from, t.to] {
+        for ep in [t.from, to] {
             if let Endpoint::Node(i) = ep {
                 earliest = earliest.max(self.nodes[i].busy_until);
             }
         }
         let start = self.links.earliest_start(&route, earliest);
-        let mut duration = t.latency(&self.cfg.sys.serial, self.rng.as_mut());
+        let serial = &self.cfg.sys.serial;
+        let mut duration = serial.transfer_time(t.bytes, self.rng.as_mut());
         if let Some(fs) = self.faults.as_mut() {
             if fs.profile.has_link_faults() {
                 t.fault = fs.draw_transfer_fault(t.bytes, t.frame);
@@ -712,7 +621,7 @@ impl PipelineWorld {
                         ctx.emit(
                             TraceEvent::FaultInjected(InjectedFault::Link {
                                 from: t.from.to_string(),
-                                to: t.to.to_string(),
+                                to: to.to_string(),
                                 frame: t.frame,
                                 bytes: t.bytes,
                                 fault,
@@ -724,15 +633,15 @@ impl PipelineWorld {
             }
         }
         let end = self.links.reserve(&route, start, duration);
-        for ep in [t.from, t.to] {
+        for ep in [t.from, to] {
             if let Endpoint::Node(i) = ep {
                 self.nodes[i].busy_until = self.nodes[i].busy_until.max(end);
             }
         }
-        t.epoch = self.epoch;
-        self.count(match t.kind {
-            TransferKind::Data => Counter::TransfersData,
-            TransferKind::Ack => Counter::TransfersAck,
+        t.epoch = self.epoch();
+        self.count(match t.payload {
+            Payload::DataToNode { .. } | Payload::DataToHost { .. } => Counter::TransfersData,
+            Payload::Ack { .. } => Counter::TransfersAck,
         });
         let id = self.free_transfers.pop().unwrap_or(self.transfers.len());
         if id < self.transfers.len() {
@@ -764,51 +673,25 @@ impl PipelineWorld {
         ctx.schedule_in(dur, Ev::ProcEnd { node, frame, share });
     }
 
-    /// Send `frame`'s data onward after completing `share` on `node`.
-    /// With recovery enabled the send is reliable: it gets a sequence
-    /// number and an outstanding-send entry that the ack clears and the
-    /// ack timeout retries (or migrates) against.
+    /// Send `frame`'s data onward after completing `share` on `node`: to
+    /// the node now holding the next share (the §5.5 rotation wave makes
+    /// the new map right for every frame), or out to the host. Under
+    /// recovery the send is reliable.
     fn send_onward(&mut self, ctx: &mut Ctx<Ev>, node: usize, frame: u64, share: usize) {
         let bytes = self.cfg.shares[share].send_bytes;
-        let (to, next_share) = if share + 1 == self.cfg.shares.len() {
-            (Endpoint::Host, None)
-        } else {
-            (Endpoint::Node(self.target_for(share + 1)), Some(share + 1))
+        let next = self.node_of_share.get(share + 1).map(|&to| (to, share + 1));
+        let data = |seq| {
+            let payload = match next {
+                Some((node, share)) => Payload::DataToNode { node, share, seq },
+                None => Payload::DataToHost { seq },
+            };
+            Transfer::new(Endpoint::Node(node), bytes, frame, payload)
         };
-        let seq = if self.cfg.recovery() {
-            let s = self.send_seq[node];
-            self.send_seq[node] += 1;
-            self.outstanding[node].push(OutstandingSend {
-                seq: s,
-                to,
-                bytes,
-                frame,
-                next_share,
-                epoch: self.epoch,
-                retries: 0,
-            });
-            Some(s)
-        } else {
-            None
+        let t = match &mut self.recovery {
+            Some(rec) => rec.send(node, data),
+            None => data(None),
         };
-        self.plan_transfer(
-            ctx,
-            Transfer::data(Endpoint::Node(node), to, bytes, frame, next_share, seq),
-        );
-    }
-
-    /// The host acknowledges a delivered result back to its sender.
-    fn host_ack(&mut self, ctx: &mut Ctx<Ev>, sender: Endpoint, frame: u64, ack_of: Option<u64>) {
-        let Endpoint::Node(sender) = sender else {
-            return;
-        };
-        if !self.nodes[sender].alive() {
-            return;
-        }
-        self.plan_transfer(
-            ctx,
-            Transfer::ack(Endpoint::Host, Endpoint::Node(sender), frame, ack_of, None),
-        );
+        self.plan_transfer(ctx, t);
     }
 
     /// Rotate roles by one: the tail node moves to the head (§5.5).
@@ -852,70 +735,6 @@ impl PipelineWorld {
                 .record(ctx.now(), "pipeline"),
             );
         }
-    }
-
-    /// A survivor absorbs an adjacent dead stage's share (§5.4).
-    fn migrate(&mut self, ctx: &mut Ctx<Ev>, survivor: usize, dead: usize) {
-        let Some(s_surv) = self.share_of_node(survivor) else {
-            return;
-        };
-        let Some(s_dead) = self.share_of_node(dead) else {
-            return; // already migrated away
-        };
-        assert!(!self.nodes[dead].alive(), "migrating from a living node");
-        // Merge the two adjacent ranges.
-        let (lo, hi) = (s_surv.min(s_dead), s_surv.max(s_dead));
-        assert_eq!(hi - lo, 1, "only adjacent shares can merge");
-        let merged_range = self.cfg.shares[lo]
-            .range
-            .merge_with_next(self.cfg.shares[hi].range);
-        let merged = NodeShare::from_profile(&self.cfg.sys.profile, merged_range);
-        // Choose the slowest feasible level for the merged share, assuming
-        // the same ack overhead persists; fall back to the peak clock.
-        let ack_overhead = SimTime::from_millis(150);
-        let feasible = merged.min_feasible_level(&self.cfg.sys, ack_overhead);
-        let level = feasible.unwrap_or_else(|| self.cfg.sys.dvs.highest());
-        if feasible.is_none() {
-            // The merged share cannot meet D even at the peak clock: the
-            // survivor runs flat out (no DVS during I/O) to minimize how
-            // late every frame is.
-            self.policy_override[survivor] = Some(DvsPolicy::FixedLevel);
-        }
-        // The survivor's share becomes the merged one; the dead stage
-        // leaves every share-indexed table.
-        self.cfg.shares[s_surv] = merged;
-        self.cfg.levels[s_surv] = level;
-        self.cfg.shares.remove(s_dead);
-        self.cfg.levels.remove(s_dead);
-        self.node_of_share.remove(s_dead);
-        // In-flight data against the old share map is lost.
-        self.epoch += 1;
-        self.count(Counter::Migrations);
-        if ctx.tracing() {
-            ctx.emit(
-                TraceEvent::Migration {
-                    dead: Endpoint::Node(dead).to_string(),
-                    merged_freq_mhz: level.freq_mhz.mhz(),
-                    feasible: feasible.is_some(),
-                }
-                .record(ctx.now(), Endpoint::Node(survivor).to_string()),
-            );
-        }
-        // The survivor's pending sends targeted the old share map; any
-        // still-armed ack timeout finds its entry gone (or stale-epoch)
-        // and stands down.
-        self.outstanding[survivor].clear();
-        // Deadline accounting: frames emitted from here on traverse the
-        // shrunken pipeline.
-        self.depth_history
-            .push((self.next_frame, self.cfg.shares.len()));
-        let t = self.nodes[survivor].busy_until.max(ctx.now()) + MIGRATION_DELAY;
-        self.nodes[survivor].busy_until = t;
-        self.set_node_state(ctx, survivor, Mode::Idle);
-    }
-
-    fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive()).count()
     }
 
     /// Collect the experiment result; `now` is the end of observation.
@@ -1038,26 +857,16 @@ impl PipelineWorld {
             return; // frame lost; recovery timeouts handle failover
         }
         let bytes = self.cfg.shares[0].recv_bytes;
-        self.plan_transfer(
-            ctx,
-            Transfer::data(
-                Endpoint::Host,
-                Endpoint::Node(head),
-                bytes,
-                frame,
-                Some(0),
-                None,
-            ),
-        );
+        let (node, share, seq) = (head, 0, None);
+        let to = Payload::DataToNode { node, share, seq };
+        self.plan_transfer(ctx, Transfer::new(Endpoint::Host, bytes, frame, to));
     }
 
     fn on_xfer_start(&mut self, ctx: &mut Ctx<Ev>, id: usize) {
-        let (from, to, frame) = {
-            let t = &self.transfers[id];
-            (t.from, t.to, t.frame)
-        };
+        let t = self.transfers[id];
+        let (from, to, frame) = (t.from, t.to(), t.frame);
         if ctx.tracing() {
-            ctx.emit(self.transfers[id].trace_record(ctx.now(), "start"));
+            ctx.emit(t.trace_record(ctx.now(), "start"));
         }
         for ep in [from, to] {
             if let Endpoint::Node(i) = ep {
@@ -1067,7 +876,7 @@ impl PipelineWorld {
                     ctx.emit(
                         TraceEvent::Io {
                             dir: if ep == from { "send" } else { "recv" },
-                            payload: self.transfers[id].kind.name(),
+                            payload: t.payload.name(),
                             frame,
                         }
                         .record(ctx.now(), Endpoint::Node(i).to_string()),
@@ -1087,140 +896,45 @@ impl PipelineWorld {
         if let Endpoint::Node(s) = t.from {
             if self.nodes[s].alive() {
                 self.set_node_state(ctx, s, Mode::Idle);
-                if let Some((node, frame, share)) = t.then_proc {
-                    // This was an ack the receiver owed; now it can PROC.
-                    debug_assert_eq!(node, s);
-                    if self.is_offline(ctx.now(), node) {
+                // This was an ack the sender owed; now it can PROC.
+                if let Some(share) = t.payload.then_proc() {
+                    if self.is_offline(ctx.now(), s) {
                         self.count(Counter::FramesLostBrownout);
-                    } else if t.epoch == self.epoch {
-                        self.start_proc(ctx, node, frame, share);
+                    } else if t.epoch == self.epoch() {
+                        self.start_proc(ctx, s, t.frame, share);
                     }
                 }
-                if self.cfg.recovery() {
-                    if let Some(seq) = t.seq {
-                        // Reliable send: watch for its ack by sequence
-                        // number, so concurrent sends to different
-                        // endpoints are attributed independently.
-                        ctx.schedule_in(ACK_WAIT, Ev::AckTimeout { node: s, seq });
-                    }
+                // A reliable send: watch for its ack by its sequence number.
+                if let Some(seq) = t.payload.seq() {
+                    ctx.schedule_in(ACK_WAIT, Ev::AckTimeout { node: s, seq });
                 }
             }
         }
-        // Receiver side.
-        match t.to {
-            Endpoint::Host => {
-                if t.kind == TransferKind::Data {
-                    if transfer_lost(&t) {
-                        // Dropped in flight or rejected by the PPP FCS;
-                        // the sender's ack timeout drives the retry.
-                        self.count(Counter::TransfersLost);
-                        return;
-                    }
-                    if self.cfg.recovery() && self.recent_host_frames.contains(&t.frame) {
-                        // Duplicate delivery (a retransmission whose
-                        // original — or its ack — was lost): re-ack so the
-                        // sender stands down, but don't double-count.
-                        self.count(Counter::DuplicateFramesDropped);
-                        self.host_ack(ctx, t.from, t.frame, t.seq);
-                        return;
-                    }
-                    if self.cfg.recovery() {
-                        remember(&mut self.recent_host_frames, t.frame);
-                    }
-                    self.count(Counter::FramesCompleted);
-                    let depth = self.depth_at_emission(t.frame);
-                    let emitted =
-                        SimTime::from_micros(t.frame * self.cfg.sys.frame_delay.as_micros());
-                    let latency_s = (ctx.now() - emitted).as_secs_f64();
-                    self.latency
-                        .get_or_insert_with(|| dles_sim::Histogram::new(0.0, 60.0, 600))
-                        .record(latency_s);
-                    let deadline = SimTime::from_micros(
-                        (t.frame + depth) * self.cfg.sys.frame_delay.as_micros(),
-                    ) + DEADLINE_TOLERANCE;
-                    let missed = ctx.now() > deadline;
-                    if missed {
-                        self.count(Counter::DeadlineMisses);
-                    }
-                    if ctx.tracing() {
-                        ctx.emit(
-                            TraceEvent::FrameComplete {
-                                frame: t.frame,
-                                latency_s,
-                                deadline_missed: missed,
-                            }
-                            .record(ctx.now(), "host"),
-                        );
-                    }
-                    if self.cfg.recovery() {
-                        self.host_ack(ctx, t.from, t.frame, t.seq);
-                    }
+        self.deliver(ctx, t);
+    }
+
+    /// Account a frame's result delivered to the host.
+    fn complete_frame(&mut self, ctx: &mut Ctx<Ev>, frame: u64) {
+        self.count(Counter::FramesCompleted);
+        let d = self.cfg.sys.frame_delay.as_micros();
+        let latency_s = (ctx.now() - SimTime::from_micros(frame * d)).as_secs_f64();
+        self.latency
+            .get_or_insert_with(|| dles_sim::Histogram::new(0.0, 60.0, 600))
+            .record(latency_s);
+        let deadline = (frame + self.depth_at_emission(frame)) * d;
+        let missed = ctx.now() > SimTime::from_micros(deadline) + DEADLINE_TOLERANCE;
+        if missed {
+            self.count(Counter::DeadlineMisses);
+        }
+        if ctx.tracing() {
+            ctx.emit(
+                TraceEvent::FrameComplete {
+                    frame,
+                    latency_s,
+                    deadline_missed: missed,
                 }
-            }
-            Endpoint::Node(r) => {
-                if !self.nodes[r].alive() {
-                    return; // data lost; the sender's ack timeout will fire
-                }
-                if self.is_offline(ctx.now(), r) {
-                    // The receiver is browned out: nothing is heard.
-                    self.count(Counter::TransfersLostOffline);
-                    return;
-                }
-                if transfer_lost(&t) {
-                    // Dropped in flight or rejected by the PPP FCS; the
-                    // sender's ack timeout drives the retry.
-                    self.count(Counter::TransfersLost);
-                    self.set_node_state(ctx, r, Mode::Idle);
-                    return;
-                }
-                match t.kind {
-                    TransferKind::Ack => {
-                        // Ack received: clear the matching outstanding send
-                        // so its timeout finds nothing to retry.
-                        if let Some(seq) = t.ack_of {
-                            self.outstanding[r].retain(|o| o.seq != seq);
-                        }
-                        self.set_node_state(ctx, r, Mode::Idle);
-                    }
-                    TransferKind::Data => {
-                        if t.epoch != self.epoch {
-                            // Routed under a pre-migration share map; drop.
-                            self.set_node_state(ctx, r, Mode::Idle);
-                            return;
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "protocol invariant: every Data transfer is planned with Some(next_share)"
-                        )]
-                        let share = t.next_share.expect("data to a node carries a share");
-                        if self.cfg.recovery() && self.recent_frames[r].contains(&t.frame) {
-                            // Duplicate delivery after a lost ack: re-ack
-                            // (without re-processing) so the sender stops.
-                            self.count(Counter::DuplicateFramesDropped);
-                            self.plan_transfer(
-                                ctx,
-                                Transfer::ack(Endpoint::Node(r), t.from, t.frame, t.seq, None),
-                            );
-                            return;
-                        }
-                        self.recv_seq[r] += 1;
-                        if self.cfg.recovery() {
-                            remember(&mut self.recent_frames[r], t.frame);
-                            // Re-arm the upstream-silence watchdog.
-                            let seq = self.recv_seq[r];
-                            ctx.schedule_in(self.recv_timeout(), Ev::RecvTimeout { node: r, seq });
-                            // Acknowledge, then process.
-                            let then_proc = Some((r, t.frame, share));
-                            self.plan_transfer(
-                                ctx,
-                                Transfer::ack(Endpoint::Node(r), t.from, t.frame, t.seq, then_proc),
-                            );
-                        } else {
-                            self.start_proc(ctx, r, t.frame, share);
-                        }
-                    }
-                }
-            }
+                .record(ctx.now(), "host"),
+            );
         }
     }
 
@@ -1273,7 +987,7 @@ impl PipelineWorld {
             clippy::expect_used,
             reason = "invariant: migrate unassigns only the dead node, and a dead node returned above"
         )]
-        let cur = if self.cfg.recovery() {
+        let cur = if self.recovery.is_some() {
             self.share_of_node(node)
                 .expect("a live node keeps its share")
         } else {
@@ -1340,82 +1054,12 @@ impl PipelineWorld {
         if self.double_from_share[node].take().is_some() {
             self.wave_resolve_one();
         }
-        if !self.cfg.recovery() {
-            // Without recovery the pipeline stalls at the first failure
-            // (§6.4): the system's battery life ends here.
+        // Without recovery the pipeline stalls at the first failure (§6.4):
+        // the system's battery life ends here. With recovery and survivors,
+        // detection happens through the ack / receive timeouts.
+        if self.recovery.is_none() || self.nodes.iter().all(|n| !n.alive()) {
             self.stopped_at = Some(ctx.now());
             ctx.request_stop();
-        } else if self.alive_count() == 0 {
-            self.stopped_at = Some(ctx.now());
-            ctx.request_stop();
-        }
-        // With recovery and survivors, detection happens through the ack /
-        // receive timeouts.
-    }
-
-    fn on_ack_timeout(&mut self, ctx: &mut Ctx<Ev>, node: usize, seq: u64) {
-        if !self.nodes[node].alive() {
-            return; // we ourselves died
-        }
-        // Resolve the timed-out send by its sequence number: each
-        // outstanding entry carries its own target, so a newer send to a
-        // different endpoint can't steal the attribution.
-        let Some(pos) = self.outstanding[node].iter().position(|o| o.seq == seq) else {
-            return; // the ack arrived
-        };
-        let entry = self.outstanding[node][pos].clone();
-        if entry.epoch != self.epoch {
-            // Planned against a pre-migration share map; obsolete.
-            self.outstanding[node].remove(pos);
-            return;
-        }
-        self.count(Counter::AckTimeouts);
-        if ctx.tracing() {
-            ctx.emit(
-                TraceEvent::Transaction {
-                    event: "timeout",
-                    payload: TransferKind::Ack.name(),
-                    bytes: 0,
-                    frame: entry.frame,
-                    waiter: Some(Endpoint::Node(node).to_string()),
-                    upstream_alive: None,
-                }
-                .record(ctx.now(), link_component(entry.to, Endpoint::Node(node))),
-            );
-        }
-        if self.is_offline(ctx.now(), node) {
-            // A browned-out sender can't retransmit; give the frame up.
-            self.outstanding[node].remove(pos);
-            self.count(Counter::SendsAbandoned);
-            return;
-        }
-        match entry.to {
-            Endpoint::Node(target) if !self.nodes[target].alive() => {
-                self.outstanding[node].remove(pos);
-                self.migrate(ctx, node, target);
-            }
-            _ => {
-                // The target is alive (or is the host): the loss was
-                // transient — retransmit, up to the retry budget.
-                if entry.retries < MAX_RETRIES {
-                    self.outstanding[node][pos].retries += 1;
-                    self.count(Counter::Retransmissions);
-                    self.plan_transfer(
-                        ctx,
-                        Transfer::data(
-                            Endpoint::Node(node),
-                            entry.to,
-                            entry.bytes,
-                            entry.frame,
-                            entry.next_share,
-                            Some(entry.seq),
-                        ),
-                    );
-                } else {
-                    self.outstanding[node].remove(pos);
-                    self.count(Counter::SendsAbandoned);
-                }
-            }
         }
     }
 
@@ -1449,43 +1093,6 @@ impl PipelineWorld {
         }
         ctx.schedule_in(next, Ev::BrownoutStart(node));
     }
-
-    fn on_recv_timeout(&mut self, ctx: &mut Ctx<Ev>, node: usize, seq: u64) {
-        if seq != self.recv_seq[node] || !self.nodes[node].alive() {
-            return;
-        }
-        self.count(Counter::RecvTimeouts);
-        let Some(share) = self.share_of_node(node) else {
-            return;
-        };
-        if share == 0 {
-            return; // upstream is the host, which never dies
-        }
-        let upstream = self.node_of_share[share - 1];
-        if ctx.tracing() {
-            ctx.emit(
-                TraceEvent::Transaction {
-                    event: "timeout",
-                    payload: TransferKind::Data.name(),
-                    bytes: 0,
-                    frame: 0,
-                    waiter: None,
-                    upstream_alive: Some(self.nodes[upstream].alive()),
-                }
-                .record(
-                    ctx.now(),
-                    link_component(Endpoint::Node(upstream), Endpoint::Node(node)),
-                ),
-            );
-        }
-        if !self.nodes[upstream].alive() {
-            self.migrate(ctx, node, upstream);
-        } else if self.cfg.recovery() {
-            // Upstream is alive but slow; keep watching.
-            let seq = self.recv_seq[node];
-            ctx.schedule_in(self.recv_timeout(), Ev::RecvTimeout { node, seq });
-        }
-    }
 }
 
 /// Build the engine for a configuration: nodes idle, initial death events
@@ -1511,23 +1118,13 @@ pub fn build_engine_with(
         engine.world_mut().nodes[i].death = death;
     }
     // Arm the first brownout per node when the fault plan injects them.
-    let brownouts = engine
-        .world()
-        .faults
-        .as_ref()
-        .is_some_and(|f| f.profile.has_brownouts());
-    if brownouts {
-        for i in 0..n {
-            let Some(at) = engine
-                .world_mut()
-                .faults
-                .as_mut()
-                .map(|f| f.next_brownout_interval())
-            else {
-                break;
-            };
-            engine.schedule_at(at, Ev::BrownoutStart(i));
-        }
+    for i in 0..n {
+        let faults = engine.world_mut().faults.as_mut();
+        let Some(f) = faults.filter(|f| f.profile.has_brownouts()) else {
+            break;
+        };
+        let at = f.next_brownout_interval();
+        engine.schedule_at(at, Ev::BrownoutStart(i));
     }
     if io {
         engine.schedule_at(SimTime::ZERO, Ev::HostEmit);
@@ -1592,6 +1189,7 @@ fn push_death(next: Option<(SimTime, Ev)>, push: impl FnOnce(SimTime, Ev) -> Eve
 
 #[cfg(test)]
 mod tests {
+    use super::protocol::{OutstandingSend, RECV_TIMEOUT_FRAMES};
     use super::*;
     use crate::workload::NodeShare;
     use dles_atr::BlockRange;
@@ -2064,25 +1662,18 @@ mod tests {
             w.nodes[2].death_time = Some(SimTime::ZERO);
             // Node 2 has seq 0 outstanding to dead node 3 and a *newer*
             // seq 1 outstanding to the host.
-            w.outstanding[1].push(OutstandingSend {
-                seq: 0,
-                to: Endpoint::Node(2),
-                bytes: 100,
-                frame: 0,
-                next_share: Some(2),
-                epoch: 0,
-                retries: 0,
-            });
-            w.outstanding[1].push(OutstandingSend {
-                seq: 1,
-                to: Endpoint::Host,
-                bytes: 100,
-                frame: 1,
-                next_share: None,
-                epoch: 0,
-                retries: 0,
-            });
-            w.send_seq[1] = 2;
+            let node2 = &mut w.recovery.as_mut().unwrap().nodes[1];
+            let to_node3 = Payload::DataToNode {
+                node: 2,
+                share: 2,
+                seq: Some(0),
+            };
+            let to_host = Payload::DataToHost { seq: Some(1) };
+            for (frame, payload) in [(0, to_node3), (1, to_host)] {
+                let send = Transfer::new(Endpoint::Node(1), 100, frame, payload);
+                node2.outstanding.push(OutstandingSend { send, retries: 0 });
+            }
+            node2.send_seq = 2;
         }
         engine.schedule_at(SimTime::from_millis(1), Ev::AckTimeout { node: 1, seq: 0 });
         engine.run_until(SimTime::from_millis(2));
@@ -2103,17 +1694,15 @@ mod tests {
         cfg.technique = Some(Technique::Recovery);
         let mut engine = build_engine(cfg);
         {
-            let w = engine.world_mut();
-            w.outstanding[0].push(OutstandingSend {
-                seq: 0,
-                to: Endpoint::Node(1),
-                bytes: 100,
-                frame: 0,
-                next_share: Some(1),
-                epoch: 0,
-                retries: 0,
-            });
-            w.send_seq[0] = 1;
+            let node1 = &mut engine.world_mut().recovery.as_mut().unwrap().nodes[0];
+            let to = Payload::DataToNode {
+                node: 1,
+                share: 1,
+                seq: Some(0),
+            };
+            let send = Transfer::new(Endpoint::Node(0), 100, 0, to);
+            node1.outstanding.push(OutstandingSend { send, retries: 0 });
+            node1.send_seq = 1;
         }
         engine.schedule_at(SimTime::from_millis(1), Ev::AckTimeout { node: 0, seq: 0 });
         engine.run_until(SimTime::from_millis(2));
@@ -2124,7 +1713,8 @@ mod tests {
             0,
             "live target must not trigger failover"
         );
-        assert_eq!(w.outstanding[0][0].retries, 1);
+        let node1 = &w.recovery.as_ref().unwrap().nodes[0];
+        assert_eq!(node1.outstanding[0].retries, 1);
     }
 
     /// Regression: a frame emitted into an n-deep pipeline keeps its
@@ -2234,6 +1824,7 @@ mod tests {
             TransfersData,
             TransfersAck,
             TransfersLost,
+            AcksLostToHost,
             TransfersLostOffline,
             Retransmissions,
             AckTimeouts,
