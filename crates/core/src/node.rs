@@ -8,10 +8,9 @@
 use dles_battery::kibam::KibamParams;
 use dles_battery::rakhmatov::RvParams;
 use dles_battery::{Battery, IdealBattery, KibamBattery, PeukertBattery, RakhmatovBattery};
-use dles_net::Endpoint;
 use dles_power::sa1100::BATTERY_VOLTS;
 use dles_power::{CurrentModel, EnergyAccount, FreqLevel, Mode, PowerMonitor, PowerState};
-use dles_sim::{EventId, NullRecorder, Recorder, SimTime, TraceEvent};
+use dles_sim::{Component, EventId, NullRecorder, Recorder, SimTime, TraceEvent};
 use dles_units::{MilliAmpHours, MilliAmps, Seconds};
 
 use crate::metrics::NodeOutcome;
@@ -208,15 +207,16 @@ impl SimNode {
             self.energy.add(prev_mode, dur, current);
             if recorder.enabled() {
                 let energy = current * BATTERY_VOLTS * Seconds::new(dur.as_secs_f64());
-                recorder.record(
+                recorder.event(
+                    now,
+                    Component::Node(node),
                     TraceEvent::PowerSegment {
                         mode: prev_mode.name(),
                         freq_mhz: prev_level.freq_mhz.mhz(),
                         duration: dur,
                         current_ma: current.get(),
                         energy_mj: energy.get(),
-                    }
-                    .record(now, Endpoint::Node(node).to_string()),
+                    },
                 );
             }
         }

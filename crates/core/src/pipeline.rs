@@ -31,8 +31,8 @@ use crate::workload::{NodeShare, SystemConfig};
 use dles_net::{Endpoint, LinkSchedule};
 use dles_power::{CurrentModel, FreqLevel, Mode};
 use dles_sim::{
-    Ctx, Engine, EventId, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng, SimTime,
-    TraceEvent, World,
+    Component, Ctx, Engine, EventId, InjectedFault, LinkFaultKind, Recorder, RunOutcome, SimRng,
+    SimTime, TraceEvent, World,
 };
 use dles_units::MilliAmps;
 use std::num::NonZeroU64;
@@ -530,13 +530,13 @@ impl PipelineWorld {
         self.count(Counter::StateTransitions);
         if ctx.tracing() {
             ctx.emit(
+                Component::Node(node),
                 TraceEvent::StateTransition {
                     mode: mode.name(),
                     freq_mhz: level.freq_mhz.mhz(),
                     share,
                     frame,
-                }
-                .record(ctx.now(), Endpoint::Node(node).to_string()),
+                },
             );
         }
         self.nodes[node].transition_recorded(ctx.now(), mode, level, ctx.recorder(), node);
@@ -619,14 +619,14 @@ impl PipelineWorld {
                             LinkFault::Delayed(delay) => LinkFaultKind::Delay { delay },
                         };
                         ctx.emit(
+                            Component::Link,
                             TraceEvent::FaultInjected(InjectedFault::Link {
-                                from: t.from.to_string(),
-                                to: to.to_string(),
+                                from: t.from,
+                                to,
                                 frame: t.frame,
                                 bytes: t.bytes,
                                 fault,
-                            })
-                            .record(ctx.now(), "link"),
+                            }),
                         );
                     }
                 }
@@ -725,14 +725,14 @@ impl PipelineWorld {
         self.count(Counter::PolicyDecisions);
         if ctx.tracing() {
             ctx.emit(
+                Component::Pipeline,
                 TraceEvent::PolicyDecision {
                     policy: self.cfg.scheduling.name(),
                     frame,
                     skew_soc: skew.get(),
                     action,
                     next_period_frames: adaptive.then_some(self.adaptive_period),
-                }
-                .record(ctx.now(), "pipeline"),
+                },
             );
         }
     }
@@ -843,11 +843,11 @@ impl PipelineWorld {
                 self.on_policy_rotation(ctx, frame);
                 if ctx.tracing() {
                     ctx.emit(
+                        Component::Pipeline,
                         TraceEvent::Rotation {
                             frame,
                             rotations: self.counters.get(Counter::Rotations.key()),
-                        }
-                        .record(ctx.now(), "pipeline"),
+                        },
                     );
                 }
             }
@@ -866,7 +866,8 @@ impl PipelineWorld {
         let t = self.transfers[id];
         let (from, to, frame) = (t.from, t.to(), t.frame);
         if ctx.tracing() {
-            ctx.emit(t.trace_record(ctx.now(), "start"));
+            let (wire, event) = t.trace_event("start");
+            ctx.emit(wire, event);
         }
         for ep in [from, to] {
             if let Endpoint::Node(i) = ep {
@@ -874,12 +875,12 @@ impl PipelineWorld {
                 // Direction marker for the Fig. 2/3/9 timeline renderer.
                 if ctx.tracing() {
                     ctx.emit(
+                        Component::Node(i),
                         TraceEvent::Io {
                             dir: if ep == from { "send" } else { "recv" },
                             payload: t.payload.name(),
                             frame,
-                        }
-                        .record(ctx.now(), Endpoint::Node(i).to_string()),
+                        },
                     );
                 }
             }
@@ -890,7 +891,8 @@ impl PipelineWorld {
         let t = self.transfers[id];
         self.free_transfers.push(id);
         if ctx.tracing() {
-            ctx.emit(t.trace_record(ctx.now(), "delivered"));
+            let (wire, event) = t.trace_event("delivered");
+            ctx.emit(wire, event);
         }
         // Sender side returns to idle (or awaits its ack).
         if let Endpoint::Node(s) = t.from {
@@ -928,12 +930,12 @@ impl PipelineWorld {
         }
         if ctx.tracing() {
             ctx.emit(
+                Component::Host,
                 TraceEvent::FrameComplete {
                     frame,
                     latency_s,
                     deadline_missed: missed,
-                }
-                .record(ctx.now(), "host"),
+                },
             );
         }
     }
@@ -1042,11 +1044,11 @@ impl PipelineWorld {
         self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), node);
         if ctx.tracing() {
             ctx.emit(
+                Component::Node(node),
                 TraceEvent::NodeDeath {
                     delivered_mah: self.nodes[node].battery.delivered_mah().get(),
                     stranded_mah: self.nodes[node].stranded_mah().get(),
-                }
-                .record(ctx.now(), Endpoint::Node(node).to_string()),
+                },
             );
         }
         self.nodes[node].death = DeathArm::Exact(None);
@@ -1075,8 +1077,8 @@ impl PipelineWorld {
             }
             if ctx.tracing() {
                 ctx.emit(
-                    TraceEvent::FaultInjected(InjectedFault::Brownout { duration })
-                        .record(ctx.now(), Endpoint::Node(node).to_string()),
+                    Component::Node(node),
+                    TraceEvent::FaultInjected(InjectedFault::Brownout { duration }),
                 );
             }
             self.set_node_state(ctx, node, Mode::Idle);

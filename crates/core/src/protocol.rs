@@ -20,9 +20,9 @@
 use super::{Counter, Ev, PipelineWorld};
 use crate::faults::LinkFault;
 use crate::workload::NodeShare;
-use dles_net::{link_component, Endpoint};
+use dles_net::Endpoint;
 use dles_power::Mode;
-use dles_sim::{Ctx, SimTime, TraceEvent, TraceRecord};
+use dles_sim::{Component, Ctx, SimTime, TraceEvent};
 
 /// How long a sender waits for an acknowledgment before it declares the
 /// receiver dead: twice the latency of an ack alone on an idle link
@@ -295,12 +295,12 @@ impl PipelineWorld {
         self.count(Counter::Migrations);
         if ctx.tracing() {
             ctx.emit(
+                Component::Node(survivor),
                 TraceEvent::Migration {
-                    dead: Endpoint::Node(dead).to_string(),
+                    dead: Endpoint::Node(dead),
                     merged_freq_mhz: level.freq_mhz.mhz(),
                     feasible: feasible.is_some(),
-                }
-                .record(ctx.now(), Endpoint::Node(survivor).to_string()),
+                },
             );
         }
         let t = self.nodes[survivor].busy_until.max(ctx.now()) + MIGRATION_DELAY;
@@ -339,15 +339,15 @@ impl PipelineWorld {
         self.count(Counter::AckTimeouts);
         if ctx.tracing() {
             ctx.emit(
+                Component::Wire(to, Endpoint::Node(node)),
                 TraceEvent::Transaction {
                     event: "timeout",
                     payload: "ack",
                     bytes: 0,
                     frame: send.frame,
-                    waiter: Some(Endpoint::Node(node).to_string()),
+                    waiter: Some(Endpoint::Node(node)),
                     upstream_alive: None,
-                }
-                .record(ctx.now(), link_component(to, Endpoint::Node(node))),
+                },
             );
         }
         if offline {
@@ -380,9 +380,9 @@ impl PipelineWorld {
         }
         let upstream = self.node_of_share[share - 1];
         let upstream_alive = self.nodes[upstream].alive();
-        let link = link_component(Endpoint::Node(upstream), Endpoint::Node(node));
         if ctx.tracing() {
             ctx.emit(
+                Component::Wire(Endpoint::Node(upstream), Endpoint::Node(node)),
                 TraceEvent::Transaction {
                     event: "timeout",
                     payload: "data",
@@ -390,8 +390,7 @@ impl PipelineWorld {
                     frame: 0,
                     waiter: None,
                     upstream_alive: Some(upstream_alive),
-                }
-                .record(ctx.now(), link),
+                },
             );
         }
         if upstream_alive {
@@ -509,18 +508,18 @@ impl Transfer {
         )
     }
 
-    /// The `transaction` record of lifecycle `event` (`"start"`,
-    /// `"delivered"`) of this transfer, on its `a->b` link.
-    pub(super) fn trace_record(&self, time: SimTime, event: &'static str) -> TraceRecord {
-        TraceEvent::Transaction {
+    /// The `transaction` event of lifecycle `event` (`"start"`,
+    /// `"delivered"`) of this transfer, with its `a->b` wire.
+    pub(super) fn trace_event(&self, event: &'static str) -> (Component, TraceEvent) {
+        let transaction = TraceEvent::Transaction {
             event,
             payload: self.payload.name(),
             bytes: self.bytes,
             frame: self.frame,
             waiter: None,
             upstream_alive: None,
-        }
-        .record(time, link_component(self.from, self.to()))
+        };
+        (Component::Wire(self.from, self.to()), transaction)
     }
 }
 
@@ -591,7 +590,8 @@ mod tests {
             seq: None,
         };
         let tx = Transfer::new(Endpoint::Host, 614, 12, to);
-        let rec = tx.trace_record(SimTime::from_secs(5), "start");
+        let (wire, event) = tx.trace_event("start");
+        let rec = event.record(SimTime::from_secs(5), wire);
         assert_eq!(rec.component, "host->node2");
         assert_eq!(rec.kind, "transaction");
         assert_eq!(rec.str_field("event"), Some("start"));
@@ -599,7 +599,8 @@ mod tests {
         assert_eq!(rec.u64_field("bytes"), Some(614));
         assert_eq!(rec.u64_field("frame"), Some(12));
         let ack = Transfer::ack(Endpoint::Node(1), Endpoint::Host, 0, None, None);
-        let rec = ack.trace_record(SimTime::ZERO, "delivered");
+        let (wire, event) = ack.trace_event("delivered");
+        let rec = event.record(SimTime::ZERO, wire);
         assert_eq!(rec.component, "node2->host");
         assert_eq!(rec.str_field("payload"), Some("ack"));
         assert_eq!(rec.u64_field("bytes"), Some(0));

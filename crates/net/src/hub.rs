@@ -57,7 +57,7 @@ impl LinkSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Endpoint, Route};
+    use crate::{Endpoint, Route};
 
     #[test]
     fn independent_lines_do_not_block() {

@@ -13,9 +13,9 @@
 //!   transfers alike;
 //! * [`ppp`] — an HDLC/PPP-style framing codec (flag bytes, byte stuffing,
 //!   FCS-16) actually implemented and property-tested;
-//! * [`Endpoint`] and [`Route`] — endpoints (host / node *i*), the links a transfer
-//!   occupies under host-side IP forwarding, and the `a->b` link names of
-//!   trace records;
+//! * [`Endpoint`] and [`Route`] — endpoints (host / node *i*, defined in
+//!   `dles-sim`, whose trace components name them) and the links a
+//!   transfer occupies under host-side IP forwarding;
 //! * [`LinkSchedule`] — link occupancy bookkeeping: reserving the serial lines a
 //!   transfer needs, with cut-through forwarding across the hub;
 //! * [`fault`] — link-fault hooks: whether flipped wire bits corrupt a PPP
@@ -42,6 +42,7 @@ pub mod ppp;
 pub(crate) mod serial;
 pub(crate) mod topology;
 
+pub use dles_sim::Endpoint;
 pub use hub::LinkSchedule;
 pub use serial::SerialConfig;
-pub use topology::{link_component, Endpoint, Route};
+pub use topology::Route;

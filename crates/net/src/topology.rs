@@ -8,32 +8,7 @@
 //! latency is still a single transfer time, as the paper's Fig. 3 timing
 //! budget assumes).
 
-use std::fmt;
-
-/// A communication endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Endpoint {
-    /// The host computer (external source, destination, and hub).
-    Host,
-    /// Node `i` (0-based).
-    Node(usize),
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Host => write!(f, "host"),
-            Endpoint::Node(i) => write!(f, "node{}", i + 1),
-        }
-    }
-}
-
-/// Build an `a->b` link component name from a directed endpoint pair —
-/// the single place the convention is spelled, so every emitter agrees
-/// on it.
-pub fn link_component(from: Endpoint, to: Endpoint) -> String {
-    format!("{from}->{to}")
-}
+use dles_sim::Endpoint;
 
 /// The serial lines a transfer occupies: link `i` is node `i`'s line to
 /// the host. At most two, so a route is stored inline and planning a
@@ -101,9 +76,7 @@ mod tests {
     fn endpoint_display_is_one_based() {
         assert_eq!(format!("{}", Endpoint::Node(0)), "node1");
         assert_eq!(format!("{}", Endpoint::Host), "host");
-        assert_eq!(
-            link_component(Endpoint::Host, Endpoint::Node(1)),
-            "host->node2"
-        );
+        let wire = dles_sim::Component::Wire(Endpoint::Host, Endpoint::Node(1));
+        assert_eq!(wire.to_string(), "host->node2");
     }
 }

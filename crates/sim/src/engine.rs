@@ -2,7 +2,7 @@
 
 use crate::event::{EventId, EventQueue};
 use crate::time::SimTime;
-use crate::trace::{NullRecorder, Recorder, TraceRecord};
+use crate::trace::{Component, NullRecorder, Recorder, TraceEvent};
 
 /// Model state driven by the engine.
 ///
@@ -63,16 +63,17 @@ impl<'a, E> Ctx<'a, E> {
         *self.stop_requested = true;
     }
 
-    /// Whether the engine's recorder wants records at all. Handlers should
-    /// guard record construction behind this so tracing is free when off.
+    /// Whether the engine's recorder wants events at all. Handlers should
+    /// guard event construction behind this so tracing is free when off.
     #[inline]
     pub fn tracing(&self) -> bool {
         self.recorder.enabled()
     }
 
-    /// Submit a trace record to the engine's recorder.
-    pub fn emit(&mut self, record: TraceRecord) {
-        self.recorder.record(record);
+    /// Submit the `event` that `component` emits now to the engine's
+    /// recorder.
+    pub fn emit(&mut self, component: Component, event: TraceEvent) {
+        self.recorder.event(self.now, component, event);
     }
 
     /// Direct access to the recorder (for bulk emitters).
@@ -301,8 +302,14 @@ mod tests {
             type Event = u32;
             fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
                 if ctx.tracing() {
-                    let rec = TraceRecord::new(ctx.now(), "emitter", "tick").with("ev", ev as u64);
-                    ctx.emit(rec);
+                    let rotations = u64::from(ev);
+                    ctx.emit(
+                        Component::Pipeline,
+                        TraceEvent::Rotation {
+                            frame: 0,
+                            rotations,
+                        },
+                    );
                 }
             }
         }
@@ -319,9 +326,13 @@ mod tests {
         on.run_until(SimTime::MAX);
         let records = on.recorder_mut().take_records();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].u64_field("ev"), Some(7));
-        assert_eq!(records[1].u64_field("ev"), Some(8));
+        assert_eq!(records[0].u64_field("rotations"), Some(7));
+        assert_eq!(records[1].u64_field("rotations"), Some(8));
         assert_eq!(records[1].time, SimTime::from_micros(9));
+        assert_eq!(
+            (records[1].component.as_str(), records[1].kind),
+            ("pipeline", "rotation")
+        );
     }
 
     #[test]

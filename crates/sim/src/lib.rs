@@ -57,6 +57,6 @@ pub use rng::SimRng;
 pub use stats::{CounterSet, DistSummary, Histogram};
 pub use time::SimTime;
 pub use trace::{
-    FieldValue, InjectedFault, JsonlRecorder, LinkFaultKind, MemoryRecorder, NullRecorder,
-    Recorder, TraceEvent, TraceRecord,
+    Component, Endpoint, FieldValue, InjectedFault, JsonlRecorder, LinkFaultKind, MemoryRecorder,
+    NullRecorder, Recorder, TraceEvent, TraceRecord,
 };

@@ -4,17 +4,21 @@
 //! A counting [`GlobalAlloc`] wraps [`System`] and counts every `alloc`,
 //! `alloc_zeroed` and `realloc` made on the calling thread. The
 //! configurations are the paper's experiments on KiBaM, EXP-2C on the
-//! ideal and Peukert batteries, and the two adaptive policies. Each
-//! configuration runs under `NullRecorder` for its first
-//! [`WARM_UP`] of simulated time. The rest of the run, to battery death,
-//! must then make at most [`MAX_STEADY_ALLOCS`] allocations, over a
-//! remainder of tens to hundreds of thousands of events.
+//! ideal and Peukert batteries, and the two adaptive policies, each
+//! under `NullRecorder`; and EXP-2C and fault-free EXP-2B streaming their
+//! JSONL traces through `JsonlRecorder` into a sink. Each configuration
+//! runs under its recorder for its first [`WARM_UP`] of simulated time.
+//! The rest of the run, to battery death, must then make at most
+//! [`MAX_STEADY_ALLOCS`] allocations, over a remainder of tens to
+//! hundreds of thousands of events.
 //!
 //! The bound is a constant, not a per-event rate, because what still
 //! allocates after warm-up does not scale with the event count:
 //! - the first increment of each counter key not yet seen in warm-up,
 //!   such as the death and migration counters;
-//! - one share migration per node death.
+//! - one share migration per node death;
+//! - under `JsonlRecorder`, growing its reused line buffer for a line
+//!   longer than any before.
 //!
 //! The event queue holds only pending events and the pipeline's
 //! `transfers` table only transfers in flight, so neither grows with the
@@ -27,7 +31,6 @@
 //! building a frame, so a draw allocates nothing.
 //!
 //! Out of scope:
-//! - `JsonlRecorder`, which builds one owned `TraceRecord` per record;
 //! - the Rakhmatov–Vrudhula battery. `RakhmatovBattery::advanced` clones
 //!   its mode `Vec` on every bisection step of the exhaustion search, so
 //!   that model allocates per battery transition;
@@ -46,9 +49,9 @@ use dles_battery::packs::itsy_pack_b;
 use dles_core::experiment::{policy_config, Experiment};
 use dles_core::faults::{FaultPlan, FaultProfile, FaultState, LinkFault};
 use dles_core::node::BatterySpec;
-use dles_core::pipeline::{build_engine, PipelineConfig};
+use dles_core::pipeline::{build_engine_with, PipelineConfig};
 use dles_core::policy::SchedulingPolicy;
-use dles_sim::SimTime;
+use dles_sim::{JsonlRecorder, NullRecorder, Recorder, SimTime};
 use dles_units::MilliAmps;
 
 /// Simulated time after which a run counts as warm.
@@ -112,22 +115,33 @@ fn allocs() -> u64 {
 }
 
 /// Events handled and allocations made after warm-up, up to the end of
-/// the run.
-fn steady_state(cfg: PipelineConfig) -> (u64, u64) {
+/// the run, tracing into `recorder` from the start.
+fn steady_state(cfg: PipelineConfig, recorder: Box<dyn Recorder>) -> (u64, u64) {
     let horizon = cfg.horizon;
-    let mut engine = build_engine(cfg);
+    let mut engine = build_engine_with(cfg, recorder);
     engine.run_until(WARM_UP);
     let (events, before) = (engine.processed(), allocs());
     engine.run_until(horizon);
     (engine.processed() - events, allocs() - before)
 }
 
-fn assert_bounded(runs: impl IntoIterator<Item = PipelineConfig>) {
+fn untraced() -> Box<dyn Recorder> {
+    Box::new(NullRecorder)
+}
+
+fn jsonl_to_sink() -> Box<dyn Recorder> {
+    Box::new(JsonlRecorder::to_writer(Box::new(std::io::sink())))
+}
+
+fn assert_bounded(
+    runs: impl IntoIterator<Item = PipelineConfig>,
+    recorder: fn() -> Box<dyn Recorder>,
+) {
     let mut report = String::new();
     let mut worst = 0;
     for cfg in runs {
         let label = cfg.label.clone();
-        let (events, n) = steady_state(cfg);
+        let (events, n) = steady_state(cfg, recorder());
         assert!(events > 0, "{label}: no events after warm-up");
         report.push_str(&format!(
             "  {label}: {n} allocations over {events} events\n"
@@ -165,6 +179,15 @@ fn paper_experiments_allocate_nothing_per_event() {
             .map(Experiment::config)
             .into_iter()
             .chain([ideal, peukert]),
+        untraced,
+    );
+}
+
+#[test]
+fn jsonl_traced_runs_allocate_nothing_per_event() {
+    assert_bounded(
+        [Experiment::Exp2C, Experiment::Exp2B].map(Experiment::config),
+        jsonl_to_sink,
     );
 }
 
@@ -175,6 +198,7 @@ fn adaptive_policies_allocate_nothing_per_event() {
             .into_iter()
             .filter(|p| !p.is_static())
             .map(policy_config),
+        untraced,
     );
 }
 
