@@ -1,7 +1,6 @@
 //! A minimal complex number type for the FFT kernels.
 //!
-//! Written from scratch (no `num-complex` dependency) with exactly the
-//! operations the signal path needs.
+//! Written from scratch (no `num-complex` dependency).
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 
@@ -13,9 +12,9 @@ pub struct Complex {
 }
 
 impl Complex {
-    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     #[cfg(test)]
-    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
     #[inline]
     pub const fn new(re: f64, im: f64) -> Self {
@@ -30,7 +29,7 @@ impl Complex {
 
     /// `r · e^{iθ}`.
     #[inline]
-    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
+    pub fn from_polar(r: f64, theta: f64) -> Self {
         Complex {
             re: r * theta.cos(),
             im: r * theta.sin(),
@@ -39,12 +38,12 @@ impl Complex {
 
     /// The unit phasor `e^{iθ}` — FFT twiddle factors.
     #[inline]
-    pub(crate) fn cis(theta: f64) -> Self {
+    pub fn cis(theta: f64) -> Self {
         Self::from_polar(1.0, theta)
     }
 
     #[inline]
-    pub(crate) fn conj(self) -> Self {
+    pub fn conj(self) -> Self {
         Complex {
             re: self.re,
             im: -self.im,
@@ -53,19 +52,19 @@ impl Complex {
 
     /// Squared magnitude `|z|²` (avoids the square root).
     #[inline]
-    pub(crate) fn norm_sqr(self) -> f64 {
+    pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude `|z|`.
     #[cfg(test)]
-    pub(crate) fn abs(self) -> f64 {
+    pub fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 
     /// Scale by a real factor.
     #[inline]
-    pub(crate) fn scale(self, s: f64) -> Self {
+    pub fn scale(self, s: f64) -> Self {
         Complex {
             re: self.re * s,
             im: self.im * s,

@@ -1,14 +1,12 @@
 //! Radix-2 Cooley–Tukey FFT, 1-D and 2-D, written from scratch.
 //!
-//! These are the FFT / IFFT functional blocks of the ATR pipeline (Fig. 1).
-//! Iterative, in-place, with bit-reversal permutation; the inverse transform
-//! conjugates the twiddles and normalizes by `1/N`, so `ifft(fft(x)) = x`.
+//! The kernel of the ATR's FFT / IFFT blocks (Fig. 1). Iterative, in-place,
+//! with bit-reversal permutation; the inverse transform conjugates the
+//! twiddles and normalizes by `1/N`, so `ifft(fft(x)) = x`.
 //!
 //! Every public entry point returns the number of floating-point operations
-//! it performed. The pipeline uses those counts to check that the relative
-//! block costs of the real implementation are rank-consistent with the
-//! paper's Fig. 6 measurements — a deterministic substitute for wall-clock
-//! profiling.
+//! it performed. No simulated or reported number reads this module: the
+//! simulator charges the FFT blocks their Fig. 6 latencies ([`crate::AtrProfile`]).
 
 use crate::complexnum::Complex;
 
@@ -18,8 +16,7 @@ const FLOPS_PER_BUTTERFLY: u64 = 10;
 
 /// In-place 1-D FFT (or inverse FFT) of a power-of-two-length buffer.
 ///
-/// Returns the flop count. Panics if the length is not a power of two —
-/// the pipeline always works on power-of-two regions of interest.
+/// Returns the flop count. Panics if the length is not a power of two.
 pub fn fft_in_place(data: &mut [Complex], inverse: bool) -> u64 {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
@@ -98,7 +95,7 @@ pub fn fft2d_in_place(data: &mut [Complex], width: usize, height: usize, inverse
 
 /// Forward 2-D FFT of a real-valued image patch (convenience wrapper):
 /// embeds the reals into ℂ and transforms. Returns `(spectrum, flops)`.
-pub(crate) fn fft2d_real(pixels: &[f64], width: usize, height: usize) -> (Vec<Complex>, u64) {
+pub fn fft2d_real(pixels: &[f64], width: usize, height: usize) -> (Vec<Complex>, u64) {
     assert_eq!(pixels.len(), width * height);
     let mut buf: Vec<Complex> = pixels.iter().map(|&p| Complex::real(p)).collect();
     let flops = fft2d_in_place(&mut buf, width, height, false);

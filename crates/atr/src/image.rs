@@ -1,8 +1,8 @@
-//! Grayscale images: the data flowing through the ATR pipeline.
+//! Grayscale images: the data the ATR blocks operate on.
 //!
 //! The paper's input frames are ~10.1 KB (Fig. 6); at 8 bits per pixel that
-//! is a 128 × 80 frame, which is the default scene size used throughout
-//! this workspace.
+//! is a 128 × 80 frame. The simulator never builds one: it moves only the
+//! frame's byte count ([`crate::AtrProfile`]).
 
 /// A row-major grayscale image with `f64` pixels (nominally in `[0, 255]`).
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +14,7 @@ pub struct Image {
 
 impl Image {
     /// An all-zero image.
-    pub(crate) fn zeros(width: usize, height: usize) -> Self {
+    pub fn zeros(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "degenerate image dimensions");
         Image {
             width,
@@ -25,7 +25,7 @@ impl Image {
 
     /// Wrap an existing pixel buffer (row-major, `width × height`).
     #[cfg(test)]
-    pub(crate) fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Self {
+    pub fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Self {
         assert_eq!(pixels.len(), width * height, "pixel buffer size mismatch");
         Image {
             width,
@@ -42,7 +42,7 @@ impl Image {
         self.height
     }
 
-    pub(crate) fn pixels(&self) -> &[f64] {
+    pub fn pixels(&self) -> &[f64] {
         &self.pixels
     }
 
@@ -53,14 +53,14 @@ impl Image {
     }
 
     #[inline]
-    pub(crate) fn set(&mut self, x: usize, y: usize, v: f64) {
+    pub fn set(&mut self, x: usize, y: usize, v: f64) {
         debug_assert!(x < self.width && y < self.height);
         self.pixels[y * self.width + x] = v;
     }
 
     /// Add `v` to the pixel, ignoring out-of-bounds coordinates (used when
     /// painting targets that overlap the frame edge).
-    pub(crate) fn add_clipped(&mut self, x: isize, y: isize, v: f64) {
+    pub fn add_clipped(&mut self, x: isize, y: isize, v: f64) {
         if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
             self.pixels[y as usize * self.width + x as usize] += v;
         }
@@ -68,7 +68,7 @@ impl Image {
 
     /// Extract a `w × h` patch with its top-left corner at `(x0, y0)`,
     /// zero-padding where the patch exceeds the frame.
-    pub(crate) fn patch(&self, x0: isize, y0: isize, w: usize, h: usize) -> Image {
+    pub fn patch(&self, x0: isize, y0: isize, w: usize, h: usize) -> Image {
         let mut out = Image::zeros(w, h);
         for dy in 0..h {
             let sy = y0 + dy as isize;
@@ -87,19 +87,18 @@ impl Image {
     }
 
     /// Mean pixel value.
-    pub(crate) fn mean(&self) -> f64 {
+    pub fn mean(&self) -> f64 {
         self.pixels.iter().sum::<f64>() / self.pixels.len() as f64
     }
 
     /// Population variance of the pixel values.
-    pub(crate) fn variance(&self) -> f64 {
+    pub fn variance(&self) -> f64 {
         let m = self.mean();
         self.pixels.iter().map(|p| (p - m) * (p - m)).sum::<f64>() / self.pixels.len() as f64
     }
 
     /// Subtract the mean and scale to unit energy (zero image stays zero).
-    /// Standard preprocessing before matched filtering.
-    pub(crate) fn normalized(&self) -> Image {
+    pub fn normalized(&self) -> Image {
         let m = self.mean();
         let energy: f64 = self.pixels.iter().map(|p| (p - m) * (p - m)).sum();
         let scale = if energy > 0.0 {
@@ -114,9 +113,8 @@ impl Image {
         }
     }
 
-    /// Downsample by integer factor `f` (box filter) — the cheap first pass
-    /// of the target-detection block.
-    pub(crate) fn downsample(&self, f: usize) -> Image {
+    /// Downsample by integer factor `f` (box filter).
+    pub fn downsample(&self, f: usize) -> Image {
         assert!(f > 0, "downsample factor must be positive");
         let w = (self.width / f).max(1);
         let h = (self.height / f).max(1);

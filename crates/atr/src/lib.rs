@@ -11,43 +11,31 @@
 //! of interest per target, filters it against templates in the frequency
 //! domain, and finally computes the distance of each target.
 //!
-//! This crate contains **two coupled representations** of that workload:
+//! The battery-lifetime simulator sees the workload only through the
+//! *measured profile* the paper publishes in Fig. 6 ([`AtrProfile`]):
+//! per-block latency at 206.4 MHz and payload bytes. [`blocks`] holds the
+//! block/partition algebra. No image is processed: every reported number
+//! depends on the profile alone.
 //!
-//! 1. A *real, runnable implementation*: synthetic scene generation
-//!    ([`scene`]), a radix-2 1-D/2-D FFT written from scratch ([`fft`]),
-//!    frequency-domain matched filtering ([`filter`]), detection
-//!    ([`detect`]) and distance estimation over a template scale sweep
-//!    ([`distance`]), composed in [`pipeline`]. Every block counts its
-//!    arithmetic work, so the relative block costs can be checked against
-//!    the paper's measurements deterministically.
-//! 2. The *measured profile* of Fig. 6 ([`AtrProfile`]): per-block latency at
-//!    206.4 MHz and communication payload bytes, which is what the
-//!    battery-lifetime simulator consumes.
-//!
-//! The block/partition algebra shared by both lives in [`blocks`].
+//! The crate also keeps the signal-processing primitives of the FFT / IFFT
+//! blocks, each with its own tests: a complex type ([`complexnum`]), a
+//! radix-2 1-D/2-D FFT written from scratch ([`fft`]) and a grayscale image
+//! ([`image`]). Nothing else in the workspace calls them.
 //!
 //! ```
-//! use dles_atr::{scene::SceneBuilder, pipeline::AtrPipeline};
+//! use dles_atr::{AtrProfile, BlockRange};
 //!
-//! let scene = SceneBuilder::new(128, 80).seed(7).targets(1).build();
-//! let pipeline = AtrPipeline::standard();
-//! let report = pipeline.run(&scene.image);
-//! assert!(!report.targets.is_empty());
+//! // §4.3: the whole algorithm takes 1.1 s at the peak clock.
+//! let profile = AtrProfile::paper();
+//! assert!((profile.peak_secs(BlockRange::full()) - 1.1).abs() < 1e-12);
 //! ```
 #![forbid(unsafe_code)]
 
 pub mod blocks;
 pub mod complexnum;
-pub mod detect;
-pub mod distance;
 pub mod fft;
-pub mod filter;
-pub(crate) mod image;
-pub mod pipeline;
+pub mod image;
 pub(crate) mod profile;
-pub mod scene;
-pub mod template;
 
 pub use blocks::{Block, BlockRange};
-pub use pipeline::AtrPipeline;
 pub use profile::AtrProfile;

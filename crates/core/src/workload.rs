@@ -189,6 +189,51 @@ mod tests {
         assert!(with > without);
     }
 
+    /// Payload direction: every block shrinks or grows the data exactly as
+    /// the profile's recv/send accounting assumes, for every partition.
+    #[test]
+    fn partition_payload_conservation() {
+        let profile = sys().profile;
+        for n in 1..=4 {
+            for ranges in dles_atr::blocks::partitions(n) {
+                // Adjacent stages agree on the handoff size.
+                for w in ranges.windows(2) {
+                    assert_eq!(
+                        profile.send_bytes(w[0]),
+                        profile.recv_bytes(w[1]),
+                        "handoff mismatch at {:?}",
+                        w
+                    );
+                }
+                // Chain ends are the frame input and final result.
+                assert_eq!(profile.recv_bytes(ranges[0]), profile.input_bytes);
+                assert_eq!(
+                    profile.send_bytes(*ranges.last().unwrap()),
+                    profile.block(dles_atr::Block::ComputeDistance).output_bytes
+                );
+            }
+        }
+    }
+
+    /// The profile's whole-pipeline latency at peak equals §4.3's 1.1 s and
+    /// the serial model reproduces the baseline's 1.1/0.1 s I/O split.
+    #[test]
+    fn baseline_frame_budget_reconstructs() {
+        let SystemConfig {
+            profile, serial, ..
+        } = sys();
+        let full = BlockRange::full();
+        let recv = serial.transfer_secs(profile.recv_bytes(full));
+        let proc = profile.peak_secs(full);
+        let send = serial.transfer_secs(profile.send_bytes(full));
+        let total = recv + proc + send;
+        assert!((recv - 1.1).abs() < 0.05, "recv {recv}");
+        assert!((proc - 1.1).abs() < 1e-9, "proc {proc}");
+        assert!((send - 0.1).abs() < 0.02, "send {send}");
+        // §5.1: "the total time to process one frame is D = 2.3 seconds".
+        assert!((total - 2.3).abs() < 0.05, "total {total}");
+    }
+
     #[test]
     fn zero_slack_is_infeasible() {
         let sys = sys();

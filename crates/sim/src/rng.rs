@@ -1,7 +1,7 @@
 //! Deterministic randomness for simulations.
 //!
 //! Every stochastic quantity in the workspace (serial-transaction startup
-//! jitter, synthetic-scene noise) draws from a [`SimRng`] seeded explicitly,
+//! jitter, injected faults) draws from a [`SimRng`] seeded explicitly,
 //! so experiment runs are reproducible bit-for-bit.
 
 /// A seedable RNG with convenience samplers used across the workspace.
@@ -146,11 +146,6 @@ impl SimRng {
                 return v;
             }
         }
-    }
-
-    /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
     }
 
     /// Bernoulli draw.
@@ -298,7 +293,7 @@ mod tests {
     fn normal_moments_are_sane() {
         let mut r = SimRng::seed_from_u64(5);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| 10.0 + 2.0 * r.standard_normal()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");

@@ -5,6 +5,9 @@
 //! ```text
 //! cargo run -p dles-examples --bin partition_explorer --release [D_secs]
 //! ```
+//!
+//! `D_secs` defaults to the paper's 2.3 s; anything but a finite positive
+//! number is a usage error (exit 2).
 #![forbid(unsafe_code)]
 
 use dles_atr::blocks::partitions;
@@ -12,11 +15,24 @@ use dles_core::partition::{analyze_partition, best_partition};
 use dles_core::workload::SystemConfig;
 use dles_sim::SimTime;
 
+/// The frame deadline in seconds: §5.1's 2.3 s when `arg` is absent,
+/// else `arg` if it is a finite positive number.
+fn parse_deadline(arg: Option<&str>) -> Result<f64, String> {
+    let Some(arg) = arg else { return Ok(2.3) };
+    arg.parse()
+        .ok()
+        .filter(|d: &f64| d.is_finite() && *d > 0.0)
+        .ok_or_else(|| {
+            format!("the frame deadline must be a positive number of seconds, got {arg:?}")
+        })
+}
+
 fn main() {
-    let d_secs: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.3);
+    let arg = std::env::args().nth(1);
+    let d_secs = parse_deadline(arg.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let mut sys = SystemConfig::paper();
     sys.frame_delay = SimTime::from_secs_f64(d_secs);
 
@@ -64,4 +80,18 @@ fn main() {
          the I/O-heavy schemes fall off the feasible set, or a looser one\n\
          (e.g. 4.0) to see every node reach the 59 MHz floor."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deadline_defaults_to_the_paper_and_rejects_non_positive_or_garbage() {
+        assert_eq!(parse_deadline(None), Ok(2.3));
+        assert_eq!(parse_deadline(Some("1.8")), Ok(1.8));
+        for bad in ["abc", "", "0", "-0", "-1", "inf", "NaN", "1e999"] {
+            assert!(parse_deadline(Some(bad)).is_err(), "{bad}");
+        }
+    }
 }
